@@ -69,8 +69,8 @@ def _tally(results, check):
 def run(workload, seed, seconds, trace, sizes=None, before_check=None, out=None):
     """Run one workload and print its report; returns the exit code.
 
-    ``sizes`` overrides the problem sizes and ``before_check(wl)`` runs just
-    before the oracles; both exist for bench/selftest.py."""
+    ``sizes`` overrides ``workloads.SIZES`` and ``before_check(wl)`` runs
+    just before the oracles; both exist for bench/selftest.py."""
     out = out or sys.stdout
     if not (SRC / "gasketfif" / "__init__.py").is_file():
         print(f"error: no gasketfif sources under {SRC}", file=sys.stderr)
@@ -85,12 +85,14 @@ def run(workload, seed, seconds, trace, sizes=None, before_check=None, out=None)
     import_s = time.perf_counter() - t0
     import provenance
     import tracing
-    from workloads import SIZES, WORKLOADS
+    from refloop import ReferenceLoop
+    from workloads import SIZES, WORKLOADS, known_defects
 
     prov = provenance.collect(ROOT, seed, load_at_start)
     prov.update(workload=workload, seconds=seconds, trace=trace)
     WORK.mkdir(exist_ok=True)
-    wl = WORKLOADS[workload](seed, sizes or SIZES[workload], str(WORK))
+    sizes = sizes or SIZES
+    wl = WORKLOADS[workload](seed, sizes[workload], str(WORK))
     try:
         build_s = []
         for _ in range(BUILD_REPEATS):
@@ -102,12 +104,17 @@ def run(workload, seed, seconds, trace, sizes=None, before_check=None, out=None)
         wl.run_pass(_null_span)  # warm-up: fills process caches
         warm_s = time.perf_counter() - t
         setup_s = import_s + _median(build_s) + warm_s
+        # set-up plus one pass is a fixed amount of work, so the peak does
+        # not depend on how many passes fit in the run
+        peak_rss_mb = provenance.peak_rss_mb()
+        ref = None if trace else ReferenceLoop(wl.REFERENCE)
         # the benchmark's own inputs should not add to the cyclic GC's work
         gc.collect()
         gc.freeze()
 
         results, untraced, traced = [], [], []
         tracer = tracing.Tracer() if trace else None
+        ref_s = [] if trace else [ref()]
         started = time.perf_counter()
         while True:
             gc.collect()  # every pass starts from the same heap state
@@ -131,25 +138,29 @@ def run(workload, seed, seconds, trace, sizes=None, before_check=None, out=None)
                     untraced.append(time.perf_counter() - t)
             else:
                 r = wl.run_pass(_null_span)
+                ref_s.append(ref())
+                r.ref_ratio = r.wall / ((ref_s[-2] + ref_s[-1]) / 2)
             r.seal()
             if results:
                 results[-1].outputs = None  # keep memory flat across passes
             results.append(r)
-            if pid == 0:
-                # set-up plus one pass is a fixed amount of work, so the peak
-                # does not depend on how many passes fit in the run
-                peak_rss_mb = provenance.peak_rss_mb()
             # stop when one more pass (a pair of cycles when tracing) would
             # overrun the run length
             if trace:
                 if pid % 2 and time.perf_counter() - started + untraced[-1] + traced[-1] > seconds:
                     break
-            elif time.perf_counter() - started + _median([x.wall for x in results]) > seconds:
+            elif time.perf_counter() - started + _median([x.wall + ref_s[-1] for x in results]) > seconds:
                 break
 
         if before_check is not None:
             before_check(wl)
         verdict, attempted, failed, mismatched = _tally(results, wl.check)
+        defects = known_defects(seed, sizes["defects"])
+        for name, d in defects.items():
+            if d["failed"]:
+                print(f"known defect {name}, not counted as failed ops: {d['failed']} of "
+                      f"{d['checked']} checked; {d['cause']}; first: {d['first']}",
+                      file=sys.stderr)
         report = {
             "provenance": prov,
             "passes": len(results),
@@ -159,9 +170,10 @@ def run(workload, seed, seconds, trace, sizes=None, before_check=None, out=None)
             "nondeterministic_passes": mismatched,
             "failures": {g: {"attempted": a, "failed": f, "first": why}
                          for g, (a, f, why) in verdict.groups.items() if f},
+            "known_defects": defects,
         }
         if trace:
-            metrics = _layer_metrics(tracer, verdict, untraced, traced)
+            metrics = _layer_metrics(tracer, verdict, defects, untraced, traced)
             path = WORK / f"trace-{workload}-seed{seed}.npz"
             tracer.save(path, prov)
             report["trace_file"] = str(path.relative_to(ROOT))
@@ -171,16 +183,19 @@ def run(workload, seed, seconds, trace, sizes=None, before_check=None, out=None)
             stages = {k: _median([r.stages[k] for r in results]) for k in results[0].stages}
             metrics = {
                 "setup_s": (setup_s, "s"),
-                "wall_s": (_median(walls), "s"),
+                "pass_ref_ratio": (_median([r.ref_ratio for r in results]), "ratio"),
                 "peak_rss_mb": (peak_rss_mb, "MB"),
             }
             report["metrics"] = {
                 **{k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
+                "wall_s": {"value": _median(walls), "unit": "s"},
+                "ref_loop_s": {"value": _median(ref_s), "unit": "s"},
                 **{k: {"value": v, "unit": u} for k, (v, u) in wl.metrics(stages).items()},
                 "fail_frac": {"value": failed / attempted, "unit": "ratio"},
                 "ops": {"value": attempted, "unit": "count"},
             }
             report["pass_wall_s"] = walls
+            report["ref_loop_s"] = ref_s
             report["pass_stages_s"] = {k: [r.stages[k] for r in results] for k in stages}
             report["setup_parts_s"] = {"import": import_s, "build_median": _median(build_s),
                                        "warm_up_pass": warm_s}
@@ -199,7 +214,7 @@ def run(workload, seed, seconds, trace, sizes=None, before_check=None, out=None)
         wl.close()
 
 
-def _layer_metrics(tracer, verdict, untraced, traced):
+def _layer_metrics(tracer, verdict, defects, untraced, traced):
     passes = list(tracer.passes.values())
     metrics = {}
     for name in tracer.names:
@@ -225,6 +240,9 @@ def _layer_metrics(tracer, verdict, untraced, traced):
         vals = [p["counters"].get(counter, 0) for p in passes]
         metrics[counter] = (statistics.median_low(vals), "count" if counter != "cli.bytes_written"
                             else "bytes")
+    metrics["evaluator.eval_approx.n3_k12_bound_violations"] = (
+        defects["eval_approx_n3_k12"]["failed"], "count")
+    metrics["analysis.holder_fit.n2_rule_failures"] = (defects["holder_fit_n2"]["failed"], "count")
     metrics["tracing.overhead_frac"] = (_median(traced) / _median(untraced) - 1.0, "ratio")
     return metrics
 

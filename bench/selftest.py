@@ -20,10 +20,12 @@ import run
 BENCHMARK = json.loads((run.ROOT / "BENCHMARK.json").read_text())
 
 TINY = {
-    "points": {"evals": 60, "depth": 12, "chaos": 3000, "chaos_checked": 100, "cloud_level": 3},
+    "points": {"evals": 60, "k": {1: 12, 3: 4}, "chaos": 3000, "chaos_checked": 100,
+               "cloud_level": 3},
     "grids": {"depth": 3, "dim_levels": (2, 4), "holder_levels": (2, 3), "fp_tol": 1e-12,
               "checked": 40},
     "cli": {"grid_depth": 2, "chaos": 500, "dim_levels": (2, 4), "holder_levels": (2, 3)},
+    "defects": {"points": 20, "k": 12, "holder_levels": (2, 3)},
 }
 
 #: metrics the report line must carry on each workload, with their units
@@ -34,8 +36,8 @@ REPORTED = {
     "cli": {"chaos_samples_per_s": "1/s", "grid_values_per_s": "1/s", "dim_s": "s",
             "holder_s": "s", "check_s": "s"},
 }
-COMMON = {"setup_s": "s", "wall_s": "s", "peak_rss_mb": "MB", "fail_frac": "ratio",
-          "ops": "count"}
+COMMON = {"setup_s": "s", "pass_ref_ratio": "ratio", "wall_s": "s", "ref_loop_s": "s",
+          "peak_rss_mb": "MB", "fail_frac": "ratio", "ops": "count"}
 
 failures = []
 
@@ -48,7 +50,7 @@ def expect(ok, what):
 
 def bench(workload, trace, before_check=None):
     buf = io.StringIO()
-    code = run.run(workload, seed=3, seconds=0, trace=trace, sizes=TINY[workload],
+    code = run.run(workload, seed=3, seconds=0, trace=trace, sizes=TINY,
                    before_check=before_check, out=buf)
     lines = buf.getvalue().splitlines()
     report = next(json.loads(x[len("report "):]) for x in lines if x.startswith("report "))
