@@ -29,6 +29,7 @@ from .errors import (
 )
 from .evaluator import (
     GraphSample,
+    GraphSamples,
     GridFunction,
     chaos_game,
     eval_approx,
@@ -46,6 +47,7 @@ from .gasket import (
     canonicalize,
     enumerate_vertices,
     locate,
+    locate_many,
     shift,
     standard_gasket,
     word_map,

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -25,6 +23,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
+from .fileio import atomic_open
 from .gasket import Address, GasketSpec, enumerate_vertices
 from .model import (
     DataSet,
@@ -142,19 +141,6 @@ def _report(command, started, status, outputs=()):
     )
 
 
-def _atomic_write(path, writer):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            writer(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def cmd_build(args):
     model = build_from_config(args.config)
     rep = check_compatibility(model, samples_per_edge=6)
@@ -199,8 +185,7 @@ def cmd_grid(args):
     pts1 = [address_point(g1, a) for a in verts]
     pts2 = [address_point(g2, b) for b in verts]
     values = np.empty((len(verts), len(verts)))
-
-    def write(fh):
+    with atomic_open(args.out) as fh:
         fh.write("t_x,t_y,s_x,s_y,f\n")
         for i, a in enumerate(verts):
             for j, b in enumerate(verts):
@@ -210,10 +195,7 @@ def cmd_grid(args):
                     f"{pts1[i][0]:.17g},{pts1[i][1]:.17g},"
                     f"{pts2[j][0]:.17g},{pts2[j][1]:.17g},{v:.17g}\n"
                 )
-
-    outputs = []
-    _atomic_write(args.out, write)
-    outputs.append(args.out)
+    outputs = [args.out]
     if args.ppm:
         _write_ppm(args.ppm, values)
         outputs.append(args.ppm)
@@ -229,17 +211,9 @@ def _write_ppm(path, values):
     gray = np.round(255.0 * (values - lo) / span).astype(np.uint8)
     h, w = gray.shape
     rgb = np.repeat(gray[:, :, None], 3, axis=2)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-            fh.write(rgb.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, binary=True) as fh:
+        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(rgb.tobytes())
 
 
 def cmd_chaos(args):
@@ -247,6 +221,7 @@ def cmd_chaos(args):
     samples = evaluator.chaos_game(model, args.points, args.seed, args.burn_in)
     evaluator.samples_to_csv(samples, args.out)
     print(f"wrote {len(samples)} samples to {args.out}")
+    args._outputs = [args.out]
     return EXIT_OK
 
 
@@ -398,12 +373,6 @@ def _make_parser():
 
     def common(p):
         p.add_argument("-c", "--config", required=True, help="JSON model config")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=0,
-            help="worker threads for the numeric kernels (0 = auto)",
-        )
 
     p = sub.add_parser("build", help="validate a config and print derived constants")
     common(p)

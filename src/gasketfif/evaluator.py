@@ -8,17 +8,17 @@ fixed point is f), and chaos-game sampling of the graph.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import PreconditionError
+from .fileio import atomic_open
 from .gasket import (
     Address,
     GasketSpec,
+    _word_offset,
     address_point,
     barycentric_many,
     bary_f,
@@ -28,7 +28,7 @@ from .gasket import (
     word_map_inverse,
     word_map_xy,
 )
-from .model import FifModel, _bilinear
+from .model import FifModel, _bilinear, _bilinear_form
 
 
 def _padded_words(model: FifModel, addr_t: Address, addr_s: Address):
@@ -245,14 +245,71 @@ class GraphSample:
     value: float
 
 
+@dataclass(frozen=True, eq=False)
+class GraphSamples:
+    """Graph samples held as arrays: t (P, 2), s (P, 2) and value (P,).
+
+    Behaves as a sequence of GraphSample: integer indexing and iteration
+    build GraphSample objects with tuples of Python floats, slicing gives
+    a GraphSamples, and == compares all arrays with one bool.
+    """
+
+    t: np.ndarray
+    s: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def of(cls, samples) -> "GraphSamples":
+        """`samples` itself when it is a GraphSamples; otherwise the arrays
+        of an iterable of GraphSample, built once."""
+        if isinstance(samples, cls):
+            return samples
+        rows = np.array(
+            [(*sm.t, *sm.s, sm.value) for sm in samples], dtype=float
+        ).reshape(-1, 5)
+        return cls(rows[:, 0:2], rows[:, 2:4], rows[:, 4])
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return GraphSamples(self.t[i], self.s[i], self.value[i])
+        return GraphSample(
+            tuple(self.t[i].tolist()), tuple(self.s[i].tolist()), float(self.value[i])
+        )
+
+    def __iter__(self):
+        for t, s, v in zip(self.t.tolist(), self.s.tolist(), self.value.tolist()):
+            yield GraphSample(tuple(t), tuple(s), v)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GraphSamples):
+            return NotImplemented
+        return (
+            np.array_equal(self.t, other.t)
+            and np.array_equal(self.s, other.s)
+            and np.array_equal(self.value, other.value)
+        )
+
+    __hash__ = None
+
+
+#: independent orbits the chaos game steps in lock-step
+CHAOS_ORBITS = 1024
+
+
 def chaos_game(
     model: FifModel, count: int, seed: int, burn_in: int = 100
-) -> list:
+) -> GraphSamples:
     """Random iteration of the lifted maps, started on the graph.
 
-    The orbit starts at (p1, q1, 0), which lies on the graph because f
-    vanishes at corner pairs, and stays on it under every map.  Cell-pairs
-    are drawn uniformly; the stream is deterministic for a fixed seed.
+    min(count, CHAOS_ORBITS) independent orbits are stepped in lock-step.
+    Each starts at (p1, q1, 0), which lies on the graph because f vanishes
+    at corner pairs and stays on it under every map, and discards its own
+    first `burn_in` points.  Sample j*orbits + i is the j-th kept point of
+    orbit i.  Cell-pairs are drawn uniformly; the stream is deterministic
+    for a fixed seed.
     """
     if count <= 0:
         raise PreconditionError("count must be positive")
@@ -261,44 +318,63 @@ def chaos_game(
     from .model import words_of_length
 
     words = words_of_length(model.n)
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, len(words), size=(burn_in + count, 2))
+    nw = len(words)
     g1, g2 = model.gasket1, model.gasket2
-    t = g1.corners[0]
-    s = g2.corners[0]
-    x = 0.0
-    out = []
-    for i in range(burn_in + count):
-        w1 = words[draws[i, 0]]
-        w2 = words[draws[i, 1]]
-        lam = bary_f(g1, t[0], t[1])
-        mu = bary_f(g2, s[0], s[1])
-        alpha = _bilinear(model.scaling.cell(w1, w2), lam, mu)
-        h = _bilinear(model.shift[(w1, w2)], lam, mu)
-        x = alpha * x + h
-        t = word_map_xy(g1, w1, t[0], t[1])
-        s = word_map_xy(g2, w2, s[0], s[1])
-        if i >= burn_in:
-            out.append(GraphSample(t, s, x))
-    return out
+    scale = 0.5**model.n
+    off1 = np.array([_word_offset(g1, w) for w in words]).T
+    off2 = np.array([_word_offset(g2, w) for w in words]).T
+    # cell-pair c = i1 * nw + i2 holds the maps of (words[i1], words[i2])
+    pairs = [(w1, w2) for w1 in words for w2 in words]
+    shift = np.stack([model.shift[p] for p in pairs], axis=-1)
+    cells = [model.scaling.cell(*p) for p in pairs]
+    is_tensor = np.array([not np.isscalar(v) for v in cells])
+    has_tensor = bool(is_tensor.any())
+    alpha_const = np.array([0.0 if t else float(v) for v, t in zip(cells, is_tensor)])
+    alpha_tensor = np.stack(
+        [v if t else np.zeros((3, 3)) for v, t in zip(cells, is_tensor)], axis=-1
+    )
+
+    orbits = min(count, CHAOS_ORBITS)
+    steps = -(-count // orbits)
+    rng = np.random.default_rng(seed)
+    tx = np.full(orbits, g1.corners[0][0])
+    ty = np.full(orbits, g1.corners[0][1])
+    sx = np.full(orbits, g2.corners[0][0])
+    sy = np.full(orbits, g2.corners[0][1])
+    x = np.zeros(orbits)
+    t_out = np.empty((steps, orbits, 2))
+    s_out = np.empty((steps, orbits, 2))
+    v_out = np.empty((steps, orbits))
+    for step in range(burn_in + steps):
+        c = rng.integers(0, nw * nw, size=orbits)
+        i1, i2 = np.divmod(c, nw)
+        lam = bary_f(g1, tx, ty)
+        mu = bary_f(g2, sx, sy)
+        alpha = alpha_const[c]
+        if has_tensor:
+            alpha = np.where(
+                is_tensor[c], _bilinear_form(alpha_tensor[:, :, c], lam, mu), alpha
+            )
+        x = alpha * x + _bilinear_form(shift[:, :, c], lam, mu)
+        tx, ty = tx * scale + off1[0, i1], ty * scale + off1[1, i1]
+        sx, sy = sx * scale + off2[0, i2], sy * scale + off2[1, i2]
+        if step >= burn_in:
+            j = step - burn_in
+            t_out[j, :, 0], t_out[j, :, 1] = tx, ty
+            s_out[j, :, 0], s_out[j, :, 1] = sx, sy
+            v_out[j] = x
+    return GraphSamples(
+        t_out.reshape(-1, 2)[:count], s_out.reshape(-1, 2)[:count], v_out.reshape(-1)[:count]
+    )
 
 
 def samples_to_csv(samples, path) -> None:
     """Write graph samples as CSV with 17-significant-digit decimals.
 
-    The file is written atomically (temp file + rename)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write("t_x,t_y,s_x,s_y,f\n")
-            for sm in samples:
-                fh.write(
-                    f"{sm.t[0]:.17g},{sm.t[1]:.17g},"
-                    f"{sm.s[0]:.17g},{sm.s[1]:.17g},{sm.value:.17g}\n"
-                )
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    `samples` is a GraphSamples or an iterable of GraphSample.  The file
+    is written atomically (temp file + rename)."""
+    samples = GraphSamples.of(samples)
+    rows = np.column_stack([samples.t, samples.s, samples.value]).tolist()
+    with atomic_open(path) as fh:
+        fh.write("t_x,t_y,s_x,s_y,f\n")
+        fh.writelines(map("%.17g,%.17g,%.17g,%.17g,%.17g\n".__mod__, map(tuple, rows)))

@@ -274,6 +274,55 @@ def locate(spec: GasketSpec, t, depth: int, tol: float = SNAP_TOL) -> str:
     return "".join(letters)
 
 
+def locate_many(spec: GasketSpec, pts, depth: int, tol: float = SNAP_TOL) -> np.ndarray:
+    """Batched `locate`: the letters (1, 2 or 3) of the depth-`depth` cell
+    of every row of the (P, 2) array `pts`, as a (P, depth) int8 array.
+
+    Digits are extracted level by level with the float operations of
+    `bary_f` and `locate`, in the same order, the same first-letter tie
+    rule and the same doubling snap window, so row i spells exactly
+    ``locate(spec, pts[i], depth)``.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    a = spec._bary_inv
+
+    def bary_min(x, y):
+        return np.minimum(
+            np.minimum(a[0] * x + a[1] * y + a[2], a[3] * x + a[4] * y + a[5]),
+            a[6] * x + a[7] * y + a[8],
+        )
+
+    x, y = pts[:, 0], pts[:, 1]
+    outside = np.flatnonzero(bary_min(x, y) < -tol)
+    if len(outside):
+        raise DomainError(
+            f"point {tuple(pts[outside[0]].tolist())} lies outside the gasket hull"
+        )
+    letters = np.empty((len(pts), depth), dtype=np.int8)
+    eff = tol
+    for level in range(depth):
+        eff *= 2.0
+        chosen = np.zeros(len(pts), dtype=np.int8)
+        nx, ny = x, y
+        for letter in LETTERS:
+            px, py = spec.corners[letter - 1]
+            ux, uy = 2.0 * x - px, 2.0 * y - py
+            hit = (chosen == 0) & (bary_min(ux, uy) >= -eff)
+            chosen[hit] = letter
+            nx, ny = np.where(hit, ux, nx), np.where(hit, uy, ny)
+        missed = np.flatnonzero(chosen == 0)
+        if len(missed):
+            raise DomainError(
+                f"point {tuple(pts[missed[0]].tolist())} is not on the gasket "
+                f"at depth {level + 1}"
+            )
+        letters[:, level] = chosen
+        x, y = nx, ny
+    return letters
+
+
 def shift(w: str, k: int) -> str:
     """Drop the first k letters; shifts past the end give the empty word."""
     if k < 0:

@@ -227,7 +227,13 @@ def build_model(
 def _bilinear(cell, lam, mu) -> float:
     if np.isscalar(cell):
         return float(cell)
-    return float(
+    return float(_bilinear_form(cell, lam, mu))
+
+
+def _bilinear_form(cell, lam, mu):
+    """lam^T cell mu, written out term by term.  Also applies elementwise
+    when cell is a (3, 3, P) stack and lam, mu are triples of (P,) arrays."""
+    return (
         lam[0] * (cell[0, 0] * mu[0] + cell[0, 1] * mu[1] + cell[0, 2] * mu[2])
         + lam[1] * (cell[1, 0] * mu[0] + cell[1, 1] * mu[1] + cell[1, 2] * mu[2])
         + lam[2] * (cell[2, 0] * mu[0] + cell[2, 1] * mu[1] + cell[2, 2] * mu[2])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gasketfif as gf
 from gasketfif.analysis import (
@@ -17,6 +19,19 @@ from gasketfif.analysis import (
 )
 from gasketfif.errors import HypothesisError, PreconditionError
 from gasketfif.evaluator import chaos_game
+from gasketfif.gasket import GasketSpec, locate
+from gasketfif.model import ScalingField, build_model
+
+
+def scalar_cloud_count(model, samples, n):
+    """Reference cloud count: one dict bin per cell-pair, scalar locate."""
+    bins = {}
+    for sm in samples:
+        key = (locate(model.gasket1, sm.t, n), locate(model.gasket2, sm.s, n))
+        lo, hi = bins.get(key, (sm.value, sm.value))
+        bins[key] = (min(lo, sm.value), max(hi, sm.value))
+    factor = 2.0**n / max(model.gasket1.side, model.gasket2.side)
+    return sum(1 + math.ceil((hi - lo) * factor) for lo, hi in bins.values())
 
 
 class TestHolderPredict:
@@ -107,6 +122,24 @@ class TestBoxCount:
         grid = box_count(ref03, 3, oscillation(ref03, 3, samples_per_cell=36)).count
         cloud = box_count_cloud(ref03, samples, 3)
         assert abs(cloud - grid) <= 0.1 * grid
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_model=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 1500),
+        level=st.integers(1, 5),
+        custom=st.booleans(),
+    )
+    def test_cloud_matches_scalar_reference(self, n_model, seed, count, level, custom):
+        g2 = GasketSpec(((0.1, 0.2), (1.3, -0.1), (0.4, 1.1))) if custom else None
+        model = build_model(
+            gf.random_dataset(n_model, seed), ScalingField.constant(0.3, n_model), None, g2
+        )
+        samples = chaos_game(model, count, seed)
+        want = scalar_cloud_count(model, samples, level)
+        assert box_count_cloud(model, samples, level) == want
+        assert box_count_cloud(model, list(samples), level) == want
 
 
 class TestEstimateBoxDimension:

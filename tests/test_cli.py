@@ -150,6 +150,14 @@ class TestChaos:
         cfg = write_config(tmp_path, config_dict())
         assert main(["chaos", "-c", cfg, "--points", "0", "-o", "x.csv"]) == 6
 
+    def test_run_line_lists_csv(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, config_dict())
+        out = tmp_path / "c.csv"
+        assert main(["chaos", "-c", cfg, "--points", "50", "-o", str(out)]) == 0
+        run_line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert run_line.startswith("# run command=chaos")
+        assert f"outputs=[{out}]" in run_line
+
 
 class TestDim:
     def test_subcritical_sandwich(self, tmp_path, capsys):

@@ -2,10 +2,15 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gasketfif as gf
 from gasketfif.errors import PreconditionError
 from gasketfif.evaluator import (
+    CHAOS_ORBITS,
+    GraphSample,
+    GraphSamples,
     GridFunction,
     chaos_game,
     eval_approx,
@@ -16,12 +21,22 @@ from gasketfif.evaluator import (
 )
 from gasketfif.gasket import (
     Address,
+    GasketSpec,
     address_point,
+    bary_f,
     enumerate_vertices,
     standard_gasket,
     word_map,
+    word_map_xy,
 )
-from gasketfif.model import eval_scaling, eval_shift
+from gasketfif.model import (
+    ScalingField,
+    _bilinear,
+    build_model,
+    eval_scaling,
+    eval_shift,
+    words_of_length,
+)
 
 SPEC = standard_gasket()
 
@@ -199,6 +214,32 @@ class TestSolveFixedPoint:
             solve_fixed_point(ref03, 1, 0.0)
 
 
+CHAOS_MODELS = {1: gf.reference_model(0.3), 2: gf.random_model(2, 5)}
+
+
+def scalar_chaos_game(model, count, seed, burn_in):
+    """Scalar replay of chaos_game's orbits from the same random stream."""
+    words = words_of_length(model.n)
+    nw = len(words)
+    orbits = min(count, CHAOS_ORBITS)
+    steps = -(-count // orbits)
+    rng = np.random.default_rng(seed)
+    draws = [rng.integers(0, nw * nw, size=orbits) for _ in range(burn_in + steps)]
+    g1, g2 = model.gasket1, model.gasket2
+    out = [None] * (steps * orbits)
+    for o in range(orbits):
+        t, s, x = g1.corners[0], g2.corners[0], 0.0
+        for step, c in enumerate(draws):
+            w1, w2 = words[c[o] // nw], words[c[o] % nw]
+            lam, mu = bary_f(g1, *t), bary_f(g2, *s)
+            x = (_bilinear(model.scaling.cell(w1, w2), lam, mu) * x
+                 + _bilinear(model.shift[(w1, w2)], lam, mu))
+            t, s = word_map_xy(g1, w1, *t), word_map_xy(g2, w2, *s)
+            if step >= burn_in:
+                out[(step - burn_in) * orbits + o] = GraphSample(t, s, x)
+    return out[:count]
+
+
 class TestChaosGame:
     def test_zero_model_stays_at_zero(self, zero03):
         for sm in chaos_game(zero03, 200, seed=1):
@@ -214,6 +255,55 @@ class TestChaosGame:
         for sm in chaos_game(ref03, 50, seed=9):
             approx, bound = eval_approx(ref03, sm.t, sm.s, 10)
             assert abs(sm.value - approx) <= bound + 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 3000),
+        burn_in=st.integers(0, 150),
+    )
+    def test_seeded_samples_on_graph(self, n, seed, count, burn_in):
+        model = CHAOS_MODELS[n]
+        a = chaos_game(model, count, seed, burn_in)
+        assert a == chaos_game(model, count, seed, burn_in)
+        assert len(a) == count
+        for i in np.linspace(0, count - 1, min(count, 20)).astype(int):
+            sm = a[int(i)]
+            approx, bound = eval_approx(model, sm.t, sm.s, 10 // n)
+            assert abs(sm.value - approx) <= bound + 1e-9
+
+    def test_orbits_match_scalar_steps(self):
+        # mixed scalar/tensor scaling on a custom gasket exercises every
+        # branch of the array step; the scalar replay is the reference
+        rng = np.random.default_rng(3)
+        words = words_of_length(1)
+        cells = {
+            (w1, w2): rng.uniform(-0.3, 0.3, (3, 3)) if (w1 + w2) in ("12", "33")
+            else float(rng.uniform(-0.3, 0.3))
+            for w1 in words
+            for w2 in words
+        }
+        g1 = GasketSpec(((0.1, 0.2), (1.3, -0.1), (0.4, 1.1)))
+        model = build_model(gf.random_dataset(1, 5), ScalingField.from_cells(cells, 1), g1)
+        for count, burn_in in ((37, 5), (2 * CHAOS_ORBITS + 7, 0)):
+            got = chaos_game(model, count, 11, burn_in)
+            assert list(got) == scalar_chaos_game(model, count, 11, burn_in)
+
+    def test_container_interface(self, ref03):
+        samples = chaos_game(ref03, 10, seed=4)
+        assert isinstance(samples, GraphSamples)
+        assert samples.t.shape == (10, 2) and samples.value.shape == (10,)
+        first = samples[0]
+        assert isinstance(first, GraphSample)
+        assert all(type(c) is float for c in first.t + first.s + (first.value,))
+        assert samples[-1] == list(samples)[-1]
+        part = samples[2:5]
+        assert isinstance(part, GraphSamples) and len(part) == 3
+        assert part[0] == samples[2]
+        assert (samples == chaos_game(ref03, 10, seed=4)) is True
+        assert (samples == samples[:9]) is False
+        assert GraphSamples.of(list(samples)) == samples
 
     def test_count_validation(self, ref03):
         with pytest.raises(PreconditionError):
@@ -234,3 +324,14 @@ class TestCsv:
         for row, sm in zip(rows[1:], samples):
             assert float(row[0]) == sm.t[0]
             assert float(row[4]) == sm.value
+
+    def test_bytes_match_17g_text(self, ref03, tmp_path):
+        samples = chaos_game(ref03, 300, seed=8)
+        want = "t_x,t_y,s_x,s_y,f\n" + "".join(
+            f"{sm.t[0]:.17g},{sm.t[1]:.17g},{sm.s[0]:.17g},{sm.s[1]:.17g},{sm.value:.17g}\n"
+            for sm in samples
+        )
+        for given_samples in (samples, list(samples)):
+            path = tmp_path / "out.csv"
+            samples_to_csv(given_samples, path)
+            assert path.read_bytes() == want.encode("ascii")

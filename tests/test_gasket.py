@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasketfif.errors import CapacityError, DomainError
 from gasketfif.gasket import (
+    LETTERS,
     Address,
     DyadicBary,
     GasketSpec,
@@ -13,6 +16,7 @@ from gasketfif.gasket import (
     canonicalize,
     enumerate_vertices,
     locate,
+    locate_many,
     shift,
     standard_gasket,
     word_map,
@@ -192,6 +196,75 @@ class TestLocate:
             w2 = locate(SPEC, t, d)
             # the returned cell must contain t
             word_map_inverse(SPEC, w2, t)
+
+
+def _area2(corners):
+    (x1, y1), (x2, y2), (x3, y3) = corners
+    return (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
+
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False)
+gasket_specs = st.one_of(
+    st.just(SPEC),
+    st.tuples(*[st.tuples(_coord, _coord)] * 3)
+    .filter(lambda c: abs(_area2(c)) > 0.5)
+    .map(GasketSpec),
+)
+
+
+def _scalar_words(spec, pts, depth):
+    """Scalar locate per point; None where it raises DomainError."""
+    out = []
+    for p in pts:
+        try:
+            out.append(locate(spec, p, depth))
+        except DomainError:
+            out.append(None)
+    return out
+
+
+class TestLocateMany:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=gasket_specs,
+        # short words give exact vertices, which are touching points of two
+        # cells at any deeper level; long words give generic gasket points.
+        # Nudges below SNAP_TOL are kept only by the doubling snap window.
+        addresses=st.lists(
+            st.tuples(
+                st.text("123", max_size=30),
+                st.sampled_from(LETTERS),
+                st.sampled_from((0.0, 5e-10, -5e-10, 3e-9)),
+                st.sampled_from((0.0, 5e-10, -5e-10)),
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        # barycentric pairs of hull points, mostly in holes of the gasket
+        hull=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=5),
+        depth=st.integers(1, 12),
+    )
+    def test_same_words_as_locate(self, spec, addresses, hull, depth):
+        pts = [address_point(spec, Address(w, c)) + (dx, dy) for w, c, dx, dy in addresses]
+        pts += [
+            np.array((u, v, 1.0 - u - v)) @ spec.corner_array
+            for u, v in hull
+            if u + v <= 1.0
+        ]
+        pts = np.array(pts)
+        expected = _scalar_words(spec, pts, depth)
+        ok = [i for i, w in enumerate(expected) if w is not None]
+        got = locate_many(spec, pts[ok], depth)
+        assert got.shape == (len(ok), depth)
+        assert ["".join(map(str, row)) for row in got.tolist()] == [expected[i] for i in ok]
+        for i, w in enumerate(expected):
+            if w is None:
+                with pytest.raises(DomainError):
+                    locate_many(spec, pts[i : i + 1], depth)
+
+    def test_depth_validation(self):
+        with pytest.raises(ValueError):
+            locate_many(SPEC, [P1], 0)
 
 
 class TestShift:
