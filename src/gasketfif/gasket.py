@@ -274,7 +274,7 @@ def locate(spec: GasketSpec, t, depth: int, tol: float = SNAP_TOL) -> str:
     return "".join(letters)
 
 
-def locate_many(spec: GasketSpec, pts, depth: int, tol: float = SNAP_TOL) -> np.ndarray:
+def locate_many(spec: GasketSpec, pts, depth: int) -> np.ndarray:
     """Batched `locate`: the letters (1, 2 or 3) of the depth-`depth` cell
     of every row of the (P, 2) array `pts`, as a (P, depth) int8 array.
 
@@ -295,13 +295,13 @@ def locate_many(spec: GasketSpec, pts, depth: int, tol: float = SNAP_TOL) -> np.
         )
 
     x, y = pts[:, 0], pts[:, 1]
-    outside = np.flatnonzero(bary_min(x, y) < -tol)
+    outside = np.flatnonzero(bary_min(x, y) < -SNAP_TOL)
     if len(outside):
         raise DomainError(
             f"point {tuple(pts[outside[0]].tolist())} lies outside the gasket hull"
         )
     letters = np.empty((len(pts), depth), dtype=np.int8)
-    eff = tol
+    eff = SNAP_TOL
     for level in range(depth):
         eff *= 2.0
         chosen = np.zeros(len(pts), dtype=np.int8)

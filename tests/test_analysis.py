@@ -17,7 +17,7 @@ from gasketfif.analysis import (
     holder_predict,
     oscillation,
 )
-from gasketfif.errors import HypothesisError, PreconditionError
+from gasketfif.errors import CapacityError, HypothesisError, PreconditionError
 from gasketfif.evaluator import chaos_game
 from gasketfif.gasket import GasketSpec, locate
 from gasketfif.model import ScalingField, build_model
@@ -140,6 +140,13 @@ class TestBoxCount:
         want = scalar_cloud_count(model, samples, level)
         assert box_count_cloud(model, samples, level) == want
         assert box_count_cloud(model, list(samples), level) == want
+
+    def test_cloud_level_limit(self, ref03):
+        # level 19 is the deepest whose cell-pair codes 9^n fit in int64
+        samples = chaos_game(ref03, 200, 11)
+        assert box_count_cloud(ref03, samples, 19) == scalar_cloud_count(ref03, samples, 19)
+        with pytest.raises(CapacityError):
+            box_count_cloud(ref03, samples, 20)
 
 
 class TestEstimateBoxDimension:
