@@ -45,6 +45,7 @@ from .gasket import (
     address_coords,
     address_point,
     canonicalize,
+    descend,
     enumerate_vertices,
     locate,
     locate_many,

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .fileio import atomic_open
-from .gasket import Address, GasketSpec, enumerate_vertices
+from .gasket import MAX_ENUM_DEPTH, Address, GasketSpec, enumerate_vertices
 from .model import (
     DataSet,
     ScalingField,
@@ -94,13 +94,20 @@ def _parse_scaling(raw, n):
         except (TypeError, ValueError) as e:
             raise _ConfigError(f"scaling.constant: {e}") from None
     if "cells" in raw:
+        if not isinstance(raw["cells"], dict):
+            raise _ConfigError("scaling.cells: must be an object with 'w|w' keys")
         mapping = {}
         for key, val in raw["cells"].items():
             w1, sep, w2 = key.partition("|")
             if not sep:
                 raise _ConfigError(f"scaling.cells key {key!r} must look like 'w|w'")
             mapping[(w1, w2)] = val
-        return ScalingField.from_cells(mapping, n)
+        try:
+            return ScalingField.from_cells(mapping, n)
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as e:
+            raise _ConfigError(f"scaling.cells: {e}") from None
     raise _ConfigError("scaling: need either 'constant' or 'cells'")
 
 
@@ -113,6 +120,11 @@ def build_from_config(path):
         raise _ConfigError("missing field 'n'") from None
     except (TypeError, ValueError):
         raise _ConfigError("'n' must be an integer") from None
+    if n < 1:
+        raise ValidationError("depth N must be >= 1")
+    # the scaling field and the data set both grow as 9^n
+    if n > MAX_ENUM_DEPTH:
+        raise CapacityError(f"depth N={n} exceeds the supported maximum {MAX_ENUM_DEPTH}")
     g1 = _parse_gasket(raw.get("gasket1"), "gasket1")
     g2 = _parse_gasket(raw.get("gasket2"), "gasket2")
     scaling = _parse_scaling(raw.get("scaling", {}), n)

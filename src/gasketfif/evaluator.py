@@ -16,6 +16,7 @@ import numpy as np
 from .errors import PreconditionError
 from .fileio import atomic_open
 from .gasket import (
+    MAX_DESCENT_DEPTH,
     Address,
     GasketSpec,
     _word_offset,
@@ -23,12 +24,11 @@ from .gasket import (
     barycentric_many,
     bary_f,
     canonicalize,
+    descend,
     enumerate_vertices,
-    locate,
-    word_map_inverse,
     word_map_xy,
 )
-from .model import FifModel, _bilinear, _bilinear_form
+from .model import FifModel, _bilinear, _bilinear9, _bilinear_form
 
 
 def _padded_words(model: FifModel, addr_t: Address, addr_s: Address):
@@ -71,37 +71,38 @@ def eval_exact(model: FifModel, addr_t: Address, addr_s: Address) -> float:
 def eval_approx(model: FifModel, t, s, k: int) -> tuple:
     """Truncated unrolling of f at an arbitrary point of the product.
 
-    Locates the nested cell chain of (t, s) down k*N letters, accumulates
-    the shift contributions, and drops the residual f-term, which is worth
-    at most alpha_sup^k * f_sup_bound.  Returns (value, error_bound).
+    Descends k*N letters into the nested cell chain of (t, s), reading
+    each block's barycentric coordinates off the descent, accumulates the
+    shift contributions, and drops the residual term coeff * f(t', s'),
+    where coeff is the product of the scaling factors along the path.
+    Returns (value, error_bound) with the a-posteriori bound
+    |coeff| * f_sup_bound, never above alpha_sup^k * f_sup_bound.
+    k*N beyond MAX_DESCENT_DEPTH raises PreconditionError.
     """
     if k < 1:
         raise PreconditionError("truncation depth k must be >= 1")
     n = model.n
-    g1, g2 = model.gasket1, model.gasket2
     d = k * n
-    wt = locate(g1, t, d)
-    ws = locate(g2, s, d)
-    tb = word_map_inverse(g1, wt, t)
-    sb = word_map_inverse(g2, ws, s)
-    # u[r] = image of the deep preimage under the last k-r blocks, i.e. the
-    # argument fed to block r+1 of the recursion
-    ut = [(float(tb[0]), float(tb[1]))] * (k + 1)
-    us = [(float(sb[0]), float(sb[1]))] * (k + 1)
-    for r in range(k - 1, 0, -1):
-        ut[r] = word_map_xy(g1, wt[r * n : (r + 1) * n], *ut[r + 1])
-        us[r] = word_map_xy(g2, ws[r * n : (r + 1) * n], *us[r + 1])
+    if d > MAX_DESCENT_DEPTH:
+        raise PreconditionError(
+            f"truncation depth k={k} needs {d} letters per factor; float input "
+            f"resolves at most {MAX_DESCENT_DEPTH} (k <= {MAX_DESCENT_DEPTH // n} "
+            f"for N={n})"
+        )
+    wt, lams = descend(model.gasket1, t, d)
+    ws, mus = descend(model.gasket2, s, d)
+    table = model.cell_table
+    index, nw = table.index, len(table.index)
     value = 0.0
     coeff = 1.0
-    for r in range(1, k + 1):
-        block_t = wt[(r - 1) * n : r * n]
-        block_s = ws[(r - 1) * n : r * n]
-        lam = bary_f(g1, ut[r][0], ut[r][1])
-        mu = bary_f(g2, us[r][0], us[r][1])
-        value += coeff * _bilinear(model.shift[(block_t, block_s)], lam, mu)
-        coeff *= _bilinear(model.scaling.cell(block_t, block_s), lam, mu)
-    bound = model.alpha_sup**k * model.f_sup_bound
-    return value, bound
+    for lo in range(0, d, n):
+        hi = lo + n
+        c = index[wt[lo:hi]] * nw + index[ws[lo:hi]]
+        lam, mu = lams[hi - 1], mus[hi - 1]
+        value += coeff * _bilinear9(table.shift_rows[c], lam, mu)
+        alpha = table.alpha_rows[c]
+        coeff *= alpha if type(alpha) is float else _bilinear9(alpha, lam, mu)
+    return value, abs(coeff) * model.f_sup_bound
 
 
 @dataclass(frozen=True)
@@ -164,26 +165,12 @@ class GridFunction:
     def __call__(self, t, s) -> float:
         """Off-grid evaluation: bilinear in the barycentric coordinates of
         the containing depth-m cell-pair, from its nine corner values."""
-        g1, g2 = self.model.gasket1, self.model.gasket2
-        w1 = locate(g1, t, self.depth)
-        w2 = locate(g2, s, self.depth)
-        tb = word_map_inverse(g1, w1, t)
-        sb = word_map_inverse(g2, w2, s)
-        lam = bary_f(g1, float(tb[0]), float(tb[1]))
-        mu = bary_f(g2, float(sb[0]), float(sb[1]))
+        w1, lams = descend(self.model.gasket1, t, self.depth)
+        w2, mus = descend(self.model.gasket2, s, self.depth)
         rows = [self.frame1.index[canonicalize(Address(w1, i))] for i in (1, 2, 3)]
         cols = [self.frame2.index[canonicalize(Address(w2, j))] for j in (1, 2, 3)]
         corner = self.values[np.ix_(rows, cols)]
-        return _bilinear(corner, lam, mu)
-
-    def as_dict(self) -> dict:
-        from .model import ProductVertex
-
-        return {
-            ProductVertex(a, b): float(self.values[i, j])
-            for i, a in enumerate(self.frame1.verts)
-            for j, b in enumerate(self.frame2.verts)
-        }
+        return _bilinear(corner, lams[-1], mus[-1])
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.model, self.depth, self.values.copy())
@@ -315,24 +302,14 @@ def chaos_game(
         raise PreconditionError("count must be positive")
     if burn_in < 0:
         raise PreconditionError("burn_in must be non-negative")
-    from .model import words_of_length
-
-    words = words_of_length(model.n)
+    table = model.cell_table
+    words = list(table.index)
     nw = len(words)
     g1, g2 = model.gasket1, model.gasket2
     scale = 0.5**model.n
     off1 = np.array([_word_offset(g1, w) for w in words]).T
     off2 = np.array([_word_offset(g2, w) for w in words]).T
-    # cell-pair c = i1 * nw + i2 holds the maps of (words[i1], words[i2])
-    pairs = [(w1, w2) for w1 in words for w2 in words]
-    shift = np.stack([model.shift[p] for p in pairs], axis=-1)
-    cells = [model.scaling.cell(*p) for p in pairs]
-    is_tensor = np.array([not np.isscalar(v) for v in cells])
-    has_tensor = bool(is_tensor.any())
-    alpha_const = np.array([0.0 if t else float(v) for v, t in zip(cells, is_tensor)])
-    alpha_tensor = np.stack(
-        [v if t else np.zeros((3, 3)) for v, t in zip(cells, is_tensor)], axis=-1
-    )
+    has_tensor = bool(table.is_tensor.any())
 
     orbits = min(count, CHAOS_ORBITS)
     steps = -(-count // orbits)
@@ -350,12 +327,14 @@ def chaos_game(
         i1, i2 = np.divmod(c, nw)
         lam = bary_f(g1, tx, ty)
         mu = bary_f(g2, sx, sy)
-        alpha = alpha_const[c]
+        alpha = table.alpha[c]
         if has_tensor:
             alpha = np.where(
-                is_tensor[c], _bilinear_form(alpha_tensor[:, :, c], lam, mu), alpha
+                table.is_tensor[c],
+                _bilinear_form(table.alpha_tensor[:, :, c], lam, mu),
+                alpha,
             )
-        x = alpha * x + _bilinear_form(shift[:, :, c], lam, mu)
+        x = alpha * x + _bilinear_form(table.shift[:, :, c], lam, mu)
         tx, ty = tx * scale + off1[0, i1], ty * scale + off1[1, i1]
         sx, sy = sx * scale + off2[0, i2], sy * scale + off2[1, i2]
         if step >= burn_in:

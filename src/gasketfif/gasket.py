@@ -4,6 +4,8 @@ Words over the letters 1,2,3 select nested cells of the gasket; an address
 (word plus a terminal corner) names a vertex.  Vertex identity is decided
 with exact dyadic barycentric arithmetic so that touching points shared by
 two cells deduplicate reliably, independent of floating point noise.
+Arbitrary points are located by a barycentric descent (`descend`), exact
+in floating point after the first step.
 """
 
 from __future__ import annotations
@@ -11,16 +13,40 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, PreconditionError
 
 LETTERS = (1, 2, 3)
 
-#: snap tolerance for cell-membership tests, relative to the triangle side
+#: hull gate: how far (in barycentric units) a point may lie outside the
+#: outer triangle, or outside the cell of `word_map_inverse`, and still be
+#: taken as inside it.  The descent below the hull does not use it; see
+#: `descend`.
 SNAP_TOL = 1e-9
+
+#: starting snap window of a descent per unit of bary_f's rounding scale:
+#: 8 ulp of 1.0 (a float64 mantissa has 53 bits, so eps = 2^-52)
+_WINDOW_ULPS = 8.0 * 2.0**-52
+
+#: Deepest descent that float input can resolve.  The snap window starts
+#: at 8 eps S plus twice the residual of the float barycentric map, where
+#: S = max_i(|a_i0 x| + |a_i1 y| + |a_i2|) is bary_f's rounding scale at
+#: the point.  On the unit gasket S <= 2 and the residual is below 1e-16,
+#: so the window starts near 8 * 2^-52 * 2 = 2^-48.  It doubles per level,
+#: to about 2^-4 of a cell after 44 levels; deeper, a window that is a
+#: sizeable part of a cell can pass a neighbouring cell off as the
+#: point's own.
+MAX_DESCENT_DEPTH = 44
+
+#: Largest snap window a descent may reach, in barycentric units of the
+#: cell.  Twice the unit gasket's window at MAX_DESCENT_DEPTH, so it only
+#: binds on gaskets whose coordinates are large against their size (far
+#: from the origin), whose float points resolve fewer levels.
+MAX_WINDOW = 2.0**-3
 
 #: largest subdivision depth enumerate_vertices will attempt
 MAX_ENUM_DEPTH = 8
@@ -119,6 +145,19 @@ class GasketSpec:
         inv = np.linalg.inv(m)
         return tuple(float(v) for v in inv.ravel())
 
+    @cached_property
+    def _bary_residual(self) -> float:
+        """Largest row sum of |A M - I|, in exact arithmetic, for the float
+        inverse A of the corner matrix M: bary_f's error on top of its
+        rounding, worth up to this much in a coordinate of a hull point."""
+        a = [Fraction(v) for v in self._bary_inv]
+        m = [[Fraction(p[r]) for p in self.corners] for r in (0, 1)] + [[Fraction(1)] * 3]
+        rows = (
+            sum(abs(sum(a[3 * i + r] * m[r][j] for r in range(3)) - (i == j)) for j in range(3))
+            for i in range(3)
+        )
+        return float(max(rows))
+
 
 def standard_gasket() -> GasketSpec:
     """Unit equilateral triangle with base on the x-axis."""
@@ -133,11 +172,6 @@ def bary_f(spec: GasketSpec, x: float, y: float) -> tuple:
         a[3] * x + a[4] * y + a[5],
         a[6] * x + a[7] * y + a[8],
     )
-
-
-def barycentric(spec: GasketSpec, t) -> np.ndarray:
-    x, y = float(t[0]), float(t[1])
-    return np.array(bary_f(spec, x, y))
 
 
 def barycentric_many(spec: GasketSpec, pts: np.ndarray) -> np.ndarray:
@@ -243,83 +277,133 @@ def enumerate_vertices(m: int) -> list:
     return sorted(seen.values(), key=lambda a: (len(a.word), a.word, a.corner))
 
 
-def locate(spec: GasketSpec, t, depth: int, tol: float = SNAP_TOL) -> str:
-    """Word of length `depth` whose cell contains t.
-
-    Ties at touching points resolve to the lexicographically smallest
-    word.  Points outside the hull (or inside a hole of the gasket) raise
-    DomainError.
-    """
+def _check_depth(depth: int) -> None:
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise PreconditionError("depth must be >= 1")
+    if depth > MAX_DESCENT_DEPTH:
+        raise PreconditionError(
+            f"depth {depth} exceeds {MAX_DESCENT_DEPTH}, the deepest descent "
+            "that float input can resolve"
+        )
+
+
+def _rounding_scales(a, x, y):
+    """|a_i0 x| + |a_i1 y| + |a_i2| for each row of the barycentric map:
+    bary_f's rounding error in coordinate i is a few ulp of row i, and
+    so is the error that the rounding of x and y carries into it.  Works
+    on floats and on arrays alike."""
+    return (
+        abs(a[0] * x) + abs(a[1] * y) + abs(a[2]),
+        abs(a[3] * x) + abs(a[4] * y) + abs(a[5]),
+        abs(a[6] * x) + abs(a[7] * y) + abs(a[8]),
+    )
+
+
+def _window_error(t, depth: int) -> PreconditionError:
+    return PreconditionError(
+        f"point {tuple(t)} cannot be resolved to depth {depth} in float: the "
+        "gasket's coordinates are too large against its size"
+    )
+
+
+def descend(spec: GasketSpec, t, depth: int) -> tuple:
+    """Symbolic descent of the point t through `depth` nested cells.
+
+    Works on the barycentric coordinates lam = bary_f(t), computed once.
+    Each level takes the first letter a (1, 2, 3) for which every
+    coordinate of 2 lam - e_a is at least -eff, so ties at touching points
+    resolve to the lexicographically smallest word, and moves on to
+    lam = 2 lam - e_a, the coordinates of t in that cell.  The step is
+    exact in binary floating point (Sterbenz), so the only error is that
+    of lam itself; eff starts at twice a bound on it (see
+    MAX_DESCENT_DEPTH) and doubles per level along with it.
+
+    Returns (word, lams): the word of length `depth` and lams[j], the
+    barycentric triple of t in its cell after j + 1 letters.  Points
+    outside the hull (by more than SNAP_TOL) or in a hole of the gasket
+    raise DomainError; depths beyond MAX_DESCENT_DEPTH, or beyond what the
+    point's float coordinates resolve (window above MAX_WINDOW), raise
+    PreconditionError.
+    """
+    _check_depth(depth)
     x, y = float(t[0]), float(t[1])
-    if min(bary_f(spec, x, y)) < -tol:
+    l0, l1, l2 = bary_f(spec, x, y)
+    if min(l0, l1, l2) < -SNAP_TOL:
         raise DomainError(f"point {tuple(t)} lies outside the gasket hull")
+    scales = _rounding_scales(spec._bary_inv, x, y)
+    eff = _WINDOW_ULPS * max(scales) + 2.0 * spec._bary_residual
+    if eff * 2.0**depth > MAX_WINDOW:
+        raise _window_error(t, depth)
     letters = []
-    eff = tol
+    lams = []
     for _ in range(depth):
-        # inverse maps double any input error, so the snap window doubles too
         eff *= 2.0
-        for a in LETTERS:
-            px, py = spec.corners[a - 1]
-            ux, uy = 2.0 * x - px, 2.0 * y - py
-            if min(bary_f(spec, ux, uy)) >= -eff:
-                letters.append(str(a))
-                x, y = ux, uy
-                break
+        neg = -eff
+        d0, d1, d2 = 2.0 * l0, 2.0 * l1, 2.0 * l2
+        if d0 - 1.0 >= neg and d1 >= neg and d2 >= neg:
+            letters.append("1")
+            l0, l1, l2 = d0 - 1.0, d1, d2
+        elif d0 >= neg and d1 - 1.0 >= neg and d2 >= neg:
+            letters.append("2")
+            l0, l1, l2 = d0, d1 - 1.0, d2
+        elif d0 >= neg and d1 >= neg and d2 - 1.0 >= neg:
+            letters.append("3")
+            l0, l1, l2 = d0, d1, d2 - 1.0
         else:
             raise DomainError(
                 f"point {tuple(t)} is not on the gasket at depth {len(letters) + 1}"
             )
-    return "".join(letters)
+        lams.append((l0, l1, l2))
+    return "".join(letters), lams
+
+
+def locate(spec: GasketSpec, t, depth: int) -> str:
+    """Word of length `depth` whose cell contains t: the word of
+    `descend`, with its tie rule, window and errors."""
+    return descend(spec, t, depth)[0]
 
 
 def locate_many(spec: GasketSpec, pts, depth: int) -> np.ndarray:
     """Batched `locate`: the letters (1, 2 or 3) of the depth-`depth` cell
     of every row of the (P, 2) array `pts`, as a (P, depth) int8 array.
 
-    Digits are extracted level by level with the float operations of
-    `bary_f` and `locate`, in the same order, the same first-letter tie
-    rule and the same doubling snap window, so row i spells exactly
-    ``locate(spec, pts[i], depth)``.
+    Applies the rule of `descend` to arrays with the same float operations
+    in the same order, so row i spells exactly ``locate(spec, pts[i],
+    depth)`` and raises where it raises.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _check_depth(depth)
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    a = spec._bary_inv
-
-    def bary_min(x, y):
-        return np.minimum(
-            np.minimum(a[0] * x + a[1] * y + a[2], a[3] * x + a[4] * y + a[5]),
-            a[6] * x + a[7] * y + a[8],
-        )
-
     x, y = pts[:, 0], pts[:, 1]
-    outside = np.flatnonzero(bary_min(x, y) < -SNAP_TOL)
+    l0, l1, l2 = bary_f(spec, x, y)
+    outside = np.flatnonzero(np.minimum(np.minimum(l0, l1), l2) < -SNAP_TOL)
     if len(outside):
         raise DomainError(
             f"point {tuple(pts[outside[0]].tolist())} lies outside the gasket hull"
         )
+    scales = _rounding_scales(spec._bary_inv, x, y)
+    eff = _WINDOW_ULPS * np.maximum.reduce(scales) + 2.0 * spec._bary_residual
+    coarse = np.flatnonzero(eff * 2.0**depth > MAX_WINDOW)
+    if len(coarse):
+        raise _window_error(pts[coarse[0]].tolist(), depth)
     letters = np.empty((len(pts), depth), dtype=np.int8)
-    eff = SNAP_TOL
     for level in range(depth):
-        eff *= 2.0
-        chosen = np.zeros(len(pts), dtype=np.int8)
-        nx, ny = x, y
-        for letter in LETTERS:
-            px, py = spec.corners[letter - 1]
-            ux, uy = 2.0 * x - px, 2.0 * y - py
-            hit = (chosen == 0) & (bary_min(ux, uy) >= -eff)
-            chosen[hit] = letter
-            nx, ny = np.where(hit, ux, nx), np.where(hit, uy, ny)
-        missed = np.flatnonzero(chosen == 0)
+        eff = eff * 2.0
+        neg = -eff
+        d0, d1, d2 = 2.0 * l0, 2.0 * l1, 2.0 * l2
+        ok0, ok1, ok2 = d0 >= neg, d1 >= neg, d2 >= neg
+        hit1 = (d0 - 1.0 >= neg) & ok1 & ok2
+        hit2 = ~hit1 & ok0 & (d1 - 1.0 >= neg) & ok2
+        hit3 = ~hit1 & ~hit2 & ok0 & ok1 & (d2 - 1.0 >= neg)
+        missed = np.flatnonzero(~(hit1 | hit2 | hit3))
         if len(missed):
             raise DomainError(
                 f"point {tuple(pts[missed[0]].tolist())} is not on the gasket "
                 f"at depth {level + 1}"
             )
-        letters[:, level] = chosen
-        x, y = nx, ny
+        letters[:, level] = np.where(hit1, 1, np.where(hit2, 2, 3))
+        l0 = np.where(hit1, d0 - 1.0, d0)
+        l1 = np.where(hit2, d1 - 1.0, d1)
+        l2 = np.where(hit3, d2 - 1.0, d2)
     return letters
 
 

@@ -10,8 +10,6 @@ numpy, one cell-pair at a time.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import PreconditionError
@@ -134,7 +132,3 @@ def product_values(model: FifModel, depth: int):
                 nxt[np.ix_(ix1, maps2[w2])] = block
         f = nxt
     return fg1, fg2, f
-
-
-def all_words(n: int):
-    return ("".join(p) for p in itertools.product("123", repeat=n))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -173,6 +174,55 @@ class FifModel:
     s_h: float = 1.0
     s_alpha: float = 1.0
 
+    # a cached property, not a field: dataclasses.replace (perturb_shift)
+    # must not carry a table built from the old shift into the new model
+    @cached_property
+    def cell_table(self) -> "CellTable":
+        return CellTable.build(self)
+
+
+@dataclass(frozen=True, eq=False)
+class CellTable:
+    """The cell-pair maps of a model in one flat table.
+
+    Row c = i1 * 3**N + i2 holds the cell-pair (words[i1], words[i2]),
+    with words in `words_of_length` order and `index` mapping a word to
+    its i.  The arrays serve vectorised code; `shift_rows` and
+    `alpha_rows` hold the same numbers as tuples of Python floats for
+    scalar loops (see `_bilinear9`).
+    """
+
+    index: dict  # block word -> i
+    shift: np.ndarray  # (3, 3, C) corner values
+    alpha: np.ndarray  # (C,) constant scaling, 0 on tensor cells
+    alpha_tensor: np.ndarray  # (3, 3, C) corner tensors, 0 on constant cells
+    is_tensor: np.ndarray  # (C,) bool
+    shift_rows: tuple  # C tuples of 9 corner values, row-major
+    alpha_rows: tuple  # C entries: a float, or a tuple of 9 corner values
+
+    @classmethod
+    def build(cls, model: "FifModel") -> "CellTable":
+        words = words_of_length(model.n)
+        pairs = [(w1, w2) for w1 in words for w2 in words]
+        shift = np.stack([model.shift[p] for p in pairs], axis=-1)
+        cells = [model.scaling.cell(*p) for p in pairs]
+        is_tensor = np.array([not np.isscalar(v) for v in cells])
+        zero = np.zeros((3, 3))
+        return cls(
+            index={w: i for i, w in enumerate(words)},
+            shift=shift,
+            alpha=np.array([0.0 if t else v for v, t in zip(cells, is_tensor)]),
+            alpha_tensor=np.stack(
+                [v if t else zero for v, t in zip(cells, is_tensor)], axis=-1
+            ),
+            is_tensor=is_tensor,
+            shift_rows=tuple(tuple(model.shift[p].ravel().tolist()) for p in pairs),
+            alpha_rows=tuple(
+                tuple(v.ravel().tolist()) if t else float(v)
+                for v, t in zip(cells, is_tensor)
+            ),
+        )
+
 
 def build_model(
     data: DataSet,
@@ -237,6 +287,18 @@ def _bilinear_form(cell, lam, mu):
         lam[0] * (cell[0, 0] * mu[0] + cell[0, 1] * mu[1] + cell[0, 2] * mu[2])
         + lam[1] * (cell[1, 0] * mu[0] + cell[1, 1] * mu[1] + cell[1, 2] * mu[2])
         + lam[2] * (cell[2, 0] * mu[0] + cell[2, 1] * mu[1] + cell[2, 2] * mu[2])
+    )
+
+
+def _bilinear9(c, lam, mu) -> float:
+    """`_bilinear_form` for a cell given as 9 row-major Python floats,
+    with the same terms in the same order; much faster than indexing a
+    numpy array in scalar loops."""
+    m0, m1, m2 = mu
+    return (
+        lam[0] * (c[0] * m0 + c[1] * m1 + c[2] * m2)
+        + lam[1] * (c[3] * m0 + c[4] * m1 + c[5] * m2)
+        + lam[2] * (c[6] * m0 + c[7] * m1 + c[8] * m2)
     )
 
 

@@ -52,6 +52,29 @@ class TestBuild:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["build", "-c", str(tmp_path / "nope.json")]) == 7
 
+    def test_scaling_cells_not_an_object(self, tmp_path, capsys):
+        raw = config_dict()
+        raw["scaling"] = {"cells": [0.3, 0.3]}
+        assert main(["build", "-c", write_config(tmp_path, raw)]) == 7
+        assert "scaling.cells" in capsys.readouterr().err
+
+    def test_scaling_cell_not_a_number(self, tmp_path):
+        raw = config_dict()
+        raw["scaling"] = {"cells": {"1|1": "x"}}
+        assert main(["build", "-c", write_config(tmp_path, raw)]) == 7
+
+    def test_depth_above_enumeration_limit(self, tmp_path, capsys):
+        # refused before the 9^n-entry scaling field is built
+        raw = config_dict()
+        raw["n"] = 9
+        assert main(["build", "-c", write_config(tmp_path, raw)]) == 5
+        assert "N=9" in capsys.readouterr().err
+
+    def test_negative_depth(self, tmp_path):
+        raw = config_dict()
+        raw["n"] = -1
+        assert main(["build", "-c", write_config(tmp_path, raw)]) == 2
+
     def test_custom_gaskets(self, tmp_path, capsys):
         raw = config_dict()
         raw["gasket1"] = [[0, 0], [2, 0], [1, 1.8]]
@@ -76,6 +99,17 @@ class TestEval:
         assert code == 0
         out = capsys.readouterr().out
         assert "errorBound" in out
+
+    def test_point_n3_default_depth(self, tmp_path, capsys):
+        # 12 blocks of 3 letters: 36 letters, within the descent limit
+        cfg = write_config(tmp_path, config_dict(n=3))
+        assert main(["eval", "-c", cfg, "--point", "0.3", "0", "0.25", "0"]) == 0
+        assert "errorBound" in capsys.readouterr().out
+
+    def test_point_beyond_descent_limit(self, tmp_path):
+        cfg = write_config(tmp_path, config_dict(n=3))
+        code = main(["eval", "-c", cfg, "--point", "0.3", "0", "0.25", "0", "--depth", "15"])
+        assert code == 6
 
     def test_point_outside_domain(self, tmp_path):
         cfg = write_config(tmp_path, config_dict())

@@ -1,12 +1,14 @@
 import csv
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_gasket import OFFSETS, gasket_specs, moved
 
 import gasketfif as gf
-from gasketfif.errors import PreconditionError
+from gasketfif.errors import DomainError, PreconditionError
 from gasketfif.evaluator import (
     CHAOS_ORBITS,
     GraphSample,
@@ -20,8 +22,11 @@ from gasketfif.evaluator import (
     solve_fixed_point,
 )
 from gasketfif.gasket import (
+    LETTERS,
+    MAX_DESCENT_DEPTH,
     Address,
     GasketSpec,
+    address_coords,
     address_point,
     bary_f,
     enumerate_vertices,
@@ -35,6 +40,7 @@ from gasketfif.model import (
     build_model,
     eval_scaling,
     eval_shift,
+    perturb_shift,
     words_of_length,
 )
 
@@ -135,6 +141,127 @@ class TestEvalApprox:
         v, bound = eval_approx(zero03, (0.31640625, 0.0), (0.125, 0.0), 1)
         assert v == 0.0
         assert bound == 0.0
+
+
+EPS = 2.0**-52
+
+
+def vertex(spec, word, corner):
+    """Address of L_word(p_corner) and its float point, built from the
+    exact dyadic barycentric coordinates."""
+    addr = Address(word, corner)
+    return addr, tuple(address_coords(spec, addr)[1].tolist())
+
+
+def certified(model, t_addr, s_addr, k):
+    """|approx - exact| at a product vertex, the returned bound, and a few
+    ulp at the scale of the gaskets' coordinates."""
+    g1, g2 = model.gasket1, model.gasket2
+    _, t = vertex(g1, t_addr.word, t_addr.corner)
+    _, s = vertex(g2, s_addr.word, s_addr.corner)
+    approx, bound = eval_approx(model, t, s, k)
+    exact = eval_exact(model, t_addr, s_addr)
+    scale = max(1.0, *(abs(v) / g.min_side for g in (g1, g2) for p in g.corners for v in p))
+    return abs(approx - exact), bound, 64 * EPS * scale * (abs(exact) + model.f_sup_bound)
+
+
+def random_addresses(rng, depth, count):
+    return [
+        Address("".join(rng.choice(list("123"), size=depth)), int(rng.integers(1, 4)))
+        for _ in range(count)
+    ]
+
+
+# the unit gasket and custom corners, near the origin or far from it
+certified_gaskets = st.builds(moved, gasket_specs, st.sampled_from(OFFSETS))
+
+
+@lru_cache(maxsize=None)
+def constant_model(n, seed, alpha, g1, g2):
+    return build_model(gf.random_dataset(n, seed), ScalingField.constant(alpha, n), g1, g2)
+
+
+class TestCertifiedBound:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.sampled_from((1, 2, 3)),
+        seed=st.integers(0, 3),
+        alpha=st.sampled_from((0.01, 0.3, 0.5, 0.9, -0.6)),
+        g1=certified_gaskets,
+        g2=certified_gaskets,
+        words=st.tuples(
+            st.text("123", max_size=MAX_DESCENT_DEPTH),
+            st.sampled_from(LETTERS),
+            st.text("123", max_size=MAX_DESCENT_DEPTH),
+            st.sampled_from(LETTERS),
+        ),
+        data=st.data(),
+    )
+    def test_within_bound_at_every_accepted_depth(self, n, seed, alpha, g1, g2, words, data):
+        k = data.draw(st.integers(1, MAX_DESCENT_DEPTH // n), label="k")
+        model = constant_model(n, seed, alpha, g1, g2)
+        wt, ct, ws, cs = words
+        try:
+            err, bound, ulps = certified(model, Address(wt, ct), Address(ws, cs), k)
+        except PreconditionError:
+            # only gaskets whose float points resolve fewer levels refuse
+            assert (g1, g2) != (SPEC, SPEC)
+            return
+        assert err <= bound + ulps
+
+    def test_n3_k12(self):
+        # ROADMAP evidence: the CLI's default depth on N=3, 36 letters
+        m = gf.random_model(3, seed=201)
+        rng = np.random.default_rng(0)
+        for a, b in zip(random_addresses(rng, 36, 60), random_addresses(rng, 36, 60)):
+            err, bound, ulps = certified(m, a, b, 12)
+            assert err <= bound + ulps
+
+    def test_n2_k20(self):
+        m = gf.random_model(2, seed=201)
+        rng = np.random.default_rng(1)
+        for depth in (20, 40):
+            for a, b in zip(random_addresses(rng, depth, 30), random_addresses(rng, depth, 30)):
+                err, bound, ulps = certified(m, a, b, 20)
+                assert err <= bound + ulps
+
+    def test_n3_k20_refused_before_locating(self):
+        m = gf.random_model(3, seed=201)
+        _, t = vertex(m.gasket1, "123" * 20, 1)
+        with pytest.raises(PreconditionError, match="k <= 14 for N=3") as info:
+            eval_approx(m, t, t, 20)
+        assert not isinstance(info.value, DomainError)
+
+    def test_depth_limit(self, ref03):
+        t = address_point(ref03.gasket1, Address("2131", 3))
+        for n, model in ((1, ref03), (2, gf.random_model(2, seed=3))):
+            k = MAX_DESCENT_DEPTH // n
+            eval_approx(model, t, t, k)
+            with pytest.raises(PreconditionError):
+                eval_approx(model, t, t, k + 1)
+
+    def test_tensor_bound_is_a_posteriori(self):
+        # corner tensors in [0.1, 0.6]: along most paths the product of the
+        # scaling factors stays well below alpha_sup^k
+        rng = np.random.default_rng(5)
+        cells = {
+            (w1, w2): rng.uniform(0.1, 0.6, (3, 3))
+            for w1 in words_of_length(1)
+            for w2 in words_of_length(1)
+        }
+        model = build_model(gf.random_dataset(1, 2), ScalingField.from_cells(cells, 1))
+        a_priori = model.alpha_sup**8 * model.f_sup_bound
+        for a, b in zip(random_addresses(rng, 12, 40), random_addresses(rng, 12, 40)):
+            err, bound, ulps = certified(model, a, b, 8)
+            assert bound < a_priori
+            assert err <= bound + ulps
+
+    def test_perturbed_model_gets_its_own_table(self, ref03):
+        t, s = (0.3, 0.0), (0.25, 0.0)
+        before = eval_approx(ref03, t, s, 2)[0]
+        bumped = perturb_shift(ref03, "1", "1", 2, 2, 0.25)
+        assert eval_approx(bumped, t, s, 2)[0] != before
+        assert eval_approx(ref03, t, s, 2)[0] == before
 
 
 class TestGridFunction:

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasketfif.errors import CapacityError, DomainError
+from gasketfif.errors import CapacityError, DomainError, PreconditionError
 from gasketfif.gasket import (
     LETTERS,
+    MAX_DESCENT_DEPTH,
     Address,
     DyadicBary,
     GasketSpec,
     address_coords,
     address_point,
     canonicalize,
+    descend,
     enumerate_vertices,
     locate,
     locate_many,
@@ -212,6 +214,14 @@ gasket_specs = st.one_of(
 )
 
 
+#: moves that keep a gasket's shape but put it far from the origin
+OFFSETS = ((0.0, 0.0), (1e3, -1e3), (-250.0, 4e2))
+
+
+def moved(spec, offset):
+    return GasketSpec(tuple((x + offset[0], y + offset[1]) for x, y in spec.corners))
+
+
 def _scalar_words(spec, pts, depth):
     """Scalar locate per point; None where it raises DomainError."""
     out = []
@@ -265,6 +275,79 @@ class TestLocateMany:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             locate_many(SPEC, [P1], 0)
+
+
+class TestDescend:
+    def test_barycentrics_after_each_level(self):
+        # oracle: L_1 L_2 (p3) = p1/2 + p2/4 + p3/4 has coordinates
+        # (0, 1/2, 1/2) in cell 1 and (0, 0, 1) in cell 12
+        word, lams = descend(SPEC, P1 / 2 + P2 / 4 + P3 / 4, 2)
+        assert word == "12"
+        assert lams[0] == pytest.approx((0.0, 0.5, 0.5), abs=1e-15)
+        assert lams[1] == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
+
+    def test_each_level_is_the_exact_step(self):
+        # lam -> 2 lam - e_a is exact in binary floating point
+        word, lams = descend(SPEC, address_point(SPEC, Address("3121", 2)), 12)
+        for j in range(1, 12):
+            a = int(word[j]) - 1
+            want = tuple(2.0 * v - (i == a) for i, v in enumerate(lams[j - 1]))
+            assert lams[j] == want
+
+    def test_hole_and_outside_raise(self):
+        with pytest.raises(DomainError):
+            descend(SPEC, SPEC.corner_array.mean(axis=0), 3)
+        with pytest.raises(DomainError):
+            descend(SPEC, (2.0, 0.0), 3)
+
+    def test_every_unit_gasket_point_resolves_to_the_limit(self):
+        points = [P1, P2, P3, (0.5, 0.0), address_point(SPEC, Address("1231", 2))]
+        for p in points:
+            assert len(locate(SPEC, p, MAX_DESCENT_DEPTH)) == MAX_DESCENT_DEPTH
+            with pytest.raises(PreconditionError):
+                locate(SPEC, p, MAX_DESCENT_DEPTH + 1)
+        got = locate_many(SPEC, points, MAX_DESCENT_DEPTH)
+        assert got.shape == (len(points), MAX_DESCENT_DEPTH)
+        with pytest.raises(PreconditionError):
+            locate_many(SPEC, points, MAX_DESCENT_DEPTH + 1)
+
+    def test_far_gasket_resolves_fewer_levels(self):
+        # float points 1e3 away from the origin carry 1e3 times the rounding
+        far = moved(SPEC, (1e3, -1e3))
+        p = far.corners[1]
+        assert locate(far, p, 30) == "2" * 30
+        with pytest.raises(PreconditionError):
+            locate(far, p, MAX_DESCENT_DEPTH)
+        with pytest.raises(PreconditionError):
+            locate_many(far, [p], MAX_DESCENT_DEPTH)
+
+    def test_far_gasket_corners(self):
+        # the float inverse of this corner matrix puts the corners about
+        # 1e-11 outside the triangle: the window must cover the inverse's
+        # own residual, not only the rounding of bary_f
+        far = GasketSpec(((519.06, 726.37), (520.88, 728.93), (521.58, 731.61)))
+        for c in LETTERS:
+            assert locate(far, far.corners[c - 1], 20) == str(c) * 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.builds(moved, gasket_specs, st.sampled_from(OFFSETS)),
+        word=st.text("123", max_size=MAX_DESCENT_DEPTH),
+        corner=st.sampled_from(LETTERS),
+        depth=st.integers(1, MAX_DESCENT_DEPTH),
+    )
+    def test_vertices_never_leave_the_gasket(self, spec, word, corner, depth):
+        # a vertex built from exact dyadic barycentrics is located or, on a
+        # gasket whose float points cannot resolve `depth`, refused; never
+        # sent to a hole
+        _, pt = address_coords(spec, Address(word, corner))
+        try:
+            w = locate(spec, pt, depth)
+        except PreconditionError:
+            assert spec != SPEC
+            return
+        assert len(w) == depth
+        assert locate_many(spec, [pt], depth).tolist() == [[int(ch) for ch in w]]
 
 
 class TestShift:
