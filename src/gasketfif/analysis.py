@@ -17,7 +17,7 @@ from scipy import stats
 from .errors import CapacityError, HypothesisError, PreconditionError
 from .evaluator import GraphSamples
 from .gasket import locate_many
-from .grids import product_values
+from .grids import product_values, word_index
 from .model import FifModel
 
 #: Hausdorff dimension of the product of two gaskets, 2 log3/log2
@@ -100,12 +100,7 @@ class OscillationTable:
         self.values = values
         self.samples_per_cell = samples_per_cell
 
-    @staticmethod
-    def word_index(w: str) -> int:
-        i = 0
-        for ch in w:
-            i = 3 * i + int(ch) - 1
-        return i
+    word_index = staticmethod(word_index)
 
     def r(self, omega: str, eta: str) -> float:
         return float(self.values[self.word_index(omega), self.word_index(eta)])
@@ -142,16 +137,26 @@ def oscillation(
     s1 = fg1.lift(fg1.cells[n + r].reshape(3**n, -1), n + r, depth)
     s2 = fg2.lift(fg2.cells[n + r].reshape(3**n, -1), n + r, depth)
     cells = 3**n
-    k1 = s1.shape[1]
+    # max and min over a cell-pair's sample grid s1[i] x s2[j] separate:
+    # reduce f's rows over s1[i], then those columns over s2[j].  Chunks of
+    # cells keep each temporary near 2.5e5 elements (2 MB), in cache.
     values = np.empty((cells, cells))
-    s2flat = s2.reshape(-1)
-    chunk = max(1, int(4e6 // (cells * k1 * k1)))
+    chunk = max(1, int(2.5e5 // f.shape[1]))
     for lo in range(0, cells, chunk):
-        hi = min(lo + chunk, cells)
-        sub = f[np.ix_(s1[lo:hi].reshape(-1), s2flat)]
-        sub = sub.reshape(hi - lo, k1, cells, k1)
-        values[lo:hi] = sub.max(axis=(1, 3)) - sub.min(axis=(1, 3))
-    return OscillationTable(n, values, k1 * k1)
+        rows = s1[lo : lo + chunk]
+        top = f[rows[:, 0]]
+        bot = top.copy()
+        for t in range(1, rows.shape[1]):
+            part = f[rows[:, t]]
+            np.maximum(top, part, out=top)
+            np.minimum(bot, part, out=bot)
+        vmax = top[:, s2[:, 0]]
+        vmin = bot[:, s2[:, 0]]
+        for t in range(1, s2.shape[1]):
+            np.maximum(vmax, top[:, s2[:, t]], out=vmax)
+            np.minimum(vmin, bot[:, s2[:, t]], out=vmin)
+        values[lo : lo + chunk] = vmax - vmin
+    return OscillationTable(n, values, s1.shape[1] * s2.shape[1])
 
 
 @dataclass(frozen=True)

@@ -127,10 +127,18 @@ def build_from_config(path):
         raise CapacityError(f"depth N={n} exceeds the supported maximum {MAX_ENUM_DEPTH}")
     g1 = _parse_gasket(raw.get("gasket1"), "gasket1")
     g2 = _parse_gasket(raw.get("gasket2"), "gasket2")
-    scaling = _parse_scaling(raw.get("scaling", {}), n)
     data_raw = raw.get("data")
     if not isinstance(data_raw, list):
         raise _ConfigError("'data' must be a list of {first, second, z} objects")
+    # one entry per product vertex at least; counted before anything of
+    # size 9^n is built
+    needed = (3 * (3**n + 1) // 2) ** 2
+    if len(data_raw) < needed:
+        raise ValidationError(
+            f"missing data: {len(data_raw)} entries for the {needed} product "
+            f"vertices of V_{n} x V_{n}"
+        )
+    scaling = _parse_scaling(raw.get("scaling", {}), n)
     triples = []
     for idx, item in enumerate(data_raw):
         try:

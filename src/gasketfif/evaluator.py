@@ -8,8 +8,8 @@ fixed point is f), and chaos-game sampling of the graph.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -18,16 +18,12 @@ from .fileio import atomic_open
 from .gasket import (
     MAX_DESCENT_DEPTH,
     Address,
-    GasketSpec,
     _word_offset,
-    address_point,
-    barycentric_many,
     bary_f,
-    canonicalize,
     descend,
-    enumerate_vertices,
     word_map_xy,
 )
+from .grids import FactorGrid, level_step, word_index
 from .model import FifModel, _bilinear, _bilinear9, _bilinear_form
 
 
@@ -105,41 +101,14 @@ def eval_approx(model: FifModel, t, s, k: int) -> tuple:
     return value, abs(coeff) * model.f_sup_bound
 
 
-@dataclass(frozen=True)
-class _Frame:
-    """Per-factor indexing of a depth-m vertex set for grid functions."""
-
-    verts: tuple
-    index: dict
-    coords: np.ndarray
-    pre_idx: np.ndarray
-    pre_lam: np.ndarray
-    groups: dict  # block word -> vertex index array
-
-
-@lru_cache(maxsize=64)
-def _frame(spec: GasketSpec, depth: int, n: int) -> _Frame:
-    verts = enumerate_vertices(depth)
-    index = {a: i for i, a in enumerate(verts)}
-    coords = np.array([address_point(spec, a) for a in verts])
-    pre_idx = np.empty(len(verts), dtype=np.intp)
-    groups = {}
-    for i, a in enumerate(verts):
-        padded = a.word + str(a.corner) * (depth - len(a.word))
-        # the canonical padding starts with the lexicographically smallest
-        # containing cell, which is the deterministic junction rule
-        block = padded[:n]
-        pre = canonicalize(Address(padded[n:], a.corner))
-        pre_idx[i] = index[pre]
-        groups.setdefault(block, []).append(i)
-    groups = {w: np.array(ix, dtype=np.intp) for w, ix in groups.items()}
-    pre_lam = barycentric_many(spec, coords[pre_idx])
-    return _Frame(tuple(verts), index, coords, pre_idx, pre_lam, groups)
-
-
 class GridFunction:
     """Values on a depth-m product vertex grid with tensor-barycentric
-    off-grid extension; the domain and range of the contraction operator."""
+    off-grid extension; the domain and range of the contraction operator.
+
+    values[i, j] belongs to vertex i of grid1 and vertex j of grid2 at
+    level m, in FactorGrid order; `at` and `__call__` read it by address
+    and by point.
+    """
 
     def __init__(self, model: FifModel, depth: int, values: np.ndarray = None):
         if depth < model.n or depth % model.n:
@@ -148,18 +117,20 @@ class GridFunction:
             )
         self.model = model
         self.depth = depth
-        self.frame1 = _frame(model.gasket1, depth, model.n)
-        self.frame2 = _frame(model.gasket2, depth, model.n)
-        shape = (len(self.frame1.verts), len(self.frame2.verts))
+        self.grid1 = FactorGrid(model.gasket1, depth)
+        self.grid2 = FactorGrid(model.gasket2, depth)
+        shape = (len(self.grid1.verts[depth]), len(self.grid2.verts[depth]))
         if values is None:
             values = np.zeros(shape)
         if values.shape != shape:
             raise PreconditionError(f"values must have shape {shape}")
         self.values = values
+        #: applications of T that solve_fixed_point ran; None otherwise
+        self.iterations = None
 
     def at(self, addr_t: Address, addr_s: Address) -> float:
-        i = self.frame1.index[canonicalize(addr_t)]
-        j = self.frame2.index[canonicalize(addr_s)]
+        i = self.grid1.index_of(addr_t)
+        j = self.grid2.index_of(addr_s)
         return float(self.values[i, j])
 
     def __call__(self, t, s) -> float:
@@ -167,58 +138,82 @@ class GridFunction:
         the containing depth-m cell-pair, from its nine corner values."""
         w1, lams = descend(self.model.gasket1, t, self.depth)
         w2, mus = descend(self.model.gasket2, s, self.depth)
-        rows = [self.frame1.index[canonicalize(Address(w1, i))] for i in (1, 2, 3)]
-        cols = [self.frame2.index[canonicalize(Address(w2, j))] for j in (1, 2, 3)]
+        rows = self.grid1.cells[self.depth][word_index(w1)]
+        cols = self.grid2.cells[self.depth][word_index(w2)]
         corner = self.values[np.ix_(rows, cols)]
         return _bilinear(corner, lams[-1], mus[-1])
 
+    def _on_grid(self, model: FifModel, values: np.ndarray) -> "GridFunction":
+        """A grid function of `model` on this one's grids."""
+        out = copy.copy(self)
+        out.model, out.values, out.iterations = model, values, None
+        return out
+
     def copy(self) -> "GridFunction":
-        return GridFunction(self.model, self.depth, self.values.copy())
+        return self._on_grid(self.model, self.values.copy())
+
+
+def _apply(model: FifModel, g: GridFunction, values: np.ndarray, out: np.ndarray):
+    """T on the grid of g: `values` restricted to the level m-N vertices,
+    then one level step into `out`."""
+    k = g.depth - model.n
+    fg1, fg2 = g.grid1, g.grid2
+    rows = fg1.lift(np.arange(len(fg1.verts[k])), k, g.depth)
+    cols = fg2.lift(np.arange(len(fg2.verts[k])), k, g.depth)
+    return level_step(model, fg1, fg2, k, values[np.ix_(rows, cols)], out)
 
 
 def rb_apply(model: FifModel, g: GridFunction) -> GridFunction:
     """One application of the contraction operator T on a grid function.
 
-    Each grid vertex is pulled back through its (lexicographically
-    smallest) containing depth-N cell-pair; the preimages of grid vertices
-    are again grid vertices, so the application is exact.
+    Each grid vertex is pulled back through its lexicographically smallest
+    containing depth-N cell-pair; the preimages of grid vertices are grid
+    vertices of level m-N, so the application is exact.
     """
     if g.depth < model.n:
         raise PreconditionError("grid depth must be at least N")
-    f1, f2 = g.frame1, g.frame2
-    out = np.empty_like(g.values)
-    for w1, rows in f1.groups.items():
-        lam = f1.pre_lam[rows]
-        pr = f1.pre_idx[rows]
-        for w2, cols in f2.groups.items():
-            mu = f2.pre_lam[cols]
-            pc = f2.pre_idx[cols]
-            h = lam @ model.shift[(w1, w2)] @ mu.T
-            sc = model.scaling.cell(w1, w2)
-            amat = sc if np.isscalar(sc) else lam @ sc @ mu.T
-            out[np.ix_(rows, cols)] = amat * g.values[np.ix_(pr, pc)] + h
-    return GridFunction(model, g.depth, out)
+    return g._on_grid(model, _apply(model, g, g.values, np.empty_like(g.values)))
+
+
+#: rows per block of the sup change in solve_fixed_point, small enough
+#: for the block to stay in cache
+_CHANGE_ROWS = 16
+
+
+def _sup_change(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b|, _CHANGE_ROWS rows at a time, with no full-size
+    temporary."""
+    buf = np.empty((_CHANGE_ROWS, a.shape[1]))
+    change = 0.0
+    for lo in range(0, len(a), _CHANGE_ROWS):
+        d = buf[: len(a[lo : lo + _CHANGE_ROWS])]
+        np.subtract(a[lo : lo + _CHANGE_ROWS], b[lo : lo + _CHANGE_ROWS], out=d)
+        change = max(change, float(np.abs(d, out=d).max()))
+    return change
 
 
 def solve_fixed_point(model: FifModel, depth: int, tol: float) -> GridFunction:
     """Iterate T from the zero grid function until the sup change is <= tol.
 
     The geometric contraction rate bounds the iteration count by
-    log(tol / f_sup_bound) / log(alpha_sup) + 1.
+    log(tol / f_sup_bound) / log(alpha_sup) + 1.  Two buffers alternate;
+    the result's `iterations` holds the number of applications.
     """
     if tol <= 0:
         raise PreconditionError("tolerance must be positive")
     g = GridFunction(model, depth)
+    cur, nxt = g.values, np.empty_like(g.values)
     iterations = 0
     while True:
-        nxt = rb_apply(model, g)
+        _apply(model, g, cur, nxt)
         iterations += 1
-        change = float(np.max(np.abs(nxt.values - g.values)))
-        g = nxt
+        change = _sup_change(nxt, cur)
+        cur, nxt = nxt, cur
         if change <= tol:
             break
         if iterations > 100000:
             raise RuntimeError("fixed-point iteration failed to converge")
+    g.values = cur
     g.iterations = iterations
     return g
 

@@ -174,13 +174,6 @@ def bary_f(spec: GasketSpec, x: float, y: float) -> tuple:
     )
 
 
-def barycentric_many(spec: GasketSpec, pts: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates for an (n, 2) array of points, shape (n, 3)."""
-    a = np.array(spec._bary_inv).reshape(3, 3)
-    ones = np.ones((len(pts), 1))
-    return np.hstack([pts, ones]) @ a.T
-
-
 def _word_offset(spec: GasketSpec, w: str) -> tuple:
     ox = oy = 0.0
     f = 0.5

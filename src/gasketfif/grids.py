@@ -13,8 +13,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError
-from .gasket import GasketSpec
+from .gasket import Address, GasketSpec, address_coords
 from .model import FifModel, words_of_length
+
+
+def word_index(w: str) -> int:
+    """Position of the word w among the words of its length in
+    lexicographic order (letters 1, 2, 3 read as base-3 digits)."""
+    i = 0
+    for ch in w:
+        i = 3 * i + int(ch) - 1
+    return i
 
 
 def _reduce(nums, lev):
@@ -31,7 +40,8 @@ class FactorGrid:
     child[k][a-1][v] is the index at level k+1 of L_a(vertex v of level k);
     emb[k][v] re-indexes a level-k vertex inside level k+1; cells[k] holds
     the three corner indices of each length-k word cell in lexicographic
-    word order.
+    word order; index maps the reduced dyadic key of each vertex of level
+    `depth` to its index there.
     """
 
     def __init__(self, spec: GasketSpec, depth: int):
@@ -52,9 +62,9 @@ class FactorGrid:
         self.cells = [np.array([[0, 1, 2]])]
 
         def finish_level(keys):
-            lam = np.array(
-                [np.array(nums, dtype=float) / 2.0**lev for nums, lev in keys]
-            )
+            nums = np.array([key[0] for key in keys], dtype=float)
+            levels = np.array([key[1] for key in keys])
+            lam = np.ldexp(nums, -levels[:, None])  # exact: nums / 2^level
             self.lam.append(lam)
             self.verts.append(lam @ corners)
 
@@ -82,6 +92,7 @@ class FactorGrid:
             )
             keys, index = new_keys, new_index
             finish_level(keys)
+        self.index = index
 
     def compose(self, k: int, w: str) -> np.ndarray:
         """Index map of L_w from level-k vertices into level k+|w|."""
@@ -98,6 +109,83 @@ class FactorGrid:
             idx = self.emb[k][idx]
         return idx
 
+    def index_of(self, a: Address) -> int:
+        """Index at level `depth` of the vertex named by the address a;
+        KeyError when it is not a vertex of that level."""
+        db = address_coords(self.spec, a)[0]
+        return self.index[_reduce(db.numerators, db.level)]
+
+
+def _runs(idx: np.ndarray) -> list:
+    """(start, stop, first) of each maximal run of consecutive values in
+    idx, so that idx[start:stop] == range(first, first + stop - start)."""
+    cut = np.flatnonzero(np.diff(idx) != 1) + 1
+    starts = [0, *cut.tolist()]
+    stops = [*cut.tolist(), len(idx)]
+    return [(a, b, int(idx[a])) for a, b in zip(starts, stops)]
+
+
+#: rows of a cell-pair block that level_step computes at a time, so that
+#: its temporaries stay in cache
+_STEP_ROWS = 64
+
+
+def _row_chunks(rows: int) -> list:
+    """(lo, hi) chunks of _STEP_ROWS rows, none of a single row: numpy
+    hands a one-row product to gemv, which may round differently from the
+    gemm that a whole-block product uses."""
+    starts = list(range(0, rows, _STEP_ROWS))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [rows]))
+
+
+def level_step(
+    model: FifModel, fg1: FactorGrid, fg2: FactorGrid, k: int, f: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """One step of the defining recursion, from level k to level k+N.
+
+    f holds values at the level-k product vertices of the grids fg1, fg2;
+    every level-(k+N) vertex pair is L_w1(v) x L_w2(u) for some cell-pair
+    (w1, w2) of length N, and gets alpha_w(v, u) f[v, u] + h_w(v, u),
+    written into `out`.  Cell-pairs are visited in reverse lexicographic
+    order, so at a vertex shared by several cell-pairs the lexicographically
+    smallest one writes last.
+    """
+    words = words_of_length(model.n)
+    lam1, lam2t = fg1.lam[k], fg2.lam[k].T
+    # each index map L_w is a few runs of consecutive indices (FactorGrid
+    # numbers the images of L_1, L_2, L_3 in turn), so a block is written
+    # as a few rectangular slices instead of element by element
+    runs1 = [_runs(fg1.compose(k, w)) for w in words]
+    runs2 = [_runs(fg2.compose(k, w)) for w in words]
+    chunks = _row_chunks(len(f))
+    h = np.empty((_STEP_ROWS + 1, f.shape[1]))
+    block = np.empty_like(h)
+    for i in reversed(range(len(words))):
+        for j in reversed(range(len(words))):
+            w1, w2 = words[i], words[j]
+            shift = lam1 @ model.shift[(w1, w2)]
+            sc = model.scaling.cell(w1, w2)
+            scale = None if np.isscalar(sc) else lam1 @ sc
+            for lo, hi in chunks:
+                hb, bb = h[: hi - lo], block[: hi - lo]
+                np.matmul(shift[lo:hi], lam2t, out=hb)
+                if scale is None:
+                    np.multiply(f[lo:hi], sc, out=bb)
+                else:
+                    np.matmul(scale[lo:hi], lam2t, out=bb)
+                    bb *= f[lo:hi]
+                bb += hb
+                for a0, a1, r0 in runs1[i]:
+                    x0, x1 = max(a0, lo), min(a1, hi)
+                    if x0 >= x1:
+                        continue
+                    rows = slice(r0 + x0 - a0, r0 + x1 - a0)
+                    for b0, b1, c0 in runs2[j]:
+                        out[rows, c0 : c0 + b1 - b0] = bb[x0 - lo : x1 - lo, b0:b1]
+    return out
+
 
 def product_values(model: FifModel, depth: int):
     """Exact values of f at all depth-`depth` product vertices.
@@ -111,24 +199,8 @@ def product_values(model: FifModel, depth: int):
         raise PreconditionError(f"depth must be a positive multiple of N={n}")
     fg1 = FactorGrid(model.gasket1, depth)
     fg2 = FactorGrid(model.gasket2, depth)
-    words = words_of_length(n)
     f = np.zeros((3, 3))  # f vanishes at corner pairs
     for k in range(0, depth, n):
-        lam1 = fg1.lam[k]
-        lam2 = fg2.lam[k]
-        maps1 = {w: fg1.compose(k, w) for w in words}
-        maps2 = {w: fg2.compose(k, w) for w in words}
-        nxt = np.empty((len(fg1.verts[k + n]), len(fg2.verts[k + n])))
-        for w1 in words:
-            ix1 = maps1[w1]
-            for w2 in words:
-                c = model.shift[(w1, w2)]
-                h = lam1 @ c @ lam2.T
-                sc = model.scaling.cell(w1, w2)
-                if np.isscalar(sc):
-                    block = sc * f + h
-                else:
-                    block = (lam1 @ sc @ lam2.T) * f + h
-                nxt[np.ix_(ix1, maps2[w2])] = block
-        f = nxt
+        out = np.empty((len(fg1.verts[k + n]), len(fg2.verts[k + n])))
+        f = level_step(model, fg1, fg2, k, f, out)
     return fg1, fg2, f

@@ -19,8 +19,9 @@ from gasketfif.analysis import (
 )
 from gasketfif.errors import CapacityError, HypothesisError, PreconditionError
 from gasketfif.evaluator import chaos_game
-from gasketfif.gasket import GasketSpec, locate
-from gasketfif.model import ScalingField, build_model
+from gasketfif.gasket import Address, GasketSpec, locate
+from gasketfif.grids import product_values
+from gasketfif.model import ScalingField, build_model, words_of_length
 
 
 def scalar_cloud_count(model, samples, n):
@@ -32,6 +33,28 @@ def scalar_cloud_count(model, samples, n):
         bins[key] = (min(lo, sm.value), max(hi, sm.value))
     factor = 2.0**n / max(model.gasket1.side, model.gasket2.side)
     return sum(1 + math.ceil((hi - lo) * factor) for lo, hi in bins.values())
+
+
+def brute_oscillation(model, n, r):
+    """Reference table: for each cell-pair, max - min of f over the
+    product of its level-(n + r) vertices, found by address."""
+    depth = model.n * -(-(n + r) // model.n)
+    fg1, fg2, f = product_values(model, depth)
+
+    def samples(fg, w):
+        return [
+            fg.index_of(Address(w + u, c)) for u in words_of_length(r) for c in (1, 2, 3)
+        ]
+
+    words = words_of_length(n)
+    rows = [samples(fg1, w) for w in words]
+    cols = [samples(fg2, w) for w in words]
+    out = np.empty((len(words), len(words)))
+    for i, a in enumerate(rows):
+        for j, b in enumerate(cols):
+            block = f[np.ix_(a, b)]
+            out[i, j] = block.max() - block.min()
+    return out
 
 
 class TestHolderPredict:
@@ -81,6 +104,15 @@ class TestOscillation:
         fine = oscillation(ref07, 2, samples_per_cell=100)
         assert np.all(fine.values >= coarse.values - 1e-15)
         assert fine.max() >= coarse.max()
+
+    @pytest.mark.parametrize("n_model, seed, level", [(1, 201, 3), (2, 5, 3)])
+    @pytest.mark.parametrize("samples, r", [(9, 0), (25, 1)])
+    def test_matches_brute_force(self, n_model, seed, level, samples, r):
+        # max and min are exact, so the separable reduction must agree
+        # bit for bit; r > 0 refines each cell and N = 2 pads the depth
+        model = gf.random_model(n_model, seed)
+        tab = oscillation(model, level, samples)
+        assert np.array_equal(tab.values, brute_oscillation(model, level, r))
 
     def test_max_bounded_by_sup(self, ref05):
         assert oscillation(ref05, 1).max() <= 2 * ref05.f_sup_bound + 1e-12

@@ -1,4 +1,6 @@
 
+import tracemalloc
+
 from conftest import config_dict, write_config
 
 import gasketfif as gf
@@ -39,6 +41,23 @@ class TestBuild:
         assert main(["build", "-c", cfg]) == 2
         err = capsys.readouterr().err
         assert "missing" in err
+
+    def test_short_data_refused_before_allocating(self, tmp_path, capsys):
+        # V_5 x V_5 has 133956 product vertices; an empty list is refused
+        # before the 9^5-entry scaling field or the required-vertex set
+        raw = config_dict()
+        raw["n"] = 5
+        raw["data"] = []
+        cfg = write_config(tmp_path, raw)
+        tracemalloc.start()
+        try:
+            code = main(["build", "-c", cfg])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "missing" in capsys.readouterr().err
+        assert peak < 2 * 2**20
 
     def test_noncontractive_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, config_dict(alpha=1.0))

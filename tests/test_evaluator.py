@@ -34,6 +34,7 @@ from gasketfif.gasket import (
     word_map,
     word_map_xy,
 )
+from gasketfif.grids import product_values
 from gasketfif.model import (
     ScalingField,
     _bilinear,
@@ -264,6 +265,47 @@ class TestCertifiedBound:
         assert eval_approx(ref03, t, s, 2)[0] == before
 
 
+def tensor_model(n, seed):
+    """Random data with a random 3x3 corner tensor on every cell-pair."""
+    rng = np.random.default_rng(seed)
+    words = words_of_length(n)
+    cells = {(w1, w2): rng.uniform(-0.2, 0.2, (3, 3)) for w1 in words for w2 in words}
+    return build_model(gf.random_dataset(n, seed), ScalingField.from_cells(cells, n))
+
+
+def random_grid_function(model, depth, seed):
+    g = GridFunction(model, depth)
+    g.values[:] = np.random.default_rng(seed).uniform(-1, 1, g.values.shape)
+    return g
+
+
+def rb_apply_oracle(model, g):
+    """T g by the rule of the scalar evaluator: each canonical vertex
+    address (w, c), padded to w.c^r, is pulled back through the cell-pair of
+    its first N letters, which is the lexicographically smallest containing
+    one; alpha and h are evaluated one vertex pair at a time."""
+    n, m = model.n, g.depth
+
+    def pullbacks(fg):
+        out = []
+        for a in enumerate_vertices(m):
+            padded = a.word + str(a.corner) * (m - len(a.word))
+            pre = Address(padded[n:], a.corner)
+            db, _ = address_coords(fg.spec, pre)
+            lam = [x / 2.0**db.level for x in db.numerators]
+            out.append((fg.index_of(a), padded[:n], fg.index_of(pre), lam))
+        return out
+
+    res = np.full_like(g.values, np.nan)
+    cols = pullbacks(g.grid2)
+    for i, w1, pi, lam in pullbacks(g.grid1):
+        for j, w2, pj, mu in cols:
+            alpha = _bilinear(model.scaling.cell(w1, w2), lam, mu)
+            h = _bilinear(model.shift[(w1, w2)], lam, mu)
+            res[i, j] = alpha * g.values[pi, pj] + h
+    return res
+
+
 class TestGridFunction:
     def test_depth_must_be_multiple_of_n(self, ref03):
         with pytest.raises(PreconditionError):
@@ -278,6 +320,32 @@ class TestGridFunction:
         assert g.at(Address("2", 1), Address("", 3)) == g.at(
             Address("1", 2), Address("", 3)
         )
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_at_matches_call_on_every_vertex(self, ref03, depth):
+        # random values: a wrong index in `at` or a wrong corner in
+        # `__call__` shows as an O(1) difference
+        g = random_grid_function(ref03, depth, depth)
+        verts = enumerate_vertices(depth)
+        pts1 = [address_point(ref03.gasket1, a) for a in verts]
+        pts2 = [address_point(ref03.gasket2, b) for b in verts]
+        for a, t in zip(verts, pts1):
+            for b, s in zip(verts, pts2):
+                assert g(t, s) == pytest.approx(g.at(a, b), abs=1e-12)
+
+    def test_values_in_factor_grid_order(self, ref03):
+        g = random_grid_function(ref03, 2, 0)
+        for a in enumerate_vertices(2):
+            i = g.grid1.index_of(a)
+            assert np.allclose(g.grid1.verts[2][i], address_point(ref03.gasket1, a))
+            assert g.at(a, Address("", 1)) == g.values[i, 0]
+
+    def test_iterations_only_from_the_solver(self, ref03):
+        g = GridFunction(ref03, 1)
+        assert g.iterations is None
+        assert rb_apply(ref03, g).iterations is None
+        assert g.copy().iterations is None
+        assert solve_fixed_point(ref03, 1, 1e-10).iterations >= 1
 
     def test_offgrid_call_matches_at_on_vertices(self, ref03):
         g = solve_fixed_point(ref03, 2, 1e-12)
@@ -304,6 +372,25 @@ class TestRbApply:
         d0 = np.max(np.abs(g1.values - g2.values))
         d1 = np.max(np.abs(rb_apply(ref07, g1).values - rb_apply(ref07, g2).values))
         assert d1 <= ref07.alpha_sup * d0 + 1e-12
+
+    @pytest.mark.parametrize(
+        "make, depth",
+        [
+            (lambda: gf.random_model(1, 3), 3),
+            (lambda: tensor_model(1, 4), 2),
+            (lambda: gf.random_model(2, 5), 4),
+            (lambda: tensor_model(2, 6), 2),
+        ],
+    )
+    def test_matches_scalar_pullback(self, make, depth):
+        # random g is discontinuous, so at junction vertices the value
+        # depends on which containing cell-pair is used; the smallest wins
+        model = make()
+        g = random_grid_function(model, depth, 9)
+        got = rb_apply(model, g).values
+        want = rb_apply_oracle(model, g)
+        scale = np.abs(g.values).max() + model.shift_sup
+        assert np.max(np.abs(got - want)) <= 8 * EPS * scale
 
     def test_iteration_reaches_exact_values(self, ref03):
         # 30 applications from zero agree with the exact evaluator
@@ -335,6 +422,23 @@ class TestSolveFixedPoint:
         g = solve_fixed_point(ref05, 1, 1e-13)
         for key, z in ref05.data.entries.items():
             assert g.at(key.first, key.second) == pytest.approx(z, abs=1e-11)
+
+    @pytest.mark.parametrize(
+        "make, depth",
+        [
+            (lambda: gf.random_model(1, 201), 4),
+            (lambda: tensor_model(1, 7), 4),
+            (lambda: gf.random_model(2, 5), 4),
+            (lambda: tensor_model(2, 8), 4),
+        ],
+    )
+    def test_equals_product_values(self, make, depth):
+        # T runs the level step of product_values on the same exact dyadic
+        # barycentrics, so after depth/N + 1 applications the fixed point is
+        # the recursion's output bit for bit
+        model = make()
+        g = solve_fixed_point(model, depth, 1e-12)
+        assert np.array_equal(g.values, product_values(model, depth)[2])
 
     def test_bad_tolerance(self, ref03):
         with pytest.raises(PreconditionError):
