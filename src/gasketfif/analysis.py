@@ -41,8 +41,6 @@ class HolderReport:
     a: float
     alpha_sup: float
     delta: float
-    s_h: float
-    s_alpha: float
     s: float
     case_id: int
     exponent: float
@@ -57,11 +55,13 @@ def holder_predict(model: FifModel, mu: float = DEFAULT_MU) -> HolderReport:
 
     Case 1 (alpha_sup < 2^-N): exponent s; case 2 (equality): s - mu for a
     small default mu; case 3 (alpha_sup > 2^-N): exponent
-    s - 1 + ln(alpha_sup)/ln(a) < 1.
+    s - 1 + ln(alpha_sup)/ln(a) < 1.  s = 1 is the Holder exponent of h
+    and alpha: both are bilinear in barycentric coordinates, hence
+    Lipschitz.
     """
     a = model.a
     delta = model.alpha_sup / a
-    s = min(model.s_h, model.s_alpha)
+    s = 1.0
     lam = float("nan")
     if model.alpha_sup < a:
         case_id, exponent = 1, s
@@ -75,8 +75,6 @@ def holder_predict(model: FifModel, mu: float = DEFAULT_MU) -> HolderReport:
         a=a,
         alpha_sup=model.alpha_sup,
         delta=delta,
-        s_h=model.s_h,
-        s_alpha=model.s_alpha,
         s=s,
         case_id=case_id,
         exponent=exponent,
@@ -221,13 +219,14 @@ def dimension_bounds(model: FifModel) -> tuple:
     """(lower, upper) analytic bounds on the graph dimension.
 
     Valid only when alpha_sup < 2^-N; the lower bound is the dimension of
-    the product domain itself, the upper bound 1 - s plus that."""
+    the product domain itself, the upper bound 1 - s plus that.  s = 1 as
+    in holder_predict, so the two coincide."""
     if model.alpha_sup >= model.a:
         raise HypothesisError(
             f"dimension bounds need alpha_sup < 2^-N "
             f"({model.alpha_sup} >= {model.a})"
         )
-    s = min(model.s_h, model.s_alpha)
+    s = 1.0
     return PRODUCT_DIMENSION, 1.0 - s + PRODUCT_DIMENSION
 
 

@@ -24,14 +24,18 @@ from .errors import (
     ValidationError,
 )
 from .fileio import atomic_open
-from .gasket import MAX_ENUM_DEPTH, Address, GasketSpec, enumerate_vertices
+from .gasket import MAX_ENUM_DEPTH, Address, GasketSpec, address_point, enumerate_vertices
+from .grids import product_values
 from .model import (
     DataSet,
     ScalingField,
     build_model,
     check_compatibility,
+    eval_scaling,
+    eval_shift,
     perturb_shift,
     sup_bounds,
+    words_of_length,
 )
 
 EXIT_OK = 0
@@ -60,6 +64,18 @@ exit codes:
 
 class _ConfigError(Exception):
     pass
+
+
+#: exit code of each error a verb may raise; the first matching type wins,
+#: so ContractionError comes before its base class ValidationError
+_EXIT_CODES = (
+    (_ConfigError, EXIT_PARSE),
+    (ContractionError, EXIT_CONTRACTION),
+    (ValidationError, EXIT_VALIDATION),
+    (DomainError, EXIT_DOMAIN),
+    (CapacityError, EXIT_CAPACITY),
+    (PreconditionError, EXIT_USAGE),
+)
 
 
 def _load_config(path):
@@ -196,25 +212,22 @@ def cmd_grid(args):
     if args.depth % model.n or args.depth < model.n:
         raise PreconditionError(f"--depth must be a positive multiple of N={model.n}")
     verts = enumerate_vertices(args.depth)
-    rows = len(verts) ** 2
+    nv = len(verts)
+    rows = nv**2
     if rows > GRID_ROW_BUDGET:
         raise CapacityError(f"{rows} rows exceed the grid budget {GRID_ROW_BUDGET}")
-    g1, g2 = model.gasket1, model.gasket2
-    from .gasket import address_point
+    fg1, fg2, values = product_values(model, args.depth)
+    # rows and columns in enumerate_vertices order
+    order1 = [fg1.index_of(a) for a in verts]
+    order2 = [fg2.index_of(a) for a in verts]
+    values = values[np.ix_(order1, order2)]
+    pts1, pts2 = fg1.verts[-1][order1], fg2.verts[-1][order2]
 
-    pts1 = [address_point(g1, a) for a in verts]
-    pts2 = [address_point(g2, b) for b in verts]
-    values = np.empty((len(verts), len(verts)))
-    with atomic_open(args.out) as fh:
-        fh.write("t_x,t_y,s_x,s_y,f\n")
-        for i, a in enumerate(verts):
-            for j, b in enumerate(verts):
-                v = evaluator.eval_exact(model, a, b)
-                values[i, j] = v
-                fh.write(
-                    f"{pts1[i][0]:.17g},{pts1[i][1]:.17g},"
-                    f"{pts2[j][0]:.17g},{pts2[j][1]:.17g},{v:.17g}\n"
-                )
+    def block(lo, hi):
+        i, j = np.divmod(np.arange(lo, hi), nv)
+        return np.column_stack([pts1[i], pts2[j], values[i, j]])
+
+    evaluator.write_graph_csv(args.out, rows, block)
     outputs = [args.out]
     if args.ppm:
         _write_ppm(args.ppm, values)
@@ -320,9 +333,6 @@ def cmd_check(args):
 
     rng = np.random.default_rng(7)
     g1, g2 = model.gasket1, model.gasket2
-    from .model import eval_scaling, eval_shift, words_of_length
-    from .gasket import address_point
-
     words = words_of_length(model.n)
     tol = 1e-9 * (1.0 + model.f_sup_bound)
     worst = 0.0
@@ -447,24 +457,9 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code = args.func(args)
-    except _ConfigError as e:
+    except tuple(kind for kind, _ in _EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        code = EXIT_PARSE
-    except ContractionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = EXIT_CONTRACTION
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = EXIT_VALIDATION
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = EXIT_DOMAIN
-    except CapacityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = EXIT_CAPACITY
-    except PreconditionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = EXIT_USAGE
+        code = next(c for kind, c in _EXIT_CODES if isinstance(e, kind))
     outputs = getattr(args, "_outputs", ())
     _report(args.command, started, "ok" if code == EXIT_OK else f"exit={code}", outputs)
     return code

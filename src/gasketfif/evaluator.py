@@ -342,13 +342,30 @@ def chaos_game(
     )
 
 
-def samples_to_csv(samples, path) -> None:
-    """Write graph samples as CSV with 17-significant-digit decimals.
+#: header of every graph CSV: one row per point (t, s, f(t, s))
+CSV_HEADER = "t_x,t_y,s_x,s_y,f\n"
 
-    `samples` is a GraphSamples or an iterable of GraphSample.  The file
-    is written atomically (temp file + rename)."""
-    samples = GraphSamples.of(samples)
-    rows = np.column_stack([samples.t, samples.s, samples.value]).tolist()
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
+
+#: rows of a graph CSV formatted per write
+_CSV_BLOCK_ROWS = 4096
+
+
+def write_graph_csv(path, count: int, rows) -> None:
+    """Write `count` graph points as CSV with 17-significant-digit
+    decimals, atomically (temp file + rename).  rows(lo, hi) returns rows
+    lo to hi - 1 as a (hi - lo, 5) array; they are formatted a block at a
+    time, so no Python object is held per row of the file."""
     with atomic_open(path) as fh:
-        fh.write("t_x,t_y,s_x,s_y,f\n")
-        fh.writelines(map("%.17g,%.17g,%.17g,%.17g,%.17g\n".__mod__, map(tuple, rows)))
+        fh.write(CSV_HEADER)
+        for lo in range(0, count, _CSV_BLOCK_ROWS):
+            block = rows(lo, min(lo + _CSV_BLOCK_ROWS, count))
+            fh.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
+
+
+def samples_to_csv(samples, path) -> None:
+    """Write graph samples, a GraphSamples or an iterable of GraphSample,
+    with `write_graph_csv`."""
+    samples = GraphSamples.of(samples)
+    cols = (samples.t, samples.s, samples.value[:, None])
+    write_graph_csv(path, len(samples), lambda lo, hi: np.hstack([c[lo:hi] for c in cols]))

@@ -92,11 +92,16 @@ class DyadicBary:
     level: int
 
     def reduced(self) -> "DyadicBary":
-        nums, lev = self.numerators, self.level
-        while lev > 0 and all(x % 2 == 0 for x in nums):
-            nums = tuple(x // 2 for x in nums)
-            lev -= 1
-        return DyadicBary(nums, lev)
+        return DyadicBary(*reduce_dyadic(self.numerators, self.level))
+
+
+def reduce_dyadic(nums: tuple, level: int) -> tuple:
+    """(nums, level) of the dyadic triple nums/2^level in lowest terms: the
+    one key of a vertex, whatever address or level it was reached by."""
+    while level > 0 and nums[0] % 2 == 0 and nums[1] % 2 == 0 and nums[2] % 2 == 0:
+        nums = (nums[0] // 2, nums[1] // 2, nums[2] // 2)
+        level -= 1
+    return nums, level
 
 
 @dataclass(frozen=True)
@@ -248,26 +253,19 @@ def canonicalize(a: Address) -> Address:
 def enumerate_vertices(m: int) -> list:
     """All distinct gasket vertices {L_w(p_i): |w| = m}, canonical, sorted.
 
-    The count is 3(3^m + 1)/2.  Deduplication is by exact dyadic
-    barycentric coordinates, not floating-point hashing.
+    The count is 3(3^m + 1)/2.  `canonicalize` gives each point one
+    address, so the canonical addresses deduplicate the points exactly.
     """
     if m < 0:
         raise ValueError("depth must be non-negative")
     if m > MAX_ENUM_DEPTH:
         raise CapacityError(f"vertex enumeration supports depth <= {MAX_ENUM_DEPTH}")
-    seen = {}
-    for letters in itertools.product("123", repeat=m):
-        word = "".join(letters)
-        for corner in LETTERS:
-            addr = Address(word, corner)
-            mnum = [0, 0, 0]
-            for k, ch in enumerate(word, start=1):
-                mnum[int(ch) - 1] += 2 ** (m - k)
-            mnum[corner - 1] += 1
-            key = DyadicBary(tuple(mnum), m).reduced()
-            if key not in seen:
-                seen[key] = canonicalize(addr)
-    return sorted(seen.values(), key=lambda a: (len(a.word), a.word, a.corner))
+    seen = {
+        canonicalize(Address("".join(letters), corner))
+        for letters in itertools.product("123", repeat=m)
+        for corner in LETTERS
+    }
+    return sorted(seen, key=lambda a: (len(a.word), a.word, a.corner))
 
 
 def _check_depth(depth: int) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError
-from .gasket import Address, GasketSpec, address_coords
+from .gasket import Address, GasketSpec, address_coords, reduce_dyadic
 from .model import FifModel, words_of_length
 
 
@@ -24,13 +24,6 @@ def word_index(w: str) -> int:
     for ch in w:
         i = 3 * i + int(ch) - 1
     return i
-
-
-def _reduce(nums, lev):
-    while lev > 0 and nums[0] % 2 == 0 and nums[1] % 2 == 0 and nums[2] % 2 == 0:
-        nums = (nums[0] // 2, nums[1] // 2, nums[2] // 2)
-        lev -= 1
-    return nums, lev
 
 
 class FactorGrid:
@@ -49,11 +42,7 @@ class FactorGrid:
         self.depth = depth
         corners = spec.corner_array
 
-        keys = [
-            _reduce((1, 0, 0), 0),
-            _reduce((0, 1, 0), 0),
-            _reduce((0, 0, 1), 0),
-        ]
+        keys = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)]  # already reduced
         index = {k: i for i, k in enumerate(keys)}
         self.lam = []
         self.verts = []
@@ -78,7 +67,7 @@ class FactorGrid:
                     two = 2**lev
                     nn = list(nums)
                     nn[a - 1] += two
-                    key = _reduce(tuple(nn), lev + 1)
+                    key = reduce_dyadic(tuple(nn), lev + 1)
                     idx = new_index.get(key)
                     if idx is None:
                         idx = len(new_keys)
@@ -113,7 +102,7 @@ class FactorGrid:
         """Index at level `depth` of the vertex named by the address a;
         KeyError when it is not a vertex of that level."""
         db = address_coords(self.spec, a)[0]
-        return self.index[_reduce(db.numerators, db.level)]
+        return self.index[reduce_dyadic(db.numerators, db.level)]
 
 
 def _runs(idx: np.ndarray) -> list:

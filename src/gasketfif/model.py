@@ -171,8 +171,6 @@ class FifModel:
     f_sup_bound: float = 0.0
     k_h: float = 0.0
     k_alpha: float = 0.0
-    s_h: float = 1.0
-    s_alpha: float = 1.0
 
     # a cached property, not a field: dataclasses.replace (perturb_shift)
     # must not carry a table built from the old shift into the new model

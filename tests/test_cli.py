@@ -1,10 +1,13 @@
 
 import tracemalloc
 
+import numpy as np
+import pytest
 from conftest import config_dict, write_config
 
 import gasketfif as gf
-from gasketfif.cli import main
+from gasketfif import evaluator
+from gasketfif.cli import build_from_config, main
 from gasketfif.evaluator import eval_exact
 
 
@@ -184,6 +187,58 @@ class TestGrid:
     def test_bad_depth(self, tmp_path):
         cfg = write_config(tmp_path, config_dict())
         assert main(["grid", "-c", cfg, "--depth", "0", "-o", "x.csv"]) == 6
+
+    def test_runs_without_the_scalar_evaluator(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grid must not call eval_exact")
+
+        monkeypatch.setattr(evaluator, "eval_exact", refuse)
+        cfg = write_config(tmp_path, config_dict())
+        out = tmp_path / "g.csv"
+        assert main(["grid", "-c", cfg, "--depth", "2", "-o", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 226
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rows_match_scalar_oracle_on_skewed_gaskets(self, tmp_path, n):
+        corners1 = [[0.3, -1.2], [2.7, 0.4], [0.9, 3.1]]
+        corners2 = [[10.0, 5.0], [11.0, 5.2], [10.1, 6.3]]
+        ds = gf.random_dataset(n, 11 + n)
+        raw = config_dict(n=n, data=[
+            {"first": str(k.first), "second": str(k.second), "z": z}
+            for k, z in ds.entries.items()
+        ])
+        raw["gasket1"], raw["gasket2"] = corners1, corners2
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "g.csv"
+        assert main(["grid", "-c", cfg, "--depth", "4", "-o", str(out)]) == 0
+        model = build_from_config(cfg)
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        # rows run over enumerate_vertices pairs, the first factor outside
+        verts = gf.enumerate_vertices(4)
+        nv = len(verts)
+        assert rows.shape == (nv * nv, 5)
+        exact = np.array([eval_exact(model, a, b) for a in verts for b in verts])
+        assert np.all(np.abs(rows[:, 4] - exact) <= 1e-14 * (1.0 + np.abs(exact)))
+        pts1 = np.array([gf.address_point(model.gasket1, a) for a in verts])
+        pts2 = np.array([gf.address_point(model.gasket2, b) for b in verts])
+        assert np.max(np.abs(rows[:, 0:2] - np.repeat(pts1, nv, axis=0))) <= 1e-14 * np.max(
+            np.abs(corners1)
+        )
+        assert np.max(np.abs(rows[:, 2:4] - np.tile(pts2, (nv, 1)))) <= 1e-14 * np.max(
+            np.abs(corners2)
+        )
+
+    def test_depth_beyond_enumeration_refused_before_building(self, tmp_path):
+        cfg = write_config(tmp_path, config_dict())
+        tracemalloc.start()
+        try:
+            code = main(["grid", "-c", cfg, "--depth", "9", "-o", str(tmp_path / "g.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 5
+        assert peak < 2**20
+        assert not (tmp_path / "g.csv").exists()
 
 
 class TestChaos:

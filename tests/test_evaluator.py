@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -566,3 +567,16 @@ class TestCsv:
             path = tmp_path / "out.csv"
             samples_to_csv(given_samples, path)
             assert path.read_bytes() == want.encode("ascii")
+
+    def test_large_write_holds_no_object_per_row(self, ref03, tmp_path):
+        samples = chaos_game(ref03, 200_000, seed=5)
+        path = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            samples_to_csv(samples, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        with open(path) as fh:
+            assert sum(1 for _ in fh) == 200_001

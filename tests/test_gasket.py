@@ -167,6 +167,25 @@ class TestEnumerateVertices:
         with pytest.raises(CapacityError):
             enumerate_vertices(9)
 
+    def test_same_list_as_numerator_keyed_enumeration(self):
+        # oracle: dedupe on the reduced dyadic numerators of every raw
+        # address, keeping the canonical form of the first one met
+        def by_numerators(m):
+            seen = {}
+            for letters in itertools.product("123", repeat=m):
+                word = "".join(letters)
+                for corner in LETTERS:
+                    nums = [0, 0, 0]
+                    for k, ch in enumerate(word, start=1):
+                        nums[int(ch) - 1] += 2 ** (m - k)
+                    nums[corner - 1] += 1
+                    key = DyadicBary(tuple(nums), m).reduced()
+                    seen.setdefault(key, canonicalize(Address(word, corner)))
+            return sorted(seen.values(), key=lambda a: (len(a.word), a.word, a.corner))
+
+        for m in range(7):
+            assert enumerate_vertices(m) == by_numerators(m)
+
 
 class TestLocate:
     def test_corner_stays_in_own_cell(self):
