@@ -16,15 +16,12 @@ from scipy import stats
 
 from .errors import CapacityError, HypothesisError, PreconditionError
 from .evaluator import GraphSamples
-from .gasket import locate_many
+from .gasket import locate_many, vertex_count
 from .grids import product_values, word_index
 from .model import FifModel
 
 #: Hausdorff dimension of the product of two gaskets, 2 log3/log2
 PRODUCT_DIMENSION = 2.0 * math.log(3.0) / math.log(2.0)
-
-#: largest number of cell-pairs an oscillation table may hold
-CELL_BUDGET = 10**7
 
 #: default exponent loss reported in the borderline scaling case
 DEFAULT_MU = 0.01
@@ -124,16 +121,12 @@ def oscillation(
         raise PreconditionError("level must be >= 1")
     if samples_per_cell < 9:
         raise PreconditionError("samples_per_cell must be at least 9")
-    if 9**n > CELL_BUDGET:
-        raise CapacityError(f"9^{n} cell-pairs exceed the budget of {CELL_BUDGET}")
     r = 0
-    while (3 * (3**r + 1) // 2) ** 2 < samples_per_cell:
+    while vertex_count(r) ** 2 < samples_per_cell:
         r += 1
-    nn = model.n
-    depth = nn * -(-(n + r) // nn)
-    fg1, fg2, f = product_values(model, depth)
-    s1 = fg1.lift(fg1.cells[n + r].reshape(3**n, -1), n + r, depth)
-    s2 = fg2.lift(fg2.cells[n + r].reshape(3**n, -1), n + r, depth)
+    fg1, fg2, f = product_values(model, n + r)
+    s1 = fg1.cells[n + r].reshape(3**n, -1)
+    s2 = fg2.cells[n + r].reshape(3**n, -1)
     cells = 3**n
     # max and min over a cell-pair's sample grid s1[i] x s2[j] separate:
     # reduce f's rows over s1[i], then those columns over s2[j].  Chunks of

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from . import analysis, evaluator
+from . import analysis, evaluator, gasket
 from .errors import (
     CapacityError,
     ContractionError,
@@ -46,8 +46,6 @@ EXIT_DOMAIN = 4
 EXIT_CAPACITY = 5
 EXIT_USAGE = 6
 EXIT_PARSE = 7
-
-GRID_ROW_BUDGET = 10**8
 
 EPILOG = """\
 exit codes:
@@ -148,7 +146,7 @@ def build_from_config(path):
         raise _ConfigError("'data' must be a list of {first, second, z} objects")
     # one entry per product vertex at least; counted before anything of
     # size 9^n is built
-    needed = (3 * (3**n + 1) // 2) ** 2
+    needed = gasket.vertex_count(n) ** 2
     if len(data_raw) < needed:
         raise ValidationError(
             f"missing data: {len(data_raw)} entries for the {needed} product "
@@ -209,39 +207,36 @@ def cmd_eval(args):
 
 def cmd_grid(args):
     model = build_from_config(args.config)
-    if args.depth % model.n or args.depth < model.n:
-        raise PreconditionError(f"--depth must be a positive multiple of N={model.n}")
+    fg1, fg2, values = product_values(model, args.depth)
     verts = enumerate_vertices(args.depth)
     nv = len(verts)
     rows = nv**2
-    if rows > GRID_ROW_BUDGET:
-        raise CapacityError(f"{rows} rows exceed the grid budget {GRID_ROW_BUDGET}")
-    fg1, fg2, values = product_values(model, args.depth)
-    # rows and columns in enumerate_vertices order
-    order1 = [fg1.index_of(a) for a in verts]
-    order2 = [fg2.index_of(a) for a in verts]
-    values = values[np.ix_(order1, order2)]
+    # rows and columns in enumerate_vertices order, with no reordered copy
+    order1 = np.array([fg1.index_of(a) for a in verts])
+    order2 = np.array([fg2.index_of(a) for a in verts])
     pts1, pts2 = fg1.verts[-1][order1], fg2.verts[-1][order2]
 
     def block(lo, hi):
         i, j = np.divmod(np.arange(lo, hi), nv)
-        return np.column_stack([pts1[i], pts2[j], values[i, j]])
+        return np.column_stack([pts1[i], pts2[j], values[order1[i], order2[j]]])
 
     evaluator.write_graph_csv(args.out, rows, block)
     outputs = [args.out]
     if args.ppm:
-        _write_ppm(args.ppm, values)
+        _write_ppm(args.ppm, values, order1, order2)
         outputs.append(args.ppm)
     print(f"wrote {rows} rows to {args.out}")
     args._outputs = outputs
     return EXIT_OK
 
 
-def _write_ppm(path, values):
-    """Min-max normalized grayscale heatmap, binary PPM (P6)."""
+def _write_ppm(path, values, order1, order2):
+    """Min-max normalized grayscale heatmap of values[order1][:, order2], binary PPM (P6)."""
     lo, hi = float(values.min()), float(values.max())
     span = hi - lo if hi > lo else 1.0
-    gray = np.round(255.0 * (values - lo) / span).astype(np.uint8)
+    gray = np.subtract(values, lo)  # then *255, /span and round, all in this buffer
+    np.round(np.divide(np.multiply(gray, 255.0, out=gray), span, out=gray), out=gray)
+    gray = gray.astype(np.uint8)[np.ix_(order1, order2)]
     h, w = gray.shape
     rgb = np.repeat(gray[:, :, None], 3, axis=2)
     with atomic_open(path, binary=True) as fh:
@@ -367,7 +362,7 @@ def cmd_check(args):
 
     ok = True
     for m in range(0, 5):
-        if len(enumerate_vertices(m)) != 3 * (3**m + 1) // 2:
+        if len(enumerate_vertices(m)) != gasket.vertex_count(m):
             ok = False
     check("vertex-count", ok)
 

@@ -23,7 +23,7 @@ from .gasket import (
     descend,
     word_map_xy,
 )
-from .grids import FactorGrid, level_step, word_index
+from .grids import FactorGrid, check_grid_bytes, level_step, word_index
 from .model import FifModel, _bilinear, _bilinear9, _bilinear_form
 
 
@@ -115,6 +115,7 @@ class GridFunction:
             raise PreconditionError(
                 f"grid depth must be a positive multiple of N={model.n}"
             )
+        check_grid_bytes(depth)
         self.model = model
         self.depth = depth
         self.grid1 = FactorGrid(model.gasket1, depth)

@@ -250,10 +250,15 @@ def canonicalize(a: Address) -> Address:
     return Address(w, c)
 
 
+def vertex_count(m: int) -> int:
+    """Number of distinct gasket vertices of level m, 3(3^m + 1)/2."""
+    return 3 * (3**m + 1) // 2
+
+
 def enumerate_vertices(m: int) -> list:
     """All distinct gasket vertices {L_w(p_i): |w| = m}, canonical, sorted.
 
-    The count is 3(3^m + 1)/2.  `canonicalize` gives each point one
+    The count is vertex_count(m).  `canonicalize` gives each point one
     address, so the canonical addresses deduplicate the points exactly.
     """
     if m < 0:

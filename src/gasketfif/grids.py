@@ -12,9 +12,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionError
-from .gasket import Address, GasketSpec, address_coords, reduce_dyadic
+from .errors import CapacityError, PreconditionError
+from .gasket import Address, GasketSpec, address_coords, reduce_dyadic, vertex_count
 from .model import FifModel, words_of_length
+
+#: bytes one level's value matrix may take: depth 7 (86 MB) fits, depth 8 (775 MB) does not
+GRID_BYTES = 2**28
+
+
+def check_grid_bytes(depth: int) -> None:
+    """Refuse a depth-`depth` product grid, before building it, past GRID_BYTES."""
+    size = 8 * vertex_count(depth) ** 2
+    if size > GRID_BYTES:
+        raise CapacityError(f"a depth-{depth} product grid needs {size} bytes, over {GRID_BYTES}")
 
 
 def word_index(w: str) -> int:
@@ -177,19 +187,24 @@ def level_step(
 
 
 def product_values(model: FifModel, depth: int):
-    """Exact values of f at all depth-`depth` product vertices.
+    """Exact values of f at all depth-`depth` product vertices, any depth >= 1.
 
     Returns (grid1, grid2, F) where F[v, w] = f(vertex v of grid1, vertex w
-    of grid2) at the requested level.  `depth` must be a positive multiple
-    of the model depth N.
+    of grid2) at that level.  The steps from level k to k+N start at depth
+    mod N, whose vertices lie in V_N and carry the data grid's values.
     """
     n = model.n
-    if depth <= 0 or depth % n:
-        raise PreconditionError(f"depth must be a positive multiple of N={n}")
+    if depth < 1:
+        raise PreconditionError("depth must be >= 1")
+    check_grid_bytes(depth)
     fg1 = FactorGrid(model.gasket1, depth)
     fg2 = FactorGrid(model.gasket2, depth)
     f = np.zeros((3, 3))  # f vanishes at corner pairs
-    for k in range(0, depth, n):
+    if start := depth % n:
+        idx = np.arange(vertex_count(start))
+        d1, d2, data = product_values(model, n)
+        f = data[np.ix_(d1.lift(idx, start, n), d2.lift(idx, start, n))]
+    for k in range(start, depth, n):
         out = np.empty((len(fg1.verts[k + n]), len(fg2.verts[k + n])))
         f = level_step(model, fg1, fg2, k, f, out)
     return fg1, fg2, f

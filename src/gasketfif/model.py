@@ -25,6 +25,7 @@ from .gasket import (
     canonicalize,
     enumerate_vertices,
     standard_gasket,
+    vertex_count,
 )
 
 
@@ -341,7 +342,7 @@ def sample_points(spec: GasketSpec, count: int) -> np.ndarray:
     """Deterministic gasket points: the canonical vertices of the coarsest
     depth that yields at least `count` of them (corners come first)."""
     m = 0
-    while 3 * (3**m + 1) // 2 < count:
+    while vertex_count(m) < count:
         m += 1
     verts = enumerate_vertices(m)[:count]
     return np.array([address_point(spec, a) for a in verts])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,30 @@ class TestOscillation:
 
     def test_max_bounded_by_sup(self, ref05):
         assert oscillation(ref05, 1).max() <= 2 * ref05.f_sup_bound + 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_no_padding_to_a_multiple_of_n(self, seed):
+        # level 5 of an N=3 model runs on the depth-5 grid (366^2 values),
+        # not on the depth-6 one (1095^2 values, 9.6 MB)
+        model = gf.random_model(3, seed)
+        tracemalloc.start()
+        try:
+            oscillation(model, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_refused_over_the_byte_budget(self, ref03):
+        # 25 samples per cell refine level 7 to the depth-8 grid (775 MB)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                oscillation(ref03, 7, samples_per_cell=25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_validation(self, ref03):
         with pytest.raises(PreconditionError):

@@ -19,6 +19,14 @@ def zero_data(n=1):
     ]
 
 
+def random_config(n, seed, alpha):
+    data = [
+        {"first": str(k.first), "second": str(k.second), "z": z}
+        for k, z in gf.random_dataset(n, seed).entries.items()
+    ]
+    return config_dict(n=n, alpha=alpha, data=data)
+
+
 class TestBuild:
     def test_bump_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, config_dict())
@@ -228,6 +236,29 @@ class TestGrid:
             np.abs(corners2)
         )
 
+    def test_depth_not_a_multiple_of_n(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, random_config(2, 0, 0.2))
+        out = tmp_path / "g.csv"
+        assert main(["grid", "-c", cfg, "--depth", "3", "-o", str(out)]) == 0
+        assert "wrote 1764 rows" in capsys.readouterr().out
+        model = build_from_config(cfg)
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        verts = gf.enumerate_vertices(3)
+        exact = np.array([eval_exact(model, a, b) for a in verts for b in verts])
+        assert np.all(np.abs(rows[:, 4] - exact) <= 1e-14 * (1.0 + np.abs(exact)))
+
+    def test_depth_below_n_writes_the_data(self, tmp_path):
+        cfg = write_config(tmp_path, random_config(2, 0, 0.2))
+        out = tmp_path / "g.csv"
+        assert main(["grid", "-c", cfg, "--depth", "1", "-o", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        data = gf.random_dataset(2, 0).entries
+        verts = gf.enumerate_vertices(1)
+        # L_w(p_c) = L_wc(p_c) names the same vertex at level 2
+        deep = [gf.canonicalize(gf.Address(a.word + str(a.corner), a.corner)) for a in verts]
+        want = [data[gf.ProductVertex(a, b)] for a in deep for b in deep]
+        assert rows[:, 4].tolist() == want
+
     def test_depth_beyond_enumeration_refused_before_building(self, tmp_path):
         cfg = write_config(tmp_path, config_dict())
         tracemalloc.start()
@@ -283,6 +314,20 @@ class TestDim:
         out = capsys.readouterr().out
         assert "warning" in out
         assert "sandwich" not in out
+
+    def test_refused_over_the_byte_budget(self, tmp_path):
+        # a million samples per cell refine level 2 to the depth-8 grid
+        cfg = write_config(tmp_path, config_dict())
+        argv = ["dim", "-c", cfg, "--min-level", "2", "--max-level", "4",
+                "--samples-per-cell", "1000000"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 5
+        assert peak < 2**20
 
     def test_too_few_levels(self, tmp_path):
         cfg = write_config(tmp_path, config_dict())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from test_gasket import OFFSETS, gasket_specs, moved
 
 import gasketfif as gf
-from gasketfif.errors import DomainError, PreconditionError
+from gasketfif.errors import CapacityError, DomainError, PreconditionError
 from gasketfif.evaluator import (
     CHAOS_ORBITS,
     GraphSample,
@@ -314,6 +314,16 @@ class TestGridFunction:
         m = gf.random_model(2, seed=1)
         with pytest.raises(PreconditionError):
             GridFunction(m, 3)
+
+    def test_refused_over_the_byte_budget(self, ref03):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                GridFunction(ref03, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_at_uses_canonical_addressing(self, ref03):
         g = GridFunction(ref03, 1)

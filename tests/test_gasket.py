@@ -21,6 +21,7 @@ from gasketfif.gasket import (
     locate_many,
     shift,
     standard_gasket,
+    vertex_count,
     word_map,
     word_map_inverse,
 )
@@ -147,6 +148,11 @@ class TestEnumerateVertices:
     def test_counts_formula(self):
         for m in range(7):
             assert len(enumerate_vertices(m)) == 3 * (3**m + 1) // 2
+
+    def test_vertex_count_matches_enumeration(self):
+        for m in range(7):
+            assert vertex_count(m) == len(enumerate_vertices(m)) == 3 * (3**m + 1) // 2
+        assert vertex_count(8) == 9843
 
     def test_bruteforce_dedupe_small_depths(self):
         # oracle: collect float points of all 3^m * 3 raw addresses and

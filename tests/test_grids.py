@@ -1,8 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gasketfif.gasket import Address, standard_gasket
-from gasketfif.grids import _STEP_ROWS, FactorGrid, _row_chunks, _runs
+import gasketfif as gf
+from gasketfif.errors import CapacityError
+from gasketfif.evaluator import eval_exact
+from gasketfif.gasket import Address, GasketSpec, canonicalize, standard_gasket, vertex_count
+from gasketfif.grids import (
+    _STEP_ROWS,
+    GRID_BYTES,
+    FactorGrid,
+    _row_chunks,
+    _runs,
+    product_values,
+)
+from gasketfif.model import ProductVertex, ScalingField, build_model, words_of_length
 
 
 def test_runs_cover_any_index_map():
@@ -25,3 +38,80 @@ def test_row_chunks_never_hold_a_single_row():
     assert _row_chunks(_STEP_ROWS + 1) == [(0, _STEP_ROWS + 1)]
     assert _row_chunks(2 * _STEP_ROWS + 1) == [(0, _STEP_ROWS), (_STEP_ROWS, 2 * _STEP_ROWS + 1)]
     assert _row_chunks(2 * _STEP_ROWS) == [(0, _STEP_ROWS), (_STEP_ROWS, 2 * _STEP_ROWS)]
+
+
+OFF_ORIGIN = GasketSpec(((10.0, 5.0), (11.0, 5.2), (10.1, 6.3)))
+
+
+def any_depth_model(n, kind):
+    """A random N=n model with constant or corner-tensor scaling, or on a
+    gasket far from the origin."""
+    scaling = ScalingField.constant(0.3, n)
+    if kind == "tensor":
+        rng = np.random.default_rng(n)
+        words = words_of_length(n)
+        scaling = ScalingField.from_cells(
+            {(a, b): rng.uniform(-0.2, 0.2, (3, 3)) for a in words for b in words}, n
+        )
+    g1 = OFF_ORIGIN if kind == "gasket" else None
+    return build_model(gf.random_dataset(n, 4), scaling, g1, None)
+
+
+@pytest.mark.parametrize("kind", ["constant", "tensor", "gasket"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_any_depth_equals_padded_then_restricted(n, kind):
+    model = any_depth_model(n, kind)
+    padded = {}
+    for d in range(1, 7):
+        top = n * -(-d // n)
+        if top not in padded:
+            padded[top] = product_values(model, top)
+        p1, p2, fp = padded[top]
+        fg1, fg2, f = product_values(model, d)
+        assert fg1.depth == fg2.depth == d
+        assert np.array_equal(fg1.verts[-1], p1.verts[d])
+        assert np.array_equal(fg2.verts[-1], p2.verts[d])
+        idx = np.arange(vertex_count(d))
+        want = fp[np.ix_(p1.lift(idx, d, top), p2.lift(idx, d, top))]
+        assert np.array_equal(f, want)
+
+
+@pytest.mark.parametrize("kind", ["constant", "tensor", "gasket"])
+@pytest.mark.parametrize("n, depth", [(2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (3, 4), (3, 5)])
+def test_any_depth_matches_scalar_oracle(n, depth, kind):
+    model = any_depth_model(n, kind)
+    fg1, fg2, f = product_values(model, depth)
+    rng = np.random.default_rng(depth)
+    for _ in range(60):
+        a, b = (
+            Address("".join(rng.choice(list("123"), size=depth)), int(rng.integers(1, 4)))
+            for _ in range(2)
+        )
+        got = f[fg1.index_of(a), fg2.index_of(b)]
+        want = eval_exact(model, a, b)
+        assert abs(got - want) <= 1e-14 * (1.0 + abs(want))
+
+
+def test_depth_below_n_gives_the_data():
+    model = gf.random_model(2, 3)
+    fg1, fg2, f = product_values(model, 1)
+    assert f.shape == (vertex_count(1), vertex_count(1))
+    for a in gf.enumerate_vertices(1):
+        for b in gf.enumerate_vertices(1):
+            # L_w(p_c) = L_wc(p_c) names the same vertex at level 2
+            key = ProductVertex(*(canonicalize(Address(x.word + str(x.corner), x.corner))
+                                  for x in (a, b)))
+            assert f[fg1.index_of(a), fg2.index_of(b)] == model.data.entries[key]
+
+
+def test_budget_refuses_depth_8_before_allocating():
+    model = gf.reference_model(0.3)
+    assert 8 * vertex_count(7) ** 2 <= GRID_BYTES < 8 * vertex_count(8) ** 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            product_values(model, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
