@@ -18,6 +18,7 @@ from .analysis import (
     holder_fit,
     holder_predict,
     oscillation,
+    oscillations,
 )
 from .errors import (
     CapacityError,

@@ -107,31 +107,58 @@ class OscillationTable:
         return float(self.values.sum())
 
 
-def oscillation(
-    model: FifModel, n: int, samples_per_cell: int = 9
-) -> OscillationTable:
-    """Oscillation table at level n from exact grid values.
-
-    The nine corner-pair vertices of each cell-pair are always included;
-    asking for more samples refines each cell dyadically and uses all
-    vertices of the refinement, again evaluated exactly, so deeper tables
-    are monotone against coarser ones.
-    """
-    if n < 1:
-        raise PreconditionError("level must be >= 1")
+def refinement_depth(samples_per_cell: int) -> int:
+    """Levels r of dyadic refinement that sample each cell-pair at no fewer
+    than `samples_per_cell` product vertices: the least r with
+    V(r)^2 >= samples_per_cell.  A level-n table reads the level-(n + r)
+    grid."""
     if samples_per_cell < 9:
         raise PreconditionError("samples_per_cell must be at least 9")
     r = 0
     while vertex_count(r) ** 2 < samples_per_cell:
         r += 1
-    fg1, fg2, f = product_values(model, n + r)
-    s1 = fg1.cells[n + r].reshape(3**n, -1)
-    s2 = fg2.cells[n + r].reshape(3**n, -1)
-    cells = 3**n
+    return r
+
+
+def oscillations(model: FifModel, levels, samples_per_cell: int = 9):
+    """Oscillation tables at each of `levels`, from one grid.
+
+    Runs product_values once, at the deepest level plus the refinement
+    depth r, and yields the tables in the order of `levels`, one at a
+    time.  A shallower level n reads the values restricted, with
+    FactorGrid.lift, to the level-(n + r) vertices; they are the values
+    product_values gives at that level bit for bit, so each table equals
+    oscillation(model, n, samples_per_cell) bit for bit.
+    """
+    levels = list(levels)
+    if not levels or min(levels) < 1:
+        raise PreconditionError("level must be >= 1")
+    r = refinement_depth(samples_per_cell)
+    depth = max(levels) + r
+    fg1, fg2, f = product_values(model, depth)
+    for i, n in enumerate(levels):
+        m = n + r
+        sub = f
+        if m < depth:
+            idx = np.arange(vertex_count(m))
+            sub = f[np.ix_(fg1.lift(idx, m, depth), fg2.lift(idx, m, depth))]
+        s1 = fg1.cells[m].reshape(3**n, -1)
+        s2 = fg2.cells[m].reshape(3**n, -1)
+        table = OscillationTable(n, _cell_oscillation(sub, s1, s2), s1.shape[1] * s2.shape[1])
+        if i == len(levels) - 1:
+            # the caller reduces the last, usually deepest, table without
+            # the grid held beside it, as after a one-level call
+            del f, sub
+        yield table
+
+
+def _cell_oscillation(f: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """max - min of f over s1[i] x s2[j] for every pair of rows i, j."""
     # max and min over a cell-pair's sample grid s1[i] x s2[j] separate:
     # reduce f's rows over s1[i], then those columns over s2[j].  Chunks of
     # cells keep each temporary near 2.5e5 elements (2 MB), in cache.
-    values = np.empty((cells, cells))
+    cells = len(s1)
+    values = np.empty((cells, len(s2)))
     chunk = max(1, int(2.5e5 // f.shape[1]))
     for lo in range(0, cells, chunk):
         rows = s1[lo : lo + chunk]
@@ -147,7 +174,21 @@ def oscillation(
             np.maximum(vmax, top[:, s2[:, t]], out=vmax)
             np.minimum(vmin, bot[:, s2[:, t]], out=vmin)
         values[lo : lo + chunk] = vmax - vmin
-    return OscillationTable(n, values, s1.shape[1] * s2.shape[1])
+    return values
+
+
+def oscillation(
+    model: FifModel, n: int, samples_per_cell: int = 9
+) -> OscillationTable:
+    """Oscillation table at level n from exact grid values: the one-level
+    case of `oscillations`.
+
+    The nine corner-pair vertices of each cell-pair are always included;
+    asking for more samples refines each cell dyadically and uses all
+    vertices of the refinement, again evaluated exactly, so deeper tables
+    are monotone against coarser ones.
+    """
+    return next(oscillations(model, [n], samples_per_cell))
 
 
 @dataclass(frozen=True)
@@ -243,7 +284,7 @@ def holder_fit(
     if n_min >= n_max or n_min < 1:
         raise PreconditionError("need 1 <= n_min < n_max")
     levels = range(n_min, n_max + 1)
-    maxima = [oscillation(model, n, samples_per_cell).max() for n in levels]
+    maxima = [t.max() for t in oscillations(model, levels, samples_per_cell)]
     if all(m == 0.0 for m in maxima):
         return HolderFit(float("inf"), 0.0, True, tuple(levels))
     x = np.array([-n * math.log(2.0) for n in levels])

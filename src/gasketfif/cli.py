@@ -257,12 +257,15 @@ def cmd_dim(args):
     if args.min_level >= args.max_level or args.max_level - args.min_level < 2:
         raise PreconditionError("need max-level >= min-level + 2 for a regression")
     model = build_from_config(args.config)
-    records = []
+    levels = range(args.min_level, args.max_level + 1)
+    # every level is counted before the table is printed, so a refused run
+    # (the grid over GRID_BYTES, say) writes nothing to stdout
+    records = [
+        analysis.box_count(model, table.level, table)
+        for table in analysis.oscillations(model, levels, args.samples_per_cell)
+    ]
     print("level,delta,count")
-    for n in range(args.min_level, args.max_level + 1):
-        table = analysis.oscillation(model, n, args.samples_per_cell)
-        rec = analysis.box_count(model, n, table)
-        records.append(rec)
+    for rec in records:
         print(f"{rec.level},{rec.delta:.17g},{rec.count}")
     report = analysis.estimate_box_dimension(records)
     print(f"slope = {report.slope:.6f} +- {report.std_error:.6f}")

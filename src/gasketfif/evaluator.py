@@ -23,7 +23,7 @@ from .gasket import (
     descend,
     word_map_xy,
 )
-from .grids import FactorGrid, check_grid_bytes, level_step, word_index
+from .grids import FactorGrid, check_grid_bytes, level_step, step_blocks, word_index
 from .model import FifModel, _bilinear, _bilinear9, _bilinear_form
 
 
@@ -154,14 +154,30 @@ class GridFunction:
         return self._on_grid(self.model, self.values.copy())
 
 
-def _apply(model: FifModel, g: GridFunction, values: np.ndarray, out: np.ndarray):
-    """T on the grid of g: `values` restricted to the level m-N vertices,
-    then one level step into `out`."""
-    k = g.depth - model.n
+def _restriction(g: GridFunction, k: int) -> tuple:
+    """Indices at g's level of the level-k vertices of its two grids."""
     fg1, fg2 = g.grid1, g.grid2
     rows = fg1.lift(np.arange(len(fg1.verts[k])), k, g.depth)
     cols = fg2.lift(np.arange(len(fg2.verts[k])), k, g.depth)
-    return level_step(model, fg1, fg2, k, values[np.ix_(rows, cols)], out)
+    return rows, cols
+
+
+#: rows of a restriction that _gather copies at a time
+_GATHER_ROWS = 64
+
+
+def _gather(values: np.ndarray, rows, cols, out: np.ndarray, same: bool = False) -> bool:
+    """Copy values[rows][:, cols] into `out`, _GATHER_ROWS rows at a time,
+    with no temporary of its full size.  Returns True when `same` is set
+    and `out` already held those values bit for bit."""
+    for lo in range(0, len(rows), _GATHER_ROWS):
+        part = values[np.ix_(rows[lo : lo + _GATHER_ROWS], cols)]
+        dst = out[lo : lo + _GATHER_ROWS]
+        if same and np.array_equal(part.view(np.uint64), dst.view(np.uint64)):
+            continue
+        same = False
+        dst[...] = part
+    return same
 
 
 def rb_apply(model: FifModel, g: GridFunction) -> GridFunction:
@@ -173,23 +189,22 @@ def rb_apply(model: FifModel, g: GridFunction) -> GridFunction:
     """
     if g.depth < model.n:
         raise PreconditionError("grid depth must be at least N")
-    return g._on_grid(model, _apply(model, g, g.values, np.empty_like(g.values)))
+    k = g.depth - model.n
+    rows, cols = _restriction(g, k)
+    f = np.empty((len(rows), len(cols)))
+    _gather(g.values, rows, cols, f)
+    return g._on_grid(model, level_step(model, g.grid1, g.grid2, k, f, np.empty_like(g.values)))
 
 
-#: rows per block of the sup change in solve_fixed_point, small enough
-#: for the block to stay in cache
-_CHANGE_ROWS = 16
-
-
-def _sup_change(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b|, _CHANGE_ROWS rows at a time, with no full-size
-    temporary."""
-    buf = np.empty((_CHANGE_ROWS, a.shape[1]))
+def _apply_in_place(model: FifModel, g: GridFunction, k: int, f: np.ndarray) -> float:
+    """Overwrite g.values with T g, given f, the values at level k = m-N;
+    returns the sup change.  Each entry is written once, by its owner."""
     change = 0.0
-    for lo in range(0, len(a), _CHANGE_ROWS):
-        d = buf[: len(a[lo : lo + _CHANGE_ROWS])]
-        np.subtract(a[lo : lo + _CHANGE_ROWS], b[lo : lo + _CHANGE_ROWS], out=d)
-        change = max(change, float(np.abs(d, out=d).max()))
+    for rows, cols, block in step_blocks(model, g.grid1, g.grid2, k, f):
+        old = g.values[rows, cols]
+        old -= block  # exactly -(block - old): the same |change| bits
+        change = max(change, float(old.max()), -float(old.min()))
+        old[...] = block
     return change
 
 
@@ -197,24 +212,30 @@ def solve_fixed_point(model: FifModel, depth: int, tol: float) -> GridFunction:
     """Iterate T from the zero grid function until the sup change is <= tol.
 
     The geometric contraction rate bounds the iteration count by
-    log(tol / f_sup_bound) / log(alpha_sup) + 1.  Two buffers alternate;
-    the result's `iterations` holds the number of applications.
+    log(tol / f_sup_bound) / log(alpha_sup) + 1.  T runs in place on the
+    one value matrix.  An application reads only the restriction A to
+    level m-N, so A is copied into a second, 9^-N-sized matrix; then each
+    entry is overwritten once, by its owning cell-pair
+    (grids.step_blocks), and the sup change taken on the way.  When A is
+    the previous A bit for bit, T maps the values to themselves: the
+    application counts, with change 0.  The result's `iterations` holds
+    the number of applications.
     """
     if tol <= 0:
         raise PreconditionError("tolerance must be positive")
     g = GridFunction(model, depth)
-    cur, nxt = g.values, np.empty_like(g.values)
+    k = depth - model.n
+    rows, cols = _restriction(g, k)
+    f = np.empty((len(rows), len(cols)))
     iterations = 0
     while True:
-        _apply(model, g, cur, nxt)
         iterations += 1
-        change = _sup_change(nxt, cur)
-        cur, nxt = nxt, cur
-        if change <= tol:
+        if _gather(g.values, rows, cols, f, same=iterations > 1):
+            break
+        if _apply_in_place(model, g, k, f) <= tol:
             break
         if iterations > 100000:
             raise RuntimeError("fixed-point iteration failed to converge")
-    g.values = cur
     g.iterations = iterations
     return g
 

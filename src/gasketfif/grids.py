@@ -16,7 +16,10 @@ from .errors import CapacityError, PreconditionError
 from .gasket import Address, GasketSpec, address_coords, reduce_dyadic, vertex_count
 from .model import FifModel, words_of_length
 
-#: bytes one level's value matrix may take: depth 7 (86 MB) fits, depth 8 (775 MB) does not
+#: bytes one level's value matrix may take: depth 7 (86 MB) fits, depth 8 (775 MB) does not.
+#: The calls under it hold more, in level-m matrices: product_values 1 + 9^-N
+#: (the level m-N values it steps from), solve_fixed_point 1 + 9^-N (its copy
+#: of the restriction), oscillation 1 plus its 9^n-entry table.
 GRID_BYTES = 2**28
 
 
@@ -34,6 +37,21 @@ def word_index(w: str) -> int:
     for ch in w:
         i = 3 * i + int(ch) - 1
     return i
+
+
+def _runs(idx: np.ndarray, keep: np.ndarray = None) -> list:
+    """(start, stop, first) of each maximal run of consecutive values in
+    idx, so that idx[start:stop] == range(first, first + stop - start);
+    given a boolean mask `keep`, only the runs of kept positions."""
+    cut = np.diff(idx) != 1
+    if keep is not None:
+        cut |= keep[1:] != keep[:-1]
+    cut = np.flatnonzero(cut) + 1
+    starts = [0, *cut.tolist()]
+    stops = [*cut.tolist(), len(idx)]
+    return [
+        (a, b, int(idx[a])) for a, b in zip(starts, stops) if keep is None or keep[a]
+    ]
 
 
 class FactorGrid:
@@ -102,6 +120,22 @@ class FactorGrid:
             lvl += 1
         return idx
 
+    def owned_runs(self, k: int, n: int) -> list:
+        """Ownership table of the step from level k to level k+n.
+
+        A level-(k+n) vertex lies in the images L_w(level k) of one or more
+        length-n words w and is owned by the lexicographically smallest of
+        them.  Entry i, for the i-th word in lexicographic order, lists the
+        runs (start, stop, first) of compose(k, w) that w owns, with
+        compose(k, w)[start:stop] == range(first, first + stop - start);
+        together they name every level-(k+n) vertex exactly once.
+        """
+        maps = [self.compose(k, w) for w in words_of_length(n)]
+        owner = np.empty(len(self.verts[k + n]), dtype=np.intp)
+        for i in reversed(range(len(maps))):
+            owner[maps[i]] = i
+        return [_runs(idx, owner[idx] == i) for i, idx in enumerate(maps)]
+
     def lift(self, idx: np.ndarray, level_from: int, level_to: int) -> np.ndarray:
         """Re-index vertices of a coarse level inside a finer level."""
         for k in range(level_from, level_to):
@@ -115,16 +149,7 @@ class FactorGrid:
         return self.index[reduce_dyadic(db.numerators, db.level)]
 
 
-def _runs(idx: np.ndarray) -> list:
-    """(start, stop, first) of each maximal run of consecutive values in
-    idx, so that idx[start:stop] == range(first, first + stop - start)."""
-    cut = np.flatnonzero(np.diff(idx) != 1) + 1
-    starts = [0, *cut.tolist()]
-    stops = [*cut.tolist(), len(idx)]
-    return [(a, b, int(idx[a])) for a, b in zip(starts, stops)]
-
-
-#: rows of a cell-pair block that level_step computes at a time, so that
+#: rows of a cell-pair block that step_blocks computes at a time, so that
 #: its temporaries stay in cache
 _STEP_ROWS = 64
 
@@ -139,31 +164,31 @@ def _row_chunks(rows: int) -> list:
     return list(zip(starts, starts[1:] + [rows]))
 
 
-def level_step(
-    model: FifModel, fg1: FactorGrid, fg2: FactorGrid, k: int, f: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """One step of the defining recursion, from level k to level k+N.
+def step_blocks(model: FifModel, fg1: FactorGrid, fg2: FactorGrid, k: int, f: np.ndarray):
+    """One step of the defining recursion, from level k to level k+N, as
+    rectangles of the level-(k+N) value matrix.
 
     f holds values at the level-k product vertices of the grids fg1, fg2;
     every level-(k+N) vertex pair is L_w1(v) x L_w2(u) for some cell-pair
-    (w1, w2) of length N, and gets alpha_w(v, u) f[v, u] + h_w(v, u),
-    written into `out`.  Cell-pairs are visited in reverse lexicographic
-    order, so at a vertex shared by several cell-pairs the lexicographically
-    smallest one writes last.
+    (w1, w2) of length N, and gets alpha_w(v, u) f[v, u] + h_w(v, u) from
+    the cell-pair that owns it: the lexicographically smallest containing
+    one (FactorGrid.owned_runs in each factor).  Yields (rows, cols, block)
+    with rows and cols slices of the level-(k+N) matrix and block its new
+    values there; every entry is in exactly one rectangle, in no fixed
+    order.  block is a view of a buffer that the next rectangle reuses.
     """
     words = words_of_length(model.n)
     lam1, lam2t = fg1.lam[k], fg2.lam[k].T
-    # each index map L_w is a few runs of consecutive indices (FactorGrid
-    # numbers the images of L_1, L_2, L_3 in turn), so a block is written
-    # as a few rectangular slices instead of element by element
-    runs1 = [_runs(fg1.compose(k, w)) for w in words]
-    runs2 = [_runs(fg2.compose(k, w)) for w in words]
+    # each owned part of an index map L_w is a few runs of consecutive
+    # indices (FactorGrid numbers the images of L_1, L_2, L_3 in turn), so a
+    # block is written as a few rectangular slices, not element by element
+    runs1 = fg1.owned_runs(k, model.n)
+    runs2 = fg2.owned_runs(k, model.n)
     chunks = _row_chunks(len(f))
     h = np.empty((_STEP_ROWS + 1, f.shape[1]))
     block = np.empty_like(h)
-    for i in reversed(range(len(words))):
-        for j in reversed(range(len(words))):
-            w1, w2 = words[i], words[j]
+    for i, w1 in enumerate(words):
+        for j, w2 in enumerate(words):
             shift = lam1 @ model.shift[(w1, w2)]
             sc = model.scaling.cell(w1, w2)
             scale = None if np.isscalar(sc) else lam1 @ sc
@@ -182,7 +207,16 @@ def level_step(
                         continue
                     rows = slice(r0 + x0 - a0, r0 + x1 - a0)
                     for b0, b1, c0 in runs2[j]:
-                        out[rows, c0 : c0 + b1 - b0] = bb[x0 - lo : x1 - lo, b0:b1]
+                        yield rows, slice(c0, c0 + b1 - b0), bb[x0 - lo : x1 - lo, b0:b1]
+
+
+def level_step(
+    model: FifModel, fg1: FactorGrid, fg2: FactorGrid, k: int, f: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """One step of the defining recursion (see step_blocks), from the
+    level-k values f into the level-(k+N) matrix `out`."""
+    for rows, cols, block in step_blocks(model, fg1, fg2, k, f):
+        out[rows, cols] = block
     return out
 
 

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_grids import any_depth_model
 
 import gasketfif as gf
+from gasketfif import analysis
 from gasketfif.analysis import (
     PRODUCT_DIMENSION,
     BoxCountRecord,
@@ -17,6 +19,8 @@ from gasketfif.analysis import (
     holder_fit,
     holder_predict,
     oscillation,
+    oscillations,
+    refinement_depth,
 )
 from gasketfif.errors import CapacityError, HypothesisError, PreconditionError
 from gasketfif.evaluator import chaos_game
@@ -114,6 +118,35 @@ class TestOscillation:
         model = gf.random_model(n_model, seed)
         tab = oscillation(model, level, samples)
         assert np.array_equal(tab.values, brute_oscillation(model, level, r))
+
+    @pytest.mark.parametrize("samples", [9, 36])
+    @pytest.mark.parametrize("kind", ["constant", "tensor"])
+    @pytest.mark.parametrize("n_model", [1, 2])
+    def test_one_sweep_equals_the_per_level_tables(self, n_model, kind, samples):
+        # levels 1..5 off one grid (depth 5, or 6 when refined once) are the
+        # tables of one product_values pass per level, bit for bit
+        model = any_depth_model(n_model, kind)
+        levels = range(1, 6) if samples == 9 else range(1, 5)
+        tables = list(oscillations(model, levels, samples))
+        assert [t.level for t in tables] == list(levels)
+        for t in tables:
+            want = oscillation(model, t.level, samples)
+            assert t.samples_per_cell == want.samples_per_cell
+            assert np.array_equal(t.values, want.values)
+
+    def test_one_sweep_runs_one_grid(self, ref03, monkeypatch):
+        depths = []
+        real = analysis.product_values
+        monkeypatch.setattr(
+            analysis, "product_values", lambda m, d: depths.append(d) or real(m, d)
+        )
+        holder_fit(ref03, 2, 5, samples_per_cell=25)
+        assert depths == [6]
+
+    def test_refinement_depth(self):
+        assert [refinement_depth(s) for s in (9, 10, 36, 37, 1000000)] == [0, 1, 1, 2, 6]
+        with pytest.raises(PreconditionError):
+            refinement_depth(8)
 
     def test_max_bounded_by_sup(self, ref05):
         assert oscillation(ref05, 1).max() <= 2 * ref05.f_sup_bound + 1e-12

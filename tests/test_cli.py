@@ -329,6 +329,15 @@ class TestDim:
         assert code == 5
         assert peak < 2**20
 
+    def test_refused_run_writes_nothing_to_stdout(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, random_config(2, 0, 0.2))
+        argv = ["dim", "-c", cfg, "--min-level", "2", "--max-level", "4",
+                "--samples-per-cell", "1000000"]
+        assert main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bytes" in captured.err
+
     def test_too_few_levels(self, tmp_path):
         cfg = write_config(tmp_path, config_dict())
         assert main(["dim", "-c", cfg, "--min-level", "2", "--max-level", "3"]) == 6

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from test_gasket import OFFSETS, gasket_specs, moved
 
 import gasketfif as gf
+from gasketfif import evaluator
 from gasketfif.errors import CapacityError, DomainError, PreconditionError
 from gasketfif.evaluator import (
     CHAOS_ORBITS,
@@ -32,6 +33,7 @@ from gasketfif.gasket import (
     bary_f,
     enumerate_vertices,
     standard_gasket,
+    vertex_count,
     word_map,
     word_map_xy,
 )
@@ -454,6 +456,60 @@ class TestSolveFixedPoint:
     def test_bad_tolerance(self, ref03):
         with pytest.raises(PreconditionError):
             solve_fixed_point(ref03, 1, 0.0)
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-12, 1e-6, 0.3])
+    @pytest.mark.parametrize("kind", ["constant", "tensor", "zero"])
+    @pytest.mark.parametrize("n, depth", [(1, 1), (1, 3), (1, 5), (2, 2), (2, 4), (3, 3)])
+    def test_equals_the_two_buffer_iteration(self, n, depth, kind, tol):
+        model = {
+            "constant": lambda: gf.random_model(n, 3),
+            "tensor": lambda: tensor_model(n, 4),
+            "zero": lambda: gf.zero_model(0.3, n),
+        }[kind]()
+        g = solve_fixed_point(model, depth, tol)
+        values, iterations = two_buffer_fixed_point(model, depth, tol)
+        assert g.iterations == iterations
+        assert np.array_equal(g.values.view(np.uint64), values.view(np.uint64))
+
+    def test_unchanged_restriction_skips_the_last_application(self, monkeypatch):
+        # the level step reproduces product_values bit for bit, so at a tiny
+        # tolerance the restriction stops changing; that application counts
+        # but runs no step
+        steps = []
+        apply = evaluator._apply_in_place
+        monkeypatch.setattr(
+            evaluator, "_apply_in_place", lambda *a: steps.append(1) or apply(*a)
+        )
+        g = solve_fixed_point(gf.random_model(1, 201), 3, 1e-300)
+        assert len(steps) == g.iterations - 1
+        assert np.array_equal(g.values, product_values(gf.random_model(1, 201), 3)[2])
+
+    def test_holds_one_value_matrix(self):
+        # the values, a copy of their restriction (1/9 of them for N=1) and
+        # the factor grids; two alternating value matrices would be 2x
+        model = gf.random_model(1, 1)
+        tracemalloc.start()
+        try:
+            g = solve_fixed_point(model, 6, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.values.nbytes == 8 * vertex_count(6) ** 2
+        assert peak < 1.3 * 8 * vertex_count(6) ** 2
+
+
+def two_buffer_fixed_point(model, depth, tol):
+    """(values, iterations) of the plain iteration: a fresh T g from each g,
+    until the sup change is <= tol."""
+    g = GridFunction(model, depth)
+    iterations = 0
+    while True:
+        nxt = rb_apply(model, g)
+        iterations += 1
+        change = np.max(np.abs(nxt.values - g.values))
+        g = nxt
+        if change <= tol:
+            return g.values, iterations
 
 
 CHAOS_MODELS = {1: gf.reference_model(0.3), 2: gf.random_model(2, 5)}

@@ -115,3 +115,32 @@ def test_budget_refuses_depth_8_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_runs_keep_only_the_masked_positions():
+    idx = np.array([5, 6, 7, 8, 2, 3])
+    keep = np.array([True, True, False, True, True, True])
+    assert _runs(idx, keep) == [(0, 2, 5), (3, 4, 8), (4, 6, 2)]
+    assert _runs(idx, np.zeros(6, dtype=bool)) == []
+
+
+@pytest.mark.parametrize("n, depth", [(1, 5), (2, 5)])
+def test_ownership_table_names_the_smallest_containing_block(n, depth):
+    fg = FactorGrid(OFF_ORIGIN, depth)
+    words = words_of_length(n)
+    for k in range(depth - n + 1):
+        images = [fg.compose(k, w) for w in words]
+        want = np.full(vertex_count(k + n), -1)
+        for i, idx in enumerate(images):
+            fresh = idx[want[idx] == -1]
+            want[fresh] = i
+        owners = np.zeros(vertex_count(k + n), dtype=int)
+        got = np.full(vertex_count(k + n), -1)
+        for i, runs in enumerate(fg.owned_runs(k, n)):
+            for start, stop, first in runs:
+                block = np.arange(first, first + stop - start)
+                assert np.array_equal(images[i][start:stop], block)
+                owners[block] += 1
+                got[block] = i
+        assert np.all(owners == 1)
+        assert np.array_equal(got, want)
