@@ -17,7 +17,7 @@ from scipy import stats
 from .errors import CapacityError, HypothesisError, PreconditionError
 from .evaluator import GraphSamples
 from .gasket import locate_many, vertex_count
-from .grids import product_values, word_index
+from .grids import check_grid_bytes, image_blocks, product_values, word_index
 from .model import FifModel
 
 #: Hausdorff dimension of the product of two gaskets, 2 log3/log2
@@ -86,8 +86,10 @@ class OscillationTable:
     """Sampled oscillation of f over every cell-pair of one level.
 
     values[i, j] is the max-min of f over the sampled points of the
-    cell-pair (word i, word j), words in lexicographic order.  Sampling is
-    a lower bound on the true oscillation; the bias is one-sided.
+    cell-pair (word i, word j), words in lexicographic order: the
+    samples_per_cell = V(r)^2 product vertices of its refinement by r
+    levels.  Sampling is a lower bound on the true oscillation; the bias
+    is one-sided.
     """
 
     def __init__(self, level: int, values: np.ndarray, samples_per_cell: int):
@@ -121,46 +123,97 @@ def refinement_depth(samples_per_cell: int) -> int:
 
 
 def oscillations(model: FifModel, levels, samples_per_cell: int = 9):
-    """Oscillation tables at each of `levels`, from one grid.
+    """Oscillation tables at each of `levels`, from one grid pass.
 
-    Runs product_values once, at the deepest level plus the refinement
-    depth r, and yields the tables in the order of `levels`, one at a
-    time.  A shallower level n reads the values restricted, with
-    FactorGrid.lift, to the level-(n + r) vertices; they are the values
-    product_values gives at that level bit for bit, so each table equals
-    oscillation(model, n, samples_per_cell) bit for bit.
+    Let D be the deepest level plus the refinement depth r, and k = D - N.
+    product_values runs once, to level k.  A level n with n + r <= k
+    reads those values restricted, with FactorGrid.lift, to the
+    level-(n + r) vertices.  A deeper level n >= N is read off the last
+    step's image blocks (grids.image_blocks), one cell-pair (w1, w2) at a
+    time: the rows and columns of the words that start with w1 and w2
+    come from that block restricted to level n + r - N.  So the call
+    holds two level-k matrices, 2 * 9^-N of a level-D one, plus its
+    tables.  A deeper level n < N (only when the deepest level is below
+    2N), or any level when k < 1, is read like a shallow one: the one
+    product_values pass then runs to its level n + r.
+
+    Every value read is the one product_values gives at its level bit for
+    bit, so each table equals oscillation(model, n, samples_per_cell) bit
+    for bit.  D is checked against GRID_BYTES, as if the level-D grid were
+    built.  The tables are yielded in the order of `levels`.
     """
     levels = list(levels)
     if not levels or min(levels) < 1:
         raise PreconditionError("level must be >= 1")
     r = refinement_depth(samples_per_cell)
-    depth = max(levels) + r
-    fg1, fg2, f = product_values(model, depth)
+    check_grid_bytes(max(levels) + r)
+    k = max(levels) + r - model.n
+    from_blocks = {n for n in levels if n + r > k >= 1 and n >= model.n}
+    rest = [n for n in levels if n not in from_blocks]
+    base = max([n + r for n in rest] + ([k] if from_blocks else []))
+    fg1, fg2, f = product_values(model, base)
+    samples = vertex_count(r) ** 2
+    tables = {}
+    if from_blocks:
+        fk = _restrict(fg1, fg2, f, k, base)
+        tables = _block_tables(model, fg1, fg2, k, fk, from_blocks, r)
+        del fk
     for i, n in enumerate(levels):
-        m = n + r
-        sub = f
-        if m < depth:
-            idx = np.arange(vertex_count(m))
-            sub = f[np.ix_(fg1.lift(idx, m, depth), fg2.lift(idx, m, depth))]
-        s1 = fg1.cells[m].reshape(3**n, -1)
-        s2 = fg2.cells[m].reshape(3**n, -1)
-        table = OscillationTable(n, _cell_oscillation(sub, s1, s2), s1.shape[1] * s2.shape[1])
+        values = tables.get(n)
+        if values is None:
+            m = n + r
+            values = _cell_oscillation(
+                _restrict(fg1, fg2, f, m, base),
+                fg1.cells[m].reshape(3**n, -1),
+                fg2.cells[m].reshape(3**n, -1),
+                np.empty((3**n, 3**n)),
+            )
         if i == len(levels) - 1:
             # the caller reduces the last, usually deepest, table without
             # the grid held beside it, as after a one-level call
-            del f, sub
-        yield table
+            del f, tables
+        yield OscillationTable(n, values, samples)
 
 
-def _cell_oscillation(f: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """max - min of f over s1[i] x s2[j] for every pair of rows i, j."""
+def _restrict(fg1, fg2, f: np.ndarray, m: int, depth: int) -> np.ndarray:
+    """The level-`depth` values f restricted to the level-m vertices."""
+    if m == depth:
+        return f
+    idx = np.arange(vertex_count(m))
+    return f[np.ix_(fg1.lift(idx, m, depth), fg2.lift(idx, m, depth))]
+
+
+def _block_tables(model: FifModel, fg1, fg2, k: int, f: np.ndarray, levels, r: int) -> dict:
+    """Tables of `levels`, each n >= N with n + r > k, from the image
+    blocks of the step from the level-k values f.
+
+    Cell-pair (w1, w2) of length N, the i-th and j-th words, covers the
+    b x b square of rows i*b.. and columns j*b.. of a level-n table,
+    b = 3^(n-N): its cells are L_w1(c1) x L_w2(c2) for the level-(n-N)
+    cells c1, c2, sampled at the images of their level-(n + r - N)
+    vertices.
+    """
+    tables = {n: np.empty((3**n, 3**n)) for n in levels}
+    for i, j, block in image_blocks(model, fg1, fg2, k, f):
+        for n, values in tables.items():
+            m, b = n + r - model.n, 3 ** (n - model.n)
+            _cell_oscillation(
+                _restrict(fg1, fg2, block, m, k),
+                fg1.cells[m].reshape(b, -1),
+                fg2.cells[m].reshape(b, -1),
+                values[i * b : (i + 1) * b, j * b : (j + 1) * b],
+            )
+    return tables
+
+
+def _cell_oscillation(f: np.ndarray, s1, s2, out: np.ndarray) -> np.ndarray:
+    """max - min of f over s1[i] x s2[j] for every pair of rows i, j,
+    written to out[i, j]; returns out."""
     # max and min over a cell-pair's sample grid s1[i] x s2[j] separate:
     # reduce f's rows over s1[i], then those columns over s2[j].  Chunks of
     # cells keep each temporary near 2.5e5 elements (2 MB), in cache.
-    cells = len(s1)
-    values = np.empty((cells, len(s2)))
     chunk = max(1, int(2.5e5 // f.shape[1]))
-    for lo in range(0, cells, chunk):
+    for lo in range(0, len(s1), chunk):
         rows = s1[lo : lo + chunk]
         top = f[rows[:, 0]]
         bot = top.copy()
@@ -173,8 +226,8 @@ def _cell_oscillation(f: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarr
         for t in range(1, s2.shape[1]):
             np.maximum(vmax, top[:, s2[:, t]], out=vmax)
             np.minimum(vmin, bot[:, s2[:, t]], out=vmin)
-        values[lo : lo + chunk] = vmax - vmin
-    return values
+        np.subtract(vmax, vmin, out=out[lo : lo + chunk])
+    return out
 
 
 def oscillation(

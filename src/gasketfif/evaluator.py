@@ -23,7 +23,7 @@ from .gasket import (
     descend,
     word_map_xy,
 )
-from .grids import FactorGrid, check_grid_bytes, level_step, step_blocks, word_index
+from .grids import check_grid_bytes, factor_grids, level_step, step_blocks, word_index
 from .model import FifModel, _bilinear, _bilinear9, _bilinear_form
 
 
@@ -118,8 +118,7 @@ class GridFunction:
         check_grid_bytes(depth)
         self.model = model
         self.depth = depth
-        self.grid1 = FactorGrid(model.gasket1, depth)
-        self.grid2 = FactorGrid(model.gasket2, depth)
+        self.grid1, self.grid2 = factor_grids(model, depth)
         shape = (len(self.grid1.verts[depth]), len(self.grid2.verts[depth]))
         if values is None:
             values = np.zeros(shape)
@@ -196,16 +195,22 @@ def rb_apply(model: FifModel, g: GridFunction) -> GridFunction:
     return g._on_grid(model, level_step(model, g.grid1, g.grid2, k, f, np.empty_like(g.values)))
 
 
-def _apply_in_place(model: FifModel, g: GridFunction, k: int, f: np.ndarray) -> float:
+def _apply_in_place(model: FifModel, g: GridFunction, k: int, f: np.ndarray, tol: float) -> bool:
     """Overwrite g.values with T g, given f, the values at level k = m-N;
-    returns the sup change.  Each entry is written once, by its owner."""
-    change = 0.0
+    returns whether every entry changed by at most tol.  Each entry is
+    written once, by its owner.  Once one entry has changed by more, the
+    remaining rectangles are only written: their change cannot alter the
+    answer."""
+    within = True
     for rows, cols, block in step_blocks(model, g.grid1, g.grid2, k, f):
+        if not within:
+            g.values[rows, cols] = block
+            continue
         old = g.values[rows, cols]
         old -= block  # exactly -(block - old): the same |change| bits
-        change = max(change, float(old.max()), -float(old.min()))
+        within = float(old.max()) <= tol and -float(old.min()) <= tol
         old[...] = block
-    return change
+    return within
 
 
 def solve_fixed_point(model: FifModel, depth: int, tol: float) -> GridFunction:
@@ -216,8 +221,9 @@ def solve_fixed_point(model: FifModel, depth: int, tol: float) -> GridFunction:
     one value matrix.  An application reads only the restriction A to
     level m-N, so A is copied into a second, 9^-N-sized matrix; then each
     entry is overwritten once, by its owning cell-pair
-    (grids.step_blocks), and the sup change taken on the way.  When A is
-    the previous A bit for bit, T maps the values to themselves: the
+    (grids.step_blocks), and compared with its old value only until one
+    has changed by more than tol, which already decides the test.  When
+    A is the previous A bit for bit, T maps the values to themselves: the
     application counts, with change 0.  The result's `iterations` holds
     the number of applications.
     """
@@ -232,7 +238,7 @@ def solve_fixed_point(model: FifModel, depth: int, tol: float) -> GridFunction:
         iterations += 1
         if _gather(g.values, rows, cols, f, same=iterations > 1):
             break
-        if _apply_in_place(model, g, k, f) <= tol:
+        if _apply_in_place(model, g, k, f, tol):
             break
         if iterations > 100000:
             raise RuntimeError("fixed-point iteration failed to converge")

@@ -19,7 +19,8 @@ from .model import FifModel, words_of_length
 #: bytes one level's value matrix may take: depth 7 (86 MB) fits, depth 8 (775 MB) does not.
 #: The calls under it hold more, in level-m matrices: product_values 1 + 9^-N
 #: (the level m-N values it steps from), solve_fixed_point 1 + 9^-N (its copy
-#: of the restriction), oscillation 1 plus its 9^n-entry table.
+#: of the restriction), oscillation 2 * 9^-N (the level m-N values and one
+#: image block of the last step) plus its 9^n-entry table.
 GRID_BYTES = 2**28
 
 
@@ -149,6 +150,15 @@ class FactorGrid:
         return self.index[reduce_dyadic(db.numerators, db.level)]
 
 
+def factor_grids(model: FifModel, depth: int) -> tuple:
+    """The FactorGrids of depth `depth` of the model's two gaskets: one
+    object twice when the gaskets are equal."""
+    fg1 = FactorGrid(model.gasket1, depth)
+    if model.gasket2 == model.gasket1:
+        return fg1, fg1
+    return fg1, FactorGrid(model.gasket2, depth)
+
+
 #: rows of a cell-pair block that step_blocks computes at a time, so that
 #: its temporaries stay in cache
 _STEP_ROWS = 64
@@ -162,6 +172,33 @@ def _row_chunks(rows: int) -> list:
     if len(starts) > 1 and rows - starts[-1] == 1:
         starts.pop()
     return list(zip(starts, starts[1:] + [rows]))
+
+
+def _image_chunks(model: FifModel, lam1, lam2t, f: np.ndarray, w1: str, w2: str, h, out):
+    """The image block alpha_w f + h_w of the cell-pair (w1, w2), one
+    chunk of rows (_row_chunks) at a time.
+
+    lam1 and lam2t are the level-k barycentrics of the two grids (the
+    second transposed) and f the level-k values.  Yields (lo, hi, rows)
+    with rows the block's rows lo..hi-1.  `out` holds either the whole
+    block, whose rows are then written in place, or one chunk, which the
+    next reuses; h is scratch of one chunk.
+    """
+    shift = lam1 @ model.shift[(w1, w2)]
+    sc = model.scaling.cell(w1, w2)
+    scale = None if np.isscalar(sc) else lam1 @ sc
+    whole = len(out) == len(f)
+    for lo, hi in _row_chunks(len(f)):
+        hb = h[: hi - lo]
+        bb = out[lo:hi] if whole else out[: hi - lo]
+        np.matmul(shift[lo:hi], lam2t, out=hb)
+        if scale is None:
+            np.multiply(f[lo:hi], sc, out=bb)
+        else:
+            np.matmul(scale[lo:hi], lam2t, out=bb)
+            bb *= f[lo:hi]
+        bb += hb
+        yield lo, hi, bb
 
 
 def step_blocks(model: FifModel, fg1: FactorGrid, fg2: FactorGrid, k: int, f: np.ndarray):
@@ -183,24 +220,12 @@ def step_blocks(model: FifModel, fg1: FactorGrid, fg2: FactorGrid, k: int, f: np
     # indices (FactorGrid numbers the images of L_1, L_2, L_3 in turn), so a
     # block is written as a few rectangular slices, not element by element
     runs1 = fg1.owned_runs(k, model.n)
-    runs2 = fg2.owned_runs(k, model.n)
-    chunks = _row_chunks(len(f))
+    runs2 = runs1 if fg2 is fg1 else fg2.owned_runs(k, model.n)
     h = np.empty((_STEP_ROWS + 1, f.shape[1]))
     block = np.empty_like(h)
     for i, w1 in enumerate(words):
         for j, w2 in enumerate(words):
-            shift = lam1 @ model.shift[(w1, w2)]
-            sc = model.scaling.cell(w1, w2)
-            scale = None if np.isscalar(sc) else lam1 @ sc
-            for lo, hi in chunks:
-                hb, bb = h[: hi - lo], block[: hi - lo]
-                np.matmul(shift[lo:hi], lam2t, out=hb)
-                if scale is None:
-                    np.multiply(f[lo:hi], sc, out=bb)
-                else:
-                    np.matmul(scale[lo:hi], lam2t, out=bb)
-                    bb *= f[lo:hi]
-                bb += hb
+            for lo, hi, bb in _image_chunks(model, lam1, lam2t, f, w1, w2, h, block):
                 for a0, a1, r0 in runs1[i]:
                     x0, x1 = max(a0, lo), min(a1, hi)
                     if x0 >= x1:
@@ -208,6 +233,32 @@ def step_blocks(model: FifModel, fg1: FactorGrid, fg2: FactorGrid, k: int, f: np
                     rows = slice(r0 + x0 - a0, r0 + x1 - a0)
                     for b0, b1, c0 in runs2[j]:
                         yield rows, slice(c0, c0 + b1 - b0), bb[x0 - lo : x1 - lo, b0:b1]
+
+
+def image_blocks(model: FifModel, fg1: FactorGrid, fg2: FactorGrid, k: int, f: np.ndarray):
+    """The whole image blocks of the step from level k to level k+N.
+
+    For the cell-pair (w1, w2) of length N, the i-th and j-th words in
+    lexicographic order, yields (i, j, block) with block[v, u] =
+    alpha_w(v, u) f[v, u] + h_w(v, u) for every level-k vertex pair, the
+    value at L_w1(v) x L_w2(u), computed as step_blocks computes it.
+    block is one buffer, reused for every cell-pair.
+
+    An entry that another cell-pair owns lies on a junction: v or u is a
+    gasket corner p_c, where f vanishes (the data are zero on the
+    boundary), and the shift there is row (or column) c of h_w, the data
+    the owner reads too.  So every entry of block equals the level-(k+N)
+    value, not only the owned ones.
+    """
+    words = words_of_length(model.n)
+    lam1, lam2t = fg1.lam[k], fg2.lam[k].T
+    h = np.empty((_STEP_ROWS + 1, f.shape[1]))
+    block = np.empty_like(f)
+    for i, w1 in enumerate(words):
+        for j, w2 in enumerate(words):
+            for _ in _image_chunks(model, lam1, lam2t, f, w1, w2, h, block):
+                pass
+            yield i, j, block
 
 
 def level_step(
@@ -231,8 +282,7 @@ def product_values(model: FifModel, depth: int):
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
     check_grid_bytes(depth)
-    fg1 = FactorGrid(model.gasket1, depth)
-    fg2 = FactorGrid(model.gasket2, depth)
+    fg1, fg2 = factor_grids(model, depth)
     f = np.zeros((3, 3))  # f vanishes at corner pairs
     if start := depth % n:
         idx = np.arange(vertex_count(start))

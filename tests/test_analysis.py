@@ -24,8 +24,8 @@ from gasketfif.analysis import (
 )
 from gasketfif.errors import CapacityError, HypothesisError, PreconditionError
 from gasketfif.evaluator import chaos_game
-from gasketfif.gasket import Address, GasketSpec, locate
-from gasketfif.grids import product_values
+from gasketfif.gasket import Address, GasketSpec, locate, vertex_count
+from gasketfif.grids import FactorGrid, product_values
 from gasketfif.model import ScalingField, build_model, words_of_length
 
 
@@ -141,7 +141,40 @@ class TestOscillation:
             analysis, "product_values", lambda m, d: depths.append(d) or real(m, d)
         )
         holder_fit(ref03, 2, 5, samples_per_cell=25)
-        assert depths == [6]
+        assert depths == [5]
+
+    @pytest.mark.parametrize(
+        "n_model, levels, samples",
+        [(3, range(1, 5), 9), (2, range(1, 4), 25), (3, [1, 2], 9), (2, [1], 36)],
+    )
+    def test_levels_below_n_match_brute_force(self, n_model, levels, samples):
+        # levels below N are no union of length-N cell-pairs: read off one
+        # grid, next to the deeper levels read off the last step's blocks
+        model = gf.random_model(n_model, 7)
+        r = refinement_depth(samples)
+        for t in oscillations(model, levels, samples):
+            assert np.array_equal(t.values, brute_oscillation(model, t.level, r))
+
+    def test_samples_per_cell_counts_distinct_vertex_pairs(self, ref03):
+        got = [oscillation(ref03, 1, s).samples_per_cell for s in (9, 36, 225)]
+        assert got == [9, 36, 225]
+        for r, want in enumerate(got):
+            # the distinct level-(1 + r) vertices of a level-1 cell, squared
+            row = FactorGrid(ref03.gasket1, 1 + r).cells[1 + r].reshape(3, -1)[0]
+            assert len(set(row.tolist())) ** 2 == want
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_level_6_holds_less_than_its_matrix(self, seed):
+        # the tables come from the level-5 values and one level-5 image
+        # block at a time; the level-6 value matrix is never built
+        model = gf.random_model(1, seed)
+        tracemalloc.start()
+        try:
+            oscillation(model, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * vertex_count(6) ** 2 + 8 * 9**6
 
     def test_refinement_depth(self):
         assert [refinement_depth(s) for s in (9, 10, 36, 37, 1000000)] == [0, 1, 1, 2, 6]

@@ -484,6 +484,20 @@ class TestSolveFixedPoint:
         assert len(steps) == g.iterations - 1
         assert np.array_equal(g.values, product_values(gf.random_model(1, 201), 3)[2])
 
+    def test_tolerance_equal_to_a_change_stops_there(self):
+        # once a rectangle changes by more than tol the rest are only
+        # written; a tol that equals the j-th change exactly must still stop
+        # at application j, so that comparison is <=
+        model = gf.random_model(1, 3)
+        g, changes = GridFunction(model, 4), []
+        for _ in range(4):
+            nxt = rb_apply(model, g)
+            changes.append(float(np.max(np.abs(nxt.values - g.values))))
+            g = nxt
+        assert all(a > b > 0 for a, b in zip(changes, changes[1:]))
+        for j, tol in enumerate(changes, start=1):
+            assert solve_fixed_point(model, 4, tol).iterations == j
+
     def test_holds_one_value_matrix(self):
         # the values, a copy of their restriction (1/9 of them for N=1) and
         # the factor grids; two alternating value matrices would be 2x

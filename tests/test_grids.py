@@ -5,7 +5,7 @@ import pytest
 
 import gasketfif as gf
 from gasketfif.errors import CapacityError
-from gasketfif.evaluator import eval_exact
+from gasketfif.evaluator import GridFunction, eval_exact
 from gasketfif.gasket import Address, GasketSpec, canonicalize, standard_gasket, vertex_count
 from gasketfif.grids import (
     _STEP_ROWS,
@@ -13,6 +13,8 @@ from gasketfif.grids import (
     FactorGrid,
     _row_chunks,
     _runs,
+    image_blocks,
+    level_step,
     product_values,
 )
 from gasketfif.model import ProductVertex, ScalingField, build_model, words_of_length
@@ -144,3 +146,43 @@ def test_ownership_table_names_the_smallest_containing_block(n, depth):
                 got[block] = i
         assert np.all(owners == 1)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["constant", "tensor", "gasket"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_image_blocks_are_the_next_level_at_every_entry(n, kind):
+    # the entries a cell-pair does not own are junctions L_w(p_c), where
+    # the level-k values vanish and the shift row is the owner's data row,
+    # so the whole image block is the level-(k+N) values bit for bit
+    model = any_depth_model(n, kind)
+    k = 2
+    fg1, fg2, full = product_values(model, k + n)
+    f = product_values(model, k)[2]
+    words = words_of_length(n)
+    unowned = 0
+    for i, j, block in image_blocks(model, fg1, fg2, k, f):
+        rows, cols = fg1.compose(k, words[i]), fg2.compose(k, words[j])
+        want = full[np.ix_(rows, cols)]
+        assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
+        owned = sum(b - a for a, b, _ in fg1.owned_runs(k, n)[i]) * sum(
+            b - a for a, b, _ in fg2.owned_runs(k, n)[j]
+        )
+        unowned += block.size - owned
+    assert unowned == 9**n * vertex_count(k) ** 2 - vertex_count(k + n) ** 2 > 0
+
+
+def test_equal_gaskets_share_one_factor_grid():
+    model = gf.random_model(1, 3)
+    fg1, fg2, f = product_values(model, 4)
+    assert fg1 is fg2
+    g = GridFunction(model, 4)
+    assert g.grid1 is g.grid2
+    # the values of two separately built, equal grids, bit for bit
+    apart = FactorGrid(model.gasket1, 4), FactorGrid(model.gasket2, 4)
+    want = np.zeros((3, 3))
+    for k in range(4):
+        want = level_step(model, *apart, k, want, np.empty((vertex_count(k + 1),) * 2))
+    assert np.array_equal(f.view(np.uint64), want.view(np.uint64))
+    fg1, fg2, _ = product_values(any_depth_model(1, "gasket"), 4)
+    assert fg1 is not fg2
+    assert fg1.spec == OFF_ORIGIN and fg2.spec == standard_gasket()
