@@ -151,21 +151,20 @@ def oscillations(model: FifModel, levels, samples_per_cell: int = 9):
     from_blocks = {n for n in levels if n + r > k >= 1 and n >= model.n}
     rest = [n for n in levels if n not in from_blocks]
     base = max([n + r for n in rest] + ([k] if from_blocks else []))
-    fg1, fg2, f = product_values(model, base)
+    fg, _, f = product_values(model, base)
     samples = vertex_count(r) ** 2
     tables = {}
     if from_blocks:
-        fk = _restrict(fg1, fg2, f, k, base)
-        tables = _block_tables(model, fg1, fg2, k, fk, from_blocks, r)
+        fk = _restrict(fg, f, k, base)
+        tables = _block_tables(model, fg, k, fk, from_blocks, r)
         del fk
     for i, n in enumerate(levels):
         values = tables.get(n)
         if values is None:
             m = n + r
             values = _cell_oscillation(
-                _restrict(fg1, fg2, f, m, base),
-                fg1.cells[m].reshape(3**n, -1),
-                fg2.cells[m].reshape(3**n, -1),
+                _restrict(fg, f, m, base),
+                fg.cells[m].reshape(3**n, -1),
                 np.empty((3**n, 3**n)),
             )
         if i == len(levels) - 1:
@@ -175,15 +174,15 @@ def oscillations(model: FifModel, levels, samples_per_cell: int = 9):
         yield OscillationTable(n, values, samples)
 
 
-def _restrict(fg1, fg2, f: np.ndarray, m: int, depth: int) -> np.ndarray:
+def _restrict(fg, f: np.ndarray, m: int, depth: int) -> np.ndarray:
     """The level-`depth` values f restricted to the level-m vertices."""
     if m == depth:
         return f
-    idx = np.arange(vertex_count(m))
-    return f[np.ix_(fg1.lift(idx, m, depth), fg2.lift(idx, m, depth))]
+    idx = fg.restriction(m, depth)
+    return f[np.ix_(idx, idx)]
 
 
-def _block_tables(model: FifModel, fg1, fg2, k: int, f: np.ndarray, levels, r: int) -> dict:
+def _block_tables(model: FifModel, fg, k: int, f: np.ndarray, levels, r: int) -> dict:
     """Tables of `levels`, each n >= N with n + r > k, from the image
     blocks of the step from the level-k values f.
 
@@ -194,38 +193,37 @@ def _block_tables(model: FifModel, fg1, fg2, k: int, f: np.ndarray, levels, r: i
     vertices.
     """
     tables = {n: np.empty((3**n, 3**n)) for n in levels}
-    for i, j, block in image_blocks(model, fg1, fg2, k, f):
+    for i, j, block in image_blocks(model, fg, k, f):
         for n, values in tables.items():
             m, b = n + r - model.n, 3 ** (n - model.n)
             _cell_oscillation(
-                _restrict(fg1, fg2, block, m, k),
-                fg1.cells[m].reshape(b, -1),
-                fg2.cells[m].reshape(b, -1),
+                _restrict(fg, block, m, k),
+                fg.cells[m].reshape(b, -1),
                 values[i * b : (i + 1) * b, j * b : (j + 1) * b],
             )
     return tables
 
 
-def _cell_oscillation(f: np.ndarray, s1, s2, out: np.ndarray) -> np.ndarray:
-    """max - min of f over s1[i] x s2[j] for every pair of rows i, j,
+def _cell_oscillation(f: np.ndarray, cells, out: np.ndarray) -> np.ndarray:
+    """max - min of f over cells[i] x cells[j] for every pair of rows i, j,
     written to out[i, j]; returns out."""
-    # max and min over a cell-pair's sample grid s1[i] x s2[j] separate:
-    # reduce f's rows over s1[i], then those columns over s2[j].  Chunks of
-    # cells keep each temporary near 2.5e5 elements (2 MB), in cache.
+    # max and min over cells[i] x cells[j] separate: reduce f's rows over
+    # cells[i], then those columns over cells[j].  Chunks of cells keep
+    # each temporary near 2.5e5 elements (2 MB), in cache.
     chunk = max(1, int(2.5e5 // f.shape[1]))
-    for lo in range(0, len(s1), chunk):
-        rows = s1[lo : lo + chunk]
+    for lo in range(0, len(cells), chunk):
+        rows = cells[lo : lo + chunk]
         top = f[rows[:, 0]]
         bot = top.copy()
         for t in range(1, rows.shape[1]):
             part = f[rows[:, t]]
             np.maximum(top, part, out=top)
             np.minimum(bot, part, out=bot)
-        vmax = top[:, s2[:, 0]]
-        vmin = bot[:, s2[:, 0]]
-        for t in range(1, s2.shape[1]):
-            np.maximum(vmax, top[:, s2[:, t]], out=vmax)
-            np.minimum(vmin, bot[:, s2[:, t]], out=vmin)
+        vmax = top[:, cells[:, 0]]
+        vmin = bot[:, cells[:, 0]]
+        for t in range(1, cells.shape[1]):
+            np.maximum(vmax, top[:, cells[:, t]], out=vmax)
+            np.minimum(vmin, bot[:, cells[:, t]], out=vmin)
         np.subtract(vmax, vmin, out=out[lo : lo + chunk])
     return out
 
@@ -259,7 +257,8 @@ def box_count(model: FifModel, n: int, table: OscillationTable) -> BoxCountRecor
     """Number of delta-boxes covering the graph, delta = 2^-n * side.
 
     One vertical stack of boxes per cell-pair: 1 + ceil(R / delta) boxes,
-    matching the covering that drives the upper dimension bound.
+    matching the covering that drives the upper dimension bound; summed
+    over 2^16 table entries at a time.
     """
     if table.level != n:
         raise PreconditionError(
@@ -267,8 +266,12 @@ def box_count(model: FifModel, n: int, table: OscillationTable) -> BoxCountRecor
         )
     side = _common_side(model)
     delta = 2.0**-n * side
-    stacks = 1 + np.ceil(table.values * (2.0**n / side)).astype(np.int64)
-    return BoxCountRecord(level=n, delta=delta, count=int(stacks.sum()))
+    values, rows = table.values, max(1, 2**16 // table.values.shape[1])
+    count = values.size  # the 1 of every stack
+    for lo in range(0, len(values), rows):
+        part = values[lo : lo + rows] * (2.0**n / side)
+        count += int(np.ceil(part, out=part).astype(np.int64).sum())
+    return BoxCountRecord(level=n, delta=delta, count=count)
 
 
 @dataclass(frozen=True)

@@ -207,36 +207,36 @@ def cmd_eval(args):
 
 def cmd_grid(args):
     model = build_from_config(args.config)
-    fg1, fg2, values = product_values(model, args.depth)
+    fg, _, values = product_values(model, args.depth)
     verts = enumerate_vertices(args.depth)
     nv = len(verts)
     rows = nv**2
     # rows and columns in enumerate_vertices order, with no reordered copy
-    order1 = np.array([fg1.index_of(a) for a in verts])
-    order2 = np.array([fg2.index_of(a) for a in verts])
-    pts1, pts2 = fg1.verts[-1][order1], fg2.verts[-1][order2]
+    order = np.array([fg.index_of(a) for a in verts])
+    pts1 = (fg.lam[-1] @ model.gasket1.corner_array)[order]
+    pts2 = (fg.lam[-1] @ model.gasket2.corner_array)[order]
 
     def block(lo, hi):
         i, j = np.divmod(np.arange(lo, hi), nv)
-        return np.column_stack([pts1[i], pts2[j], values[order1[i], order2[j]]])
+        return np.column_stack([pts1[i], pts2[j], values[order[i], order[j]]])
 
     evaluator.write_graph_csv(args.out, rows, block)
     outputs = [args.out]
     if args.ppm:
-        _write_ppm(args.ppm, values, order1, order2)
+        _write_ppm(args.ppm, values, order)
         outputs.append(args.ppm)
     print(f"wrote {rows} rows to {args.out}")
     args._outputs = outputs
     return EXIT_OK
 
 
-def _write_ppm(path, values, order1, order2):
-    """Min-max normalized grayscale heatmap of values[order1][:, order2], binary PPM (P6)."""
+def _write_ppm(path, values, order):
+    """Min-max normalized grayscale heatmap of values[order][:, order], binary PPM (P6)."""
     lo, hi = float(values.min()), float(values.max())
     span = hi - lo if hi > lo else 1.0
     gray = np.subtract(values, lo)  # then *255, /span and round, all in this buffer
     np.round(np.divide(np.multiply(gray, 255.0, out=gray), span, out=gray), out=gray)
-    gray = gray.astype(np.uint8)[np.ix_(order1, order2)]
+    gray = gray.astype(np.uint8)[np.ix_(order, order)]
     h, w = gray.shape
     rgb = np.repeat(gray[:, :, None], 3, axis=2)
     with atomic_open(path, binary=True) as fh:

@@ -23,7 +23,7 @@ from .gasket import (
     descend,
     word_map_xy,
 )
-from .grids import check_grid_bytes, factor_grids, level_step, step_blocks, word_index
+from .grids import FactorGrid, check_grid_bytes, level_step, step_blocks, word_index
 from .model import FifModel, _bilinear, _bilinear9, _bilinear_form
 
 
@@ -105,9 +105,9 @@ class GridFunction:
     """Values on a depth-m product vertex grid with tensor-barycentric
     off-grid extension; the domain and range of the contraction operator.
 
-    values[i, j] belongs to vertex i of grid1 and vertex j of grid2 at
-    level m, in FactorGrid order; `at` and `__call__` read it by address
-    and by point.
+    values[i, j] belongs to vertex i of the first gasket and vertex j of
+    the second at level m, both in the order of the one FactorGrid `grid`;
+    `at` and `__call__` read it by address and by point.
     """
 
     def __init__(self, model: FifModel, depth: int, values: np.ndarray = None):
@@ -118,8 +118,8 @@ class GridFunction:
         check_grid_bytes(depth)
         self.model = model
         self.depth = depth
-        self.grid1, self.grid2 = factor_grids(model, depth)
-        shape = (len(self.grid1.verts[depth]), len(self.grid2.verts[depth]))
+        self.grid = FactorGrid(depth)
+        shape = (len(self.grid.lam[depth]),) * 2
         if values is None:
             values = np.zeros(shape)
         if values.shape != shape:
@@ -129,17 +129,15 @@ class GridFunction:
         self.iterations = None
 
     def at(self, addr_t: Address, addr_s: Address) -> float:
-        i = self.grid1.index_of(addr_t)
-        j = self.grid2.index_of(addr_s)
-        return float(self.values[i, j])
+        return float(self.values[self.grid.index_of(addr_t), self.grid.index_of(addr_s)])
 
     def __call__(self, t, s) -> float:
         """Off-grid evaluation: bilinear in the barycentric coordinates of
         the containing depth-m cell-pair, from its nine corner values."""
         w1, lams = descend(self.model.gasket1, t, self.depth)
         w2, mus = descend(self.model.gasket2, s, self.depth)
-        rows = self.grid1.cells[self.depth][word_index(w1)]
-        cols = self.grid2.cells[self.depth][word_index(w2)]
+        cells = self.grid.cells[self.depth]
+        rows, cols = cells[word_index(w1)], cells[word_index(w2)]
         corner = self.values[np.ix_(rows, cols)]
         return _bilinear(corner, lams[-1], mus[-1])
 
@@ -153,24 +151,16 @@ class GridFunction:
         return self._on_grid(self.model, self.values.copy())
 
 
-def _restriction(g: GridFunction, k: int) -> tuple:
-    """Indices at g's level of the level-k vertices of its two grids."""
-    fg1, fg2 = g.grid1, g.grid2
-    rows = fg1.lift(np.arange(len(fg1.verts[k])), k, g.depth)
-    cols = fg2.lift(np.arange(len(fg2.verts[k])), k, g.depth)
-    return rows, cols
-
-
 #: rows of a restriction that _gather copies at a time
 _GATHER_ROWS = 64
 
 
-def _gather(values: np.ndarray, rows, cols, out: np.ndarray, same: bool = False) -> bool:
-    """Copy values[rows][:, cols] into `out`, _GATHER_ROWS rows at a time,
+def _gather(values: np.ndarray, idx, out: np.ndarray, same: bool = False) -> bool:
+    """Copy values[idx][:, idx] into `out`, _GATHER_ROWS rows at a time,
     with no temporary of its full size.  Returns True when `same` is set
     and `out` already held those values bit for bit."""
-    for lo in range(0, len(rows), _GATHER_ROWS):
-        part = values[np.ix_(rows[lo : lo + _GATHER_ROWS], cols)]
+    for lo in range(0, len(idx), _GATHER_ROWS):
+        part = values[np.ix_(idx[lo : lo + _GATHER_ROWS], idx)]
         dst = out[lo : lo + _GATHER_ROWS]
         if same and np.array_equal(part.view(np.uint64), dst.view(np.uint64)):
             continue
@@ -189,10 +179,10 @@ def rb_apply(model: FifModel, g: GridFunction) -> GridFunction:
     if g.depth < model.n:
         raise PreconditionError("grid depth must be at least N")
     k = g.depth - model.n
-    rows, cols = _restriction(g, k)
-    f = np.empty((len(rows), len(cols)))
-    _gather(g.values, rows, cols, f)
-    return g._on_grid(model, level_step(model, g.grid1, g.grid2, k, f, np.empty_like(g.values)))
+    idx = g.grid.restriction(k, g.depth)
+    f = np.empty((len(idx),) * 2)
+    _gather(g.values, idx, f)
+    return g._on_grid(model, level_step(model, g.grid, k, f, np.empty_like(g.values)))
 
 
 def _apply_in_place(model: FifModel, g: GridFunction, k: int, f: np.ndarray, tol: float) -> bool:
@@ -202,7 +192,7 @@ def _apply_in_place(model: FifModel, g: GridFunction, k: int, f: np.ndarray, tol
     remaining rectangles are only written: their change cannot alter the
     answer."""
     within = True
-    for rows, cols, block in step_blocks(model, g.grid1, g.grid2, k, f):
+    for rows, cols, block in step_blocks(model, g.grid, k, f):
         if not within:
             g.values[rows, cols] = block
             continue
@@ -231,12 +221,12 @@ def solve_fixed_point(model: FifModel, depth: int, tol: float) -> GridFunction:
         raise PreconditionError("tolerance must be positive")
     g = GridFunction(model, depth)
     k = depth - model.n
-    rows, cols = _restriction(g, k)
-    f = np.empty((len(rows), len(cols)))
+    idx = g.grid.restriction(k, depth)
+    f = np.empty((len(idx),) * 2)
     iterations = 0
     while True:
         iterations += 1
-        if _gather(g.values, rows, cols, f, same=iterations > 1):
+        if _gather(g.values, idx, f, same=iterations > 1):
             break
         if _apply_in_place(model, g, k, f, tol):
             break

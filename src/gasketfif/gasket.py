@@ -250,6 +250,11 @@ def canonicalize(a: Address) -> Address:
     return Address(w, c)
 
 
+def words_of_length(n: int) -> list:
+    """The 3^n words of length n, in lexicographic order."""
+    return ["".join(p) for p in itertools.product("123", repeat=n)]
+
+
 def vertex_count(m: int) -> int:
     """Number of distinct gasket vertices of level m, 3(3^m + 1)/2."""
     return 3 * (3**m + 1) // 2

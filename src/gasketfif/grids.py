@@ -1,4 +1,4 @@
-"""Level-by-level vertex indexing of one gasket and the vectorized exact
+"""Level-by-level vertex indexing of the gaskets and the vectorized exact
 evaluation of the interpolation function on product vertex grids.
 
 The oscillation and box-counting pipeline needs f on every depth-m product
@@ -10,17 +10,22 @@ numpy, one cell-pair at a time.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .errors import CapacityError, PreconditionError
-from .gasket import Address, GasketSpec, address_coords, reduce_dyadic, vertex_count
-from .model import FifModel, words_of_length
+from .gasket import Address, reduce_dyadic, vertex_count, words_of_length
+
+if TYPE_CHECKING:
+    from .model import FifModel
 
 #: bytes one level's value matrix may take: depth 7 (86 MB) fits, depth 8 (775 MB) does not.
 #: The calls under it hold more, in level-m matrices: product_values 1 + 9^-N
 #: (the level m-N values it steps from), solve_fixed_point 1 + 9^-N (its copy
 #: of the restriction), oscillation 2 * 9^-N (the level m-N values and one
-#: image block of the last step) plus its 9^n-entry table.
+#: image block of the last step) plus its 9^n-entry table; box_count holds
+#: 2^16 table entries at a time beside the table (1.0 MB at level 7).
 GRID_BYTES = 2**28
 
 
@@ -56,25 +61,20 @@ def _runs(idx: np.ndarray, keep: np.ndarray = None) -> list:
 
 
 class FactorGrid:
-    """Vertices, child maps, cells and barycentric coordinates of one
-    gasket factor for every subdivision level up to `depth`.
+    """The vertex index of every level up to `depth`, the same for any
+    gasket: lam[k] holds the exact barycentric coordinates of the level-k
+    vertices, so a gasket's level-k points are lam[k] @ spec.corner_array.
 
     child[k][a-1][v] is the index at level k+1 of L_a(vertex v of level k);
     emb[k][v] re-indexes a level-k vertex inside level k+1; cells[k] holds
     the three corner indices of each length-k word cell in lexicographic
-    word order; index maps the reduced dyadic key of each vertex of level
-    `depth` to its index there.
+    word order.
     """
 
-    def __init__(self, spec: GasketSpec, depth: int):
-        self.spec = spec
+    def __init__(self, depth: int):
         self.depth = depth
-        corners = spec.corner_array
-
         keys = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)]  # already reduced
-        index = {k: i for i, k in enumerate(keys)}
         self.lam = []
-        self.verts = []
         self.child = []
         self.emb = []
         self.cells = [np.array([[0, 1, 2]])]
@@ -82,9 +82,7 @@ class FactorGrid:
         def finish_level(keys):
             nums = np.array([key[0] for key in keys], dtype=float)
             levels = np.array([key[1] for key in keys])
-            lam = np.ldexp(nums, -levels[:, None])  # exact: nums / 2^level
-            self.lam.append(lam)
-            self.verts.append(lam @ corners)
+            self.lam.append(np.ldexp(nums, -levels[:, None]))  # exact: nums / 2^level
 
         finish_level(keys)
         for k in range(depth):
@@ -108,13 +106,12 @@ class FactorGrid:
             self.cells.append(
                 np.vstack([child_k[a][self.cells[k]] for a in range(3)])
             )
-            keys, index = new_keys, new_index
+            keys = new_keys
             finish_level(keys)
-        self.index = index
 
     def compose(self, k: int, w: str) -> np.ndarray:
         """Index map of L_w from level-k vertices into level k+|w|."""
-        idx = np.arange(len(self.verts[k]), dtype=np.intp)
+        idx = np.arange(len(self.lam[k]), dtype=np.intp)
         lvl = k
         for ch in reversed(w):
             idx = self.child[lvl][int(ch) - 1][idx]
@@ -132,7 +129,7 @@ class FactorGrid:
         together they name every level-(k+n) vertex exactly once.
         """
         maps = [self.compose(k, w) for w in words_of_length(n)]
-        owner = np.empty(len(self.verts[k + n]), dtype=np.intp)
+        owner = np.empty(len(self.lam[k + n]), dtype=np.intp)
         for i in reversed(range(len(maps))):
             owner[maps[i]] = i
         return [_runs(idx, owner[idx] == i) for i, idx in enumerate(maps)]
@@ -143,20 +140,19 @@ class FactorGrid:
             idx = self.emb[k][idx]
         return idx
 
+    def restriction(self, k: int, depth: int) -> np.ndarray:
+        """Indices at level `depth` of the level-k vertices."""
+        return self.lift(np.arange(vertex_count(k)), k, depth)
+
     def index_of(self, a: Address) -> int:
         """Index at level `depth` of the vertex named by the address a;
-        KeyError when it is not a vertex of that level."""
-        db = address_coords(self.spec, a)[0]
-        return self.index[reduce_dyadic(db.numerators, db.level)]
-
-
-def factor_grids(model: FifModel, depth: int) -> tuple:
-    """The FactorGrids of depth `depth` of the model's two gaskets: one
-    object twice when the gaskets are equal."""
-    fg1 = FactorGrid(model.gasket1, depth)
-    if model.gasket2 == model.gasket1:
-        return fg1, fg1
-    return fg1, FactorGrid(model.gasket2, depth)
+        KeyError when it is not a vertex of that level.  L_wc(p_c) =
+        L_w(p_c), and once w ends in another letter L_w(p_c) is a vertex
+        of level |w| and of no coarser one."""
+        w = a.word.rstrip(str(a.corner))
+        if len(w) > self.depth:
+            raise KeyError(str(a))
+        return int(self.lift(self.compose(0, w)[a.corner - 1], len(w), self.depth))
 
 
 #: rows of a cell-pair block that step_blocks computes at a time, so that
@@ -174,39 +170,39 @@ def _row_chunks(rows: int) -> list:
     return list(zip(starts, starts[1:] + [rows]))
 
 
-def _image_chunks(model: FifModel, lam1, lam2t, f: np.ndarray, w1: str, w2: str, h, out):
+def _image_chunks(model: FifModel, lam, lamt, f: np.ndarray, w1: str, w2: str, h, out):
     """The image block alpha_w f + h_w of the cell-pair (w1, w2), one
     chunk of rows (_row_chunks) at a time.
 
-    lam1 and lam2t are the level-k barycentrics of the two grids (the
-    second transposed) and f the level-k values.  Yields (lo, hi, rows)
-    with rows the block's rows lo..hi-1.  `out` holds either the whole
-    block, whose rows are then written in place, or one chunk, which the
-    next reuses; h is scratch of one chunk.
+    lam and lamt are the level-k barycentrics and their transpose, f the
+    level-k values.  Yields (lo, hi, rows) with rows the block's rows
+    lo..hi-1.  `out` holds either the whole block, whose rows are then
+    written in place, or one chunk, which the next reuses; h is scratch of
+    one chunk.
     """
-    shift = lam1 @ model.shift[(w1, w2)]
+    shift = lam @ model.shift[(w1, w2)]
     sc = model.scaling.cell(w1, w2)
-    scale = None if np.isscalar(sc) else lam1 @ sc
+    scale = None if np.isscalar(sc) else lam @ sc
     whole = len(out) == len(f)
     for lo, hi in _row_chunks(len(f)):
         hb = h[: hi - lo]
         bb = out[lo:hi] if whole else out[: hi - lo]
-        np.matmul(shift[lo:hi], lam2t, out=hb)
+        np.matmul(shift[lo:hi], lamt, out=hb)
         if scale is None:
             np.multiply(f[lo:hi], sc, out=bb)
         else:
-            np.matmul(scale[lo:hi], lam2t, out=bb)
+            np.matmul(scale[lo:hi], lamt, out=bb)
             bb *= f[lo:hi]
         bb += hb
         yield lo, hi, bb
 
 
-def step_blocks(model: FifModel, fg1: FactorGrid, fg2: FactorGrid, k: int, f: np.ndarray):
+def step_blocks(model: FifModel, fg: FactorGrid, k: int, f: np.ndarray):
     """One step of the defining recursion, from level k to level k+N, as
     rectangles of the level-(k+N) value matrix.
 
-    f holds values at the level-k product vertices of the grids fg1, fg2;
-    every level-(k+N) vertex pair is L_w1(v) x L_w2(u) for some cell-pair
+    f holds values at the level-k product vertices of the index fg; every
+    level-(k+N) vertex pair is L_w1(v) x L_w2(u) for some cell-pair
     (w1, w2) of length N, and gets alpha_w(v, u) f[v, u] + h_w(v, u) from
     the cell-pair that owns it: the lexicographically smallest containing
     one (FactorGrid.owned_runs in each factor).  Yields (rows, cols, block)
@@ -214,28 +210,26 @@ def step_blocks(model: FifModel, fg1: FactorGrid, fg2: FactorGrid, k: int, f: np
     values there; every entry is in exactly one rectangle, in no fixed
     order.  block is a view of a buffer that the next rectangle reuses.
     """
-    words = words_of_length(model.n)
-    lam1, lam2t = fg1.lam[k], fg2.lam[k].T
+    words, lam = words_of_length(model.n), fg.lam[k]
     # each owned part of an index map L_w is a few runs of consecutive
     # indices (FactorGrid numbers the images of L_1, L_2, L_3 in turn), so a
     # block is written as a few rectangular slices, not element by element
-    runs1 = fg1.owned_runs(k, model.n)
-    runs2 = runs1 if fg2 is fg1 else fg2.owned_runs(k, model.n)
+    runs = fg.owned_runs(k, model.n)
     h = np.empty((_STEP_ROWS + 1, f.shape[1]))
     block = np.empty_like(h)
     for i, w1 in enumerate(words):
         for j, w2 in enumerate(words):
-            for lo, hi, bb in _image_chunks(model, lam1, lam2t, f, w1, w2, h, block):
-                for a0, a1, r0 in runs1[i]:
+            for lo, hi, bb in _image_chunks(model, lam, lam.T, f, w1, w2, h, block):
+                for a0, a1, r0 in runs[i]:
                     x0, x1 = max(a0, lo), min(a1, hi)
                     if x0 >= x1:
                         continue
                     rows = slice(r0 + x0 - a0, r0 + x1 - a0)
-                    for b0, b1, c0 in runs2[j]:
+                    for b0, b1, c0 in runs[j]:
                         yield rows, slice(c0, c0 + b1 - b0), bb[x0 - lo : x1 - lo, b0:b1]
 
 
-def image_blocks(model: FifModel, fg1: FactorGrid, fg2: FactorGrid, k: int, f: np.ndarray):
+def image_blocks(model: FifModel, fg: FactorGrid, k: int, f: np.ndarray):
     """The whole image blocks of the step from level k to level k+N.
 
     For the cell-pair (w1, w2) of length N, the i-th and j-th words in
@@ -250,23 +244,22 @@ def image_blocks(model: FifModel, fg1: FactorGrid, fg2: FactorGrid, k: int, f: n
     the owner reads too.  So every entry of block equals the level-(k+N)
     value, not only the owned ones.
     """
-    words = words_of_length(model.n)
-    lam1, lam2t = fg1.lam[k], fg2.lam[k].T
+    words, lam = words_of_length(model.n), fg.lam[k]
     h = np.empty((_STEP_ROWS + 1, f.shape[1]))
     block = np.empty_like(f)
     for i, w1 in enumerate(words):
         for j, w2 in enumerate(words):
-            for _ in _image_chunks(model, lam1, lam2t, f, w1, w2, h, block):
+            for _ in _image_chunks(model, lam, lam.T, f, w1, w2, h, block):
                 pass
             yield i, j, block
 
 
 def level_step(
-    model: FifModel, fg1: FactorGrid, fg2: FactorGrid, k: int, f: np.ndarray, out: np.ndarray
+    model: FifModel, fg: FactorGrid, k: int, f: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """One step of the defining recursion (see step_blocks), from the
     level-k values f into the level-(k+N) matrix `out`."""
-    for rows, cols, block in step_blocks(model, fg1, fg2, k, f):
+    for rows, cols, block in step_blocks(model, fg, k, f):
         out[rows, cols] = block
     return out
 
@@ -274,21 +267,21 @@ def level_step(
 def product_values(model: FifModel, depth: int):
     """Exact values of f at all depth-`depth` product vertices, any depth >= 1.
 
-    Returns (grid1, grid2, F) where F[v, w] = f(vertex v of grid1, vertex w
-    of grid2) at that level.  The steps from level k to k+N start at depth
-    mod N, whose vertices lie in V_N and carry the data grid's values.
+    Returns (fg, fg, F), the one FactorGrid once per factor, where F[v, w]
+    = f(vertex v of the first gasket, vertex w of the second) at that
+    level.  The steps from level k to k+N start at depth mod N, whose
+    vertices lie in V_N and carry the data grid's values.
     """
     n = model.n
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
     check_grid_bytes(depth)
-    fg1, fg2 = factor_grids(model, depth)
+    fg = FactorGrid(depth)
     f = np.zeros((3, 3))  # f vanishes at corner pairs
     if start := depth % n:
-        idx = np.arange(vertex_count(start))
-        d1, d2, data = product_values(model, n)
-        f = data[np.ix_(d1.lift(idx, start, n), d2.lift(idx, start, n))]
+        data_fg, _, data = product_values(model, n)
+        idx = data_fg.restriction(start, n)
+        f = data[np.ix_(idx, idx)]
     for k in range(start, depth, n):
-        out = np.empty((len(fg1.verts[k + n]), len(fg2.verts[k + n])))
-        f = level_step(model, fg1, fg2, k, f, out)
-    return fg1, fg2, f
+        f = level_step(model, fg, k, f, np.empty((len(fg.lam[k + n]),) * 2))
+    return fg, fg, f

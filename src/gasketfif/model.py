@@ -10,7 +10,6 @@ compatibility identity hold by construction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -26,11 +25,9 @@ from .gasket import (
     enumerate_vertices,
     standard_gasket,
     vertex_count,
+    words_of_length,
 )
-
-
-def words_of_length(n: int) -> list:
-    return ["".join(p) for p in itertools.product("123", repeat=n)]
+from .grids import FactorGrid
 
 
 @dataclass(frozen=True)
@@ -229,7 +226,9 @@ def build_model(
     g1: GasketSpec = None,
     g2: GasketSpec = None,
 ) -> FifModel:
-    """Assemble a FifModel from validated data and a scaling field."""
+    """Assemble a FifModel from validated data and a scaling field.  The
+    data are read once into the level-N value matrix z, in FactorGrid
+    order; a pair outside V_N, missing or given twice is refused."""
     g1 = g1 if g1 is not None else standard_gasket()
     g2 = g2 if g2 is not None else standard_gasket()
     if scaling.n != data.n:
@@ -240,22 +239,30 @@ def build_model(
     if alpha_sup >= 1.0:
         raise ContractionError(f"scaling sup norm {alpha_sup} must be < 1")
     n = data.n
-    words = words_of_length(n)
-    shift = {}
-    shift_sup = 0.0
-    k_h_range = 0.0
-    for w1 in words:
-        for w2 in words:
-            c = np.empty((3, 3))
-            for i in (1, 2, 3):
-                ai = canonicalize(Address(w1, i))
-                for j in (1, 2, 3):
-                    bj = canonicalize(Address(w2, j))
-                    c[i - 1, j - 1] = data.entries[ProductVertex(ai, bj)]
-            c.setflags(write=False)
-            shift[(w1, w2)] = c
-            shift_sup = max(shift_sup, float(np.max(np.abs(c))))
-            k_h_range = max(k_h_range, float(np.max(c) - np.min(c)))
+    fg = FactorGrid(n)
+    z = np.empty((vertex_count(n),) * 2)
+    written = np.zeros(z.shape, dtype=bool)
+    for key, value in data.entries.items():
+        try:
+            i, j = fg.index_of(key.first), fg.index_of(key.second)
+        except KeyError:
+            raise ValidationError(f"data vertex {key} lies outside V_{n} x V_{n}") from None
+        if written[i, j] and z[i, j] != value:
+            raise ValidationError(f"conflicting values {z[i, j]} and {value} for vertex {key}")
+        z[i, j] = value
+        written[i, j] = True
+    if not written.all():
+        i, j = np.argwhere(~written)[0]
+        name = {fg.index_of(a): a for a in enumerate_vertices(n)}
+        raise ValidationError(f"missing data for vertex {name[i]}|{name[j]}")
+    cells = fg.cells[n]
+    # corners[i, :, j, :] is z on the corners of the i-th and j-th cells
+    corners = z[cells[:, :, None, None], cells[None, None, :, :]]
+    corners.setflags(write=False)
+    words = list(enumerate(words_of_length(n)))
+    shift = {(w1, w2): corners[i, :, j, :] for i, w1 in words for j, w2 in words}
+    k_h_range = float((corners.max(axis=(1, 3)) - corners.min(axis=(1, 3))).max())
+    shift_sup = float(np.max(np.abs(z)))
     min_sep = min(g1.min_side, g2.min_side)
     return FifModel(
         gasket1=g1,

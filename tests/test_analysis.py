@@ -160,7 +160,7 @@ class TestOscillation:
         assert got == [9, 36, 225]
         for r, want in enumerate(got):
             # the distinct level-(1 + r) vertices of a level-1 cell, squared
-            row = FactorGrid(ref03.gasket1, 1 + r).cells[1 + r].reshape(3, -1)[0]
+            row = FactorGrid(1 + r).cells[1 + r].reshape(3, -1)[0]
             assert len(set(row.tolist())) ** 2 == want
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -233,6 +233,21 @@ class TestBoxCount:
         tab = oscillation(ref03, 3)
         rec = box_count(ref03, 3, tab)
         assert rec.count <= 2 * 9**3 + 2**3 * tab.total() / ref03.gasket1.side
+
+    def test_holds_less_than_its_table(self):
+        # the stacks are summed a chunk of rows at a time, with no
+        # temporary the size of the table
+        model = gf.random_model(1, 1)
+        table = oscillation(model, 6)
+        tracemalloc.start()
+        try:
+            count = box_count(model, 6, table).count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.values.nbytes
+        stacks = 1 + np.ceil(table.values * (2.0**6 / model.gasket1.side)).astype(np.int64)
+        assert count == int(stacks.sum())
 
     def test_level_mismatch_rejected(self, ref03):
         with pytest.raises(PreconditionError):

@@ -95,12 +95,13 @@ class TestEvalExact:
 
     def test_matches_vectorized_grid(self, ref05):
         fg1, fg2, F = gf.product_values(ref05, 2)
+        c1, c2 = ref05.gasket1.corner_array, ref05.gasket2.corner_array
         for a in enumerate_vertices(2):
             for b in enumerate_vertices(2):
                 t = address_point(ref05.gasket1, a)
                 s = address_point(ref05.gasket2, b)
-                i = int(np.argmin(np.linalg.norm(fg1.verts[2] - t, axis=1)))
-                j = int(np.argmin(np.linalg.norm(fg2.verts[2] - s, axis=1)))
+                i = int(np.argmin(np.linalg.norm(fg1.lam[2] @ c1 - t, axis=1)))
+                j = int(np.argmin(np.linalg.norm(fg2.lam[2] @ c2 - s, axis=1)))
                 assert F[i, j] == pytest.approx(eval_exact(ref05, a, b), abs=1e-12)
 
     def test_deeper_model_interpolates(self):
@@ -294,15 +295,15 @@ def rb_apply_oracle(model, g):
         for a in enumerate_vertices(m):
             padded = a.word + str(a.corner) * (m - len(a.word))
             pre = Address(padded[n:], a.corner)
-            db, _ = address_coords(fg.spec, pre)
+            db, _ = address_coords(model.gasket1, pre)  # db is the same on any gasket
             lam = [x / 2.0**db.level for x in db.numerators]
             out.append((fg.index_of(a), padded[:n], fg.index_of(pre), lam))
         return out
 
     res = np.full_like(g.values, np.nan)
-    cols = pullbacks(g.grid2)
-    for i, w1, pi, lam in pullbacks(g.grid1):
-        for j, w2, pj, mu in cols:
+    pulls = pullbacks(g.grid)
+    for i, w1, pi, lam in pulls:
+        for j, w2, pj, mu in pulls:
             alpha = _bilinear(model.scaling.cell(w1, w2), lam, mu)
             h = _bilinear(model.shift[(w1, w2)], lam, mu)
             res[i, j] = alpha * g.values[pi, pj] + h
@@ -349,8 +350,10 @@ class TestGridFunction:
     def test_values_in_factor_grid_order(self, ref03):
         g = random_grid_function(ref03, 2, 0)
         for a in enumerate_vertices(2):
-            i = g.grid1.index_of(a)
-            assert np.allclose(g.grid1.verts[2][i], address_point(ref03.gasket1, a))
+            i = g.grid.index_of(a)
+            assert np.allclose(
+                (g.grid.lam[2] @ ref03.gasket1.corner_array)[i], address_point(ref03.gasket1, a)
+            )
             assert g.at(a, Address("", 1)) == g.values[i, 0]
 
     def test_iterations_only_from_the_solver(self, ref03):

@@ -5,8 +5,8 @@ import pytest
 
 import gasketfif as gf
 from gasketfif.errors import CapacityError
-from gasketfif.evaluator import GridFunction, eval_exact
-from gasketfif.gasket import Address, GasketSpec, canonicalize, standard_gasket, vertex_count
+from gasketfif.evaluator import eval_exact
+from gasketfif.gasket import Address, GasketSpec, canonicalize, vertex_count
 from gasketfif.grids import (
     _STEP_ROWS,
     GRID_BYTES,
@@ -27,7 +27,7 @@ def test_runs_cover_any_index_map():
 
 
 def test_index_of_reduces_the_address():
-    fg = FactorGrid(standard_gasket(), 2)
+    fg = FactorGrid(2)
     # L_1(p_2) = L_2(p_1), and L_11(p_1) is the corner p_1
     assert fg.index_of(Address("1", 2)) == fg.index_of(Address("2", 1))
     assert fg.index_of(Address("11", 1)) == fg.index_of(Address("", 1)) == 0
@@ -71,8 +71,9 @@ def test_any_depth_equals_padded_then_restricted(n, kind):
         p1, p2, fp = padded[top]
         fg1, fg2, f = product_values(model, d)
         assert fg1.depth == fg2.depth == d
-        assert np.array_equal(fg1.verts[-1], p1.verts[d])
-        assert np.array_equal(fg2.verts[-1], p2.verts[d])
+        c1, c2 = model.gasket1.corner_array, model.gasket2.corner_array
+        assert np.array_equal(fg1.lam[-1] @ c1, p1.lam[d] @ c1)
+        assert np.array_equal(fg2.lam[-1] @ c2, p2.lam[d] @ c2)
         idx = np.arange(vertex_count(d))
         want = fp[np.ix_(p1.lift(idx, d, top), p2.lift(idx, d, top))]
         assert np.array_equal(f, want)
@@ -128,7 +129,7 @@ def test_runs_keep_only_the_masked_positions():
 
 @pytest.mark.parametrize("n, depth", [(1, 5), (2, 5)])
 def test_ownership_table_names_the_smallest_containing_block(n, depth):
-    fg = FactorGrid(OFF_ORIGIN, depth)
+    fg = FactorGrid(depth)
     words = words_of_length(n)
     for k in range(depth - n + 1):
         images = [fg.compose(k, w) for w in words]
@@ -160,7 +161,7 @@ def test_image_blocks_are_the_next_level_at_every_entry(n, kind):
     f = product_values(model, k)[2]
     words = words_of_length(n)
     unowned = 0
-    for i, j, block in image_blocks(model, fg1, fg2, k, f):
+    for i, j, block in image_blocks(model, fg1, k, f):
         rows, cols = fg1.compose(k, words[i]), fg2.compose(k, words[j])
         want = full[np.ix_(rows, cols)]
         assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
@@ -171,18 +172,14 @@ def test_image_blocks_are_the_next_level_at_every_entry(n, kind):
     assert unowned == 9**n * vertex_count(k) ** 2 - vertex_count(k + n) ** 2 > 0
 
 
-def test_equal_gaskets_share_one_factor_grid():
-    model = gf.random_model(1, 3)
-    fg1, fg2, f = product_values(model, 4)
-    assert fg1 is fg2
-    g = GridFunction(model, 4)
-    assert g.grid1 is g.grid2
-    # the values of two separately built, equal grids, bit for bit
-    apart = FactorGrid(model.gasket1, 4), FactorGrid(model.gasket2, 4)
-    want = np.zeros((3, 3))
-    for k in range(4):
-        want = level_step(model, *apart, k, want, np.empty((vertex_count(k + 1),) * 2))
-    assert np.array_equal(f.view(np.uint64), want.view(np.uint64))
-    fg1, fg2, _ = product_values(any_depth_model(1, "gasket"), 4)
-    assert fg1 is not fg2
-    assert fg1.spec == OFF_ORIGIN and fg2.spec == standard_gasket()
+def test_both_gaskets_share_one_factor_grid():
+    # the index is the same for any two gaskets, equal or not
+    for model in (gf.random_model(1, 3), any_depth_model(1, "gasket")):
+        fg1, fg2, f = product_values(model, 4)
+        assert fg1 is fg2
+        # the values of a separately built index, bit for bit
+        fg = FactorGrid(4)
+        want = np.zeros((3, 3))
+        for k in range(4):
+            want = level_step(model, fg, k, want, np.empty((vertex_count(k + 1),) * 2))
+        assert np.array_equal(f.view(np.uint64), want.view(np.uint64))

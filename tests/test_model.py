@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import gasketfif as gf
 from gasketfif.errors import ContractionError, ValidationError
-from gasketfif.gasket import Address, address_point, standard_gasket
+from gasketfif.gasket import Address, GasketSpec, address_point, canonicalize, standard_gasket
 from gasketfif.model import (
     DataSet,
     ProductVertex,
@@ -15,6 +17,7 @@ from gasketfif.model import (
     perturb_shift,
     sup_bounds,
     touching_pairs,
+    words_of_length,
 )
 
 SPEC = standard_gasket()
@@ -92,6 +95,71 @@ class TestBuildModel:
                     assert eval_shift(m, w1, w2, P[i - 1], Q[j - 1]) == pytest.approx(
                         c[i - 1, j - 1], abs=1e-12
                     )
+
+    def test_missing_pair_refused(self):
+        # a DataSet made without DataSet.build is not checked for gaps
+        entries = dict(DataSet.zeros(1).entries)
+        del entries[ProductVertex(Address("1", 2), Address("2", 3))]
+        with pytest.raises(ValidationError, match=re.escape("missing data for vertex 1@2|2@3")):
+            build_model(DataSet(1, entries), ScalingField.constant(0.3, 1))
+
+    def test_pair_outside_v_n_refused(self):
+        entries = dict(DataSet.zeros(1).entries)
+        entries[ProductVertex(Address("11", 2), Address("", 1))] = 0.0
+        with pytest.raises(ValidationError, match="outside V_1"):
+            build_model(DataSet(1, entries), ScalingField.constant(0.3, 1))
+
+    def test_two_values_for_one_pair_refused(self):
+        # 2@1 names the vertex 1@2; DataSet.build would canonicalize it
+        entries = dict(DataSet.zeros(1).entries)
+        entries[ProductVertex(Address("2", 1), Address("1", 2))] = 0.25
+        with pytest.raises(ValidationError, match="conflicting"):
+            build_model(DataSet(1, entries), ScalingField.constant(0.3, 1))
+
+
+def canonical_read(data, g1, g2):
+    """shift, shift_sup and k_h as build_model read them before the data
+    matrix: one canonical-address lookup per corner of every cell-pair."""
+    shift, shift_sup, k_h_range = {}, 0.0, 0.0
+    words = words_of_length(data.n)
+    for w1 in words:
+        for w2 in words:
+            c = np.empty((3, 3))
+            for i in (1, 2, 3):
+                ai = canonicalize(Address(w1, i))
+                for j in (1, 2, 3):
+                    bj = canonicalize(Address(w2, j))
+                    c[i - 1, j - 1] = data.entries[ProductVertex(ai, bj)]
+            shift[(w1, w2)] = c
+            shift_sup = max(shift_sup, float(np.max(np.abs(c))))
+            k_h_range = max(k_h_range, float(np.max(c) - np.min(c)))
+    return shift, shift_sup, k_h_range / min(g1.min_side, g2.min_side)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("kind", ["random", "bump", "tensor"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_data_read_matches_canonical_addresses(n, kind):
+    g1 = GasketSpec(((10.0, 5.0), (11.5, 5.25), (10.25, 6.5)))
+    data = gf.bump_dataset(n) if kind == "bump" else gf.random_dataset(n, 20 + n)
+    scaling = ScalingField.constant(0.3, n)
+    if kind == "tensor":
+        rng = np.random.default_rng(n)
+        words = words_of_length(n)
+        scaling = ScalingField.from_cells(
+            {(a, b): rng.uniform(-0.2, 0.2, (3, 3)) for a in words for b in words}, n
+        )
+    model = build_model(data, scaling, g1)
+    shift, shift_sup, k_h = canonical_read(data, g1, standard_gasket())
+    assert model.shift.keys() == shift.keys()
+    for key, c in shift.items():
+        assert np.array_equal(bits(model.shift[key]), bits(c))
+        assert not model.shift[key].flags.writeable
+    assert bits(model.shift_sup) == bits(shift_sup)
+    assert bits(model.k_h) == bits(k_h)
 
 
 class TestEvalScaling:
