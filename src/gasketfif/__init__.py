@@ -41,18 +41,15 @@ from .evaluator import (
 )
 from .gasket import (
     Address,
-    DyadicBary,
     GasketSpec,
-    address_coords,
+    address_bary,
     address_point,
     canonicalize,
     descend,
     enumerate_vertices,
     locate,
     locate_many,
-    shift,
     standard_gasket,
-    word_map,
     word_map_inverse,
 )
 from .grids import FactorGrid, product_values

@@ -15,52 +15,43 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fileio import atomic_open
-from .gasket import (
-    MAX_DESCENT_DEPTH,
-    Address,
-    _word_offset,
-    bary_f,
-    descend,
-    word_map_xy,
-)
+from .gasket import MAX_DESCENT_DEPTH, Address, descend
 from .grids import FactorGrid, check_grid_bytes, level_step, step_blocks, word_index
 from .model import FifModel, _bilinear, _bilinear9, _bilinear_form
-
-
-def _padded_words(model: FifModel, addr_t: Address, addr_s: Address):
-    """Equalize the two words to a common length that is a multiple of N
-    by repeating the terminal corner: (w, v) and (w.v^r, v) name the same
-    point."""
-    n = model.n
-    m = max(len(addr_t.word), len(addr_s.word), 1)
-    m = n * ((m + n - 1) // n)
-    wt = addr_t.word + str(addr_t.corner) * (m - len(addr_t.word))
-    ws = addr_s.word + str(addr_s.corner) * (m - len(addr_s.word))
-    return wt, ws, m
 
 
 def eval_exact(model: FifModel, addr_t: Address, addr_s: Address) -> float:
     """f at an exact product vertex, by peeling N letters per step.
 
-    The recursion bottoms out at a corner pair, where f vanishes; the
-    result carries no truncation error, only float rounding.
+    Reads neither gasket: alpha and h are bilinear in barycentric
+    coordinates, and the coordinates of each block's tail are built from
+    the innermost one as 2^-N lam + the block's offset, exact dyadics for
+    words of up to 52 letters.  The recursion bottoms out at a corner
+    pair, where f vanishes; the result carries no truncation error, only
+    the rounding of the bilinear forms.
     """
     n = model.n
-    wt, ws, m = _padded_words(model, addr_t, addr_s)
-    g1, g2 = model.gasket1, model.gasket2
-    pt = g1.corners[addr_t.corner - 1]
-    qs = g2.corners[addr_s.corner - 1]
+    # (w, c) and (w.c^r, c) name the same point: pad both words with their
+    # corner to one length, a multiple of N
+    m = n * -(-max(len(addr_t.word), len(addr_s.word), 1) // n)
+    wt = addr_t.word + str(addr_t.corner) * (m - len(addr_t.word))
+    ws = addr_s.word + str(addr_s.corner) * (m - len(addr_s.word))
+    table = model.cell_table
+    index, nw, offsets = table.index, len(table.index), table.offset_rows
+    scale = 0.5**n
+    lam = tuple(float(c == addr_t.corner) for c in (1, 2, 3))
+    mu = tuple(float(c == addr_s.corner) for c in (1, 2, 3))
     x = 0.0
-    for r in range(m // n, 0, -1):
-        t_arg = word_map_xy(g1, wt[r * n :], pt[0], pt[1])
-        s_arg = word_map_xy(g2, ws[r * n :], qs[0], qs[1])
-        block_t = wt[(r - 1) * n : r * n]
-        block_s = ws[(r - 1) * n : r * n]
-        lam = bary_f(g1, t_arg[0], t_arg[1])
-        mu = bary_f(g2, s_arg[0], s_arg[1])
-        alpha = _bilinear(model.scaling.cell(block_t, block_s), lam, mu)
-        h = _bilinear(model.shift[(block_t, block_s)], lam, mu)
-        x = alpha * x + h
+    for lo in range(m - n, -1, -n):
+        i, j = index[wt[lo : lo + n]], index[ws[lo : lo + n]]
+        c = i * nw + j
+        alpha = table.alpha_rows[c]
+        if type(alpha) is not float:
+            alpha = _bilinear9(alpha, lam, mu)
+        x = alpha * x + _bilinear9(table.shift_rows[c], lam, mu)
+        o, p = offsets[i], offsets[j]
+        lam = (o[0] + scale * lam[0], o[1] + scale * lam[1], o[2] + scale * lam[2])
+        mu = (p[0] + scale * mu[0], p[1] + scale * mu[1], p[2] + scale * mu[2])
     return x
 
 
@@ -71,9 +62,10 @@ def eval_approx(model: FifModel, t, s, k: int) -> tuple:
     each block's barycentric coordinates off the descent, accumulates the
     shift contributions, and drops the residual term coeff * f(t', s'),
     where coeff is the product of the scaling factors along the path.
-    Returns (value, error_bound) with the a-posteriori bound
-    |coeff| * f_sup_bound, never above alpha_sup^k * f_sup_bound.
-    k*N beyond MAX_DESCENT_DEPTH raises PreconditionError.
+    Returns (value, error_bound).  The bound is the a-posteriori
+    |coeff| * f_sup_bound, never above alpha_sup^k * f_sup_bound, plus
+    `_input_rounding_bound`, what the rounding of t and s can move the
+    sum by.  k*N beyond MAX_DESCENT_DEPTH raises PreconditionError.
     """
     if k < 1:
         raise PreconditionError("truncation depth k must be >= 1")
@@ -98,7 +90,34 @@ def eval_approx(model: FifModel, t, s, k: int) -> tuple:
         value += coeff * _bilinear9(table.shift_rows[c], lam, mu)
         alpha = table.alpha_rows[c]
         coeff *= alpha if type(alpha) is float else _bilinear9(alpha, lam, mu)
-    return value, abs(coeff) * model.f_sup_bound
+    bound = abs(coeff) * model.f_sup_bound
+    return value, bound + _input_rounding_bound(model, k)
+
+
+def _input_rounding_bound(model: FifModel, k: int) -> float:
+    """How far the rounding of the input can move eval_approx's sum.
+
+    The descent's first barycentrics lie within half a starting window of
+    those of the point that the input rounds, per coordinate; delta sums
+    the largest over both gaskets.  Exact steps double it, so block b's
+    coordinates are off by d_b = delta 2^((b+1)N) <= 1/8 (wider windows
+    are refused).  With A = alpha_sup and H = shift_sup, the largest
+    corner of any h_w, h_w moves by at most 4 H d_b, and |coeff| at
+    block b is at most A^b.  Tensor scaling also moves alpha_w by 4 A d_b:
+    then |coeff| is at most 3 A^b and off by at most 24 A^b delta 2^(bN),
+    also after the last block, where it multiplies f_sup_bound.  Summed
+    in closed form over G = sum_(b<k) (A 2^N)^b, with no per-block work.
+    This holds when the rounded point lies in the cells the descent took.
+    """
+    delta = 0.5 * (model.gasket1._hull_window + model.gasket2._hull_window)
+    two_n = 2.0**model.n
+    rho = model.alpha_sup * two_n
+    # the closed form's float error is far below the slack in 4 and 3 above
+    geo = k if rho == 1.0 else (rho**k - 1.0) / (rho - 1.0)
+    h = model.shift_sup
+    if not model.cell_table.any_tensor:
+        return delta * 4.0 * h * two_n * geo
+    return delta * ((12.0 * two_n + 24.0) * h * geo + 24.0 * rho**k * model.f_sup_bound)
 
 
 class GridFunction:
@@ -307,30 +326,22 @@ def chaos_game(
     min(count, CHAOS_ORBITS) independent orbits are stepped in lock-step.
     Each starts at (p1, q1, 0), which lies on the graph because f vanishes
     at corner pairs and stays on it under every map, and discards its own
-    first `burn_in` points.  Sample j*orbits + i is the j-th kept point of
-    orbit i.  Cell-pairs are drawn uniformly; the stream is deterministic
-    for a fixed seed.
+    first `burn_in` points.  Orbits move in barycentric coordinates, the
+    same on both gaskets; a kept point is lam @ corner_array.  Sample
+    j*orbits + i is the j-th kept point of orbit i.  Cell-pairs are drawn
+    uniformly; the stream is deterministic for a fixed seed.
     """
     if count <= 0:
         raise PreconditionError("count must be positive")
     if burn_in < 0:
         raise PreconditionError("burn_in must be non-negative")
     table = model.cell_table
-    words = list(table.index)
-    nw = len(words)
-    g1, g2 = model.gasket1, model.gasket2
+    nw = len(table.index)
     scale = 0.5**model.n
-    off1 = np.array([_word_offset(g1, w) for w in words]).T
-    off2 = np.array([_word_offset(g2, w) for w in words]).T
-    has_tensor = bool(table.is_tensor.any())
-
     orbits = min(count, CHAOS_ORBITS)
     steps = -(-count // orbits)
     rng = np.random.default_rng(seed)
-    tx = np.full(orbits, g1.corners[0][0])
-    ty = np.full(orbits, g1.corners[0][1])
-    sx = np.full(orbits, g2.corners[0][0])
-    sy = np.full(orbits, g2.corners[0][1])
+    lam = mu = np.outer((1.0, 0.0, 0.0), np.ones(orbits))  # one column per orbit
     x = np.zeros(orbits)
     t_out = np.empty((steps, orbits, 2))
     s_out = np.empty((steps, orbits, 2))
@@ -338,22 +349,20 @@ def chaos_game(
     for step in range(burn_in + steps):
         c = rng.integers(0, nw * nw, size=orbits)
         i1, i2 = np.divmod(c, nw)
-        lam = bary_f(g1, tx, ty)
-        mu = bary_f(g2, sx, sy)
         alpha = table.alpha[c]
-        if has_tensor:
+        if table.any_tensor:
             alpha = np.where(
                 table.is_tensor[c],
                 _bilinear_form(table.alpha_tensor[:, :, c], lam, mu),
                 alpha,
             )
         x = alpha * x + _bilinear_form(table.shift[:, :, c], lam, mu)
-        tx, ty = tx * scale + off1[0, i1], ty * scale + off1[1, i1]
-        sx, sy = sx * scale + off2[0, i2], sy * scale + off2[1, i2]
+        lam = lam * scale + table.offset.take(i1, axis=1)  # take: 3x faster than [:, i1]
+        mu = mu * scale + table.offset.take(i2, axis=1)
         if step >= burn_in:
             j = step - burn_in
-            t_out[j, :, 0], t_out[j, :, 1] = tx, ty
-            s_out[j, :, 0], s_out[j, :, 1] = sx, sy
+            np.matmul(lam.T, model.gasket1.corner_array, out=t_out[j])
+            np.matmul(mu.T, model.gasket2.corner_array, out=s_out[j])
             v_out[j] = x
     return GraphSamples(
         t_out.reshape(-1, 2)[:count], s_out.reshape(-1, 2)[:count], v_out.reshape(-1)[:count]

@@ -84,17 +84,6 @@ class Address:
         return cls(word, c)
 
 
-@dataclass(frozen=True)
-class DyadicBary:
-    """Exact barycentric coordinates numerators/2^level of a gasket vertex."""
-
-    numerators: tuple
-    level: int
-
-    def reduced(self) -> "DyadicBary":
-        return DyadicBary(*reduce_dyadic(self.numerators, self.level))
-
-
 def reduce_dyadic(nums: tuple, level: int) -> tuple:
     """(nums, level) of the dyadic triple nums/2^level in lowest terms: the
     one key of a vertex, whatever address or level it was reached by."""
@@ -117,9 +106,11 @@ class GasketSpec:
     def __post_init__(self):
         if len(self.corners) != 3 or any(len(p) != 2 for p in self.corners):
             raise ValueError("corners must be three (x, y) pairs")
+        if not np.isfinite([*self.corner_array.flat, *self.side_lengths]).all():
+            raise ValueError(f"corners and side lengths must be finite: {self.corners}")
         (x1, y1), (x2, y2), (x3, y3) = self.corners
         area2 = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
-        if abs(area2) < 1e-14:
+        if not abs(area2) >= 1e-14:  # also refuses an area that overflows to NaN
             raise ValueError("corner points are (nearly) collinear")
 
     @cached_property
@@ -129,11 +120,12 @@ class GasketSpec:
     @cached_property
     def side_lengths(self) -> tuple:
         p = self.corner_array
-        return (
-            float(np.linalg.norm(p[0] - p[1])),
-            float(np.linalg.norm(p[1] - p[2])),
-            float(np.linalg.norm(p[2] - p[0])),
-        )
+        with np.errstate(over="ignore"):  # an overflow is refused as inf
+            return (
+                float(np.linalg.norm(p[0] - p[1])),
+                float(np.linalg.norm(p[1] - p[2])),
+                float(np.linalg.norm(p[2] - p[0])),
+            )
 
     @cached_property
     def side(self) -> float:
@@ -149,6 +141,13 @@ class GasketSpec:
         m = np.vstack([self.corner_array.T, np.ones(3)])
         inv = np.linalg.inv(m)
         return tuple(float(v) for v in inv.ravel())
+
+    @cached_property
+    def _hull_window(self) -> float:
+        """The largest `_window_start` on the hull: the rounding scale is
+        convex, so it peaks at a corner (SNAP_TOL outside, by a factor
+        1 + 6 SNAP_TOL at most, well inside the window's margin of 2)."""
+        return max(_window_start(self, x, y) for x, y in self.corners)
 
     @cached_property
     def _bary_residual(self) -> float:
@@ -179,56 +178,32 @@ def bary_f(spec: GasketSpec, x: float, y: float) -> tuple:
     )
 
 
-def _word_offset(spec: GasketSpec, w: str) -> tuple:
-    ox = oy = 0.0
-    f = 0.5
-    for ch in w:
-        px, py = spec.corners[int(ch) - 1]
-        ox += f * px
-        oy += f * py
-        f *= 0.5
-    return ox, oy
-
-
-def word_map_xy(spec: GasketSpec, w: str, x: float, y: float) -> tuple:
-    scale = 0.5 ** len(w)
-    ox, oy = _word_offset(spec, w)
-    return x * scale + ox, y * scale + oy
-
-
-def word_map(spec: GasketSpec, w: str, t) -> np.ndarray:
-    """Apply the composed contraction L_w: t -> 2^-|w| t + sum 2^-k p_{w_k}."""
-    x, y = word_map_xy(spec, w, float(t[0]), float(t[1]))
-    return np.array([x, y])
-
-
-def word_map_inverse(spec: GasketSpec, w: str, t, tol: float = SNAP_TOL) -> np.ndarray:
-    """Invert L_w on its image cell; raises DomainError off the cell."""
-    scale = 2.0 ** len(w)
-    ox, oy = _word_offset(spec, w)
-    x = (float(t[0]) - ox) * scale
-    y = (float(t[1]) - oy) * scale
-    lam = bary_f(spec, x, y)
-    # the snap tolerance is relative to the cell size, hence scaled by 2^|w|
-    if min(lam) < -tol * scale:
-        raise DomainError(f"point {tuple(t)} is not in the cell of word {w!r}")
-    return np.array([x, y])
-
-
-def address_point(spec: GasketSpec, a: Address) -> np.ndarray:
-    return word_map(spec, a.word, spec.corners[a.corner - 1])
-
-
-def address_coords(spec: GasketSpec, a: Address):
-    """Exact dyadic barycentric coordinates and float point of an address."""
+def address_bary(a: Address) -> np.ndarray:
+    """Barycentric coordinates of L_w(p_c) for the address a = (w, c):
+    sum_k 2^-k e_{w_k} + 2^-|w| e_c, the same on every gasket.  Summed in
+    integers and rounded once, so exact for words of up to 52 letters."""
     m = len(a.word)
     nums = [0, 0, 0]
     for k, ch in enumerate(a.word, start=1):
         nums[int(ch) - 1] += 2 ** (m - k)
     nums[a.corner - 1] += 1
-    db = DyadicBary(tuple(nums), m)
-    point = (np.array(nums, dtype=float) / 2.0**m) @ spec.corner_array
-    return db, point
+    return np.array([v / 2**m for v in nums])
+
+
+def address_point(spec: GasketSpec, a: Address) -> np.ndarray:
+    return address_bary(a) @ spec.corner_array
+
+
+def word_map_inverse(spec: GasketSpec, w: str, t, tol: float = SNAP_TOL) -> np.ndarray:
+    """Invert L_w on its image cell; raises DomainError off the cell."""
+    scale = 2.0 ** len(w)
+    # L_w maps lam to lam / scale + address_bary((w, 1)) - e_1 / scale
+    lam = (np.array(bary_f(spec, float(t[0]), float(t[1]))) - address_bary(Address(w, 1))) * scale
+    lam[0] += 1.0
+    # the snap tolerance is relative to the cell size, hence scaled by 2^|w|
+    if lam.min() < -tol * scale:
+        raise DomainError(f"point {tuple(t)} is not in the cell of word {w!r}")
+    return lam @ spec.corner_array
 
 
 def canonicalize(a: Address) -> Address:
@@ -288,16 +263,22 @@ def _check_depth(depth: int) -> None:
         )
 
 
-def _rounding_scales(a, x, y):
-    """|a_i0 x| + |a_i1 y| + |a_i2| for each row of the barycentric map:
-    bary_f's rounding error in coordinate i is a few ulp of row i, and
-    so is the error that the rounding of x and y carries into it.  Works
-    on floats and on arrays alike."""
-    return (
+def _window_start(spec: GasketSpec, x, y):
+    """Starting snap window of a descent from the point (x, y), floats or
+    arrays: 8 ulp of bary_f's rounding scale S = max_i(|a_i0 x| + |a_i1 y|
+    + |a_i2|) plus twice the float inverse's residual.  bary_f's rounding
+    error in coordinate i is a few ulp of row i's sum, and so is the error
+    that the rounding of x and y carries into it; so half the window
+    bounds, in every coordinate, how far bary_f(x, y) lies from the exact
+    barycentrics of any point that rounds to (x, y)."""
+    a = spec._bary_inv
+    rows = (
         abs(a[0] * x) + abs(a[1] * y) + abs(a[2]),
         abs(a[3] * x) + abs(a[4] * y) + abs(a[5]),
         abs(a[6] * x) + abs(a[7] * y) + abs(a[8]),
     )
+    peak = np.maximum.reduce(rows) if isinstance(x, np.ndarray) else max(rows)
+    return _WINDOW_ULPS * peak + 2.0 * spec._bary_residual
 
 
 def _window_error(t, depth: int) -> PreconditionError:
@@ -316,7 +297,7 @@ def descend(spec: GasketSpec, t, depth: int) -> tuple:
     resolve to the lexicographically smallest word, and moves on to
     lam = 2 lam - e_a, the coordinates of t in that cell.  The step is
     exact in binary floating point (Sterbenz), so the only error is that
-    of lam itself; eff starts at twice a bound on it (see
+    of lam itself; eff starts at twice a bound on it (`_window_start`,
     MAX_DESCENT_DEPTH) and doubles per level along with it.
 
     Returns (word, lams): the word of length `depth` and lams[j], the
@@ -331,8 +312,7 @@ def descend(spec: GasketSpec, t, depth: int) -> tuple:
     l0, l1, l2 = bary_f(spec, x, y)
     if min(l0, l1, l2) < -SNAP_TOL:
         raise DomainError(f"point {tuple(t)} lies outside the gasket hull")
-    scales = _rounding_scales(spec._bary_inv, x, y)
-    eff = _WINDOW_ULPS * max(scales) + 2.0 * spec._bary_residual
+    eff = _window_start(spec, x, y)
     if eff * 2.0**depth > MAX_WINDOW:
         raise _window_error(t, depth)
     letters = []
@@ -381,8 +361,7 @@ def locate_many(spec: GasketSpec, pts, depth: int) -> np.ndarray:
         raise DomainError(
             f"point {tuple(pts[outside[0]].tolist())} lies outside the gasket hull"
         )
-    scales = _rounding_scales(spec._bary_inv, x, y)
-    eff = _WINDOW_ULPS * np.maximum.reduce(scales) + 2.0 * spec._bary_residual
+    eff = _window_start(spec, x, y)
     coarse = np.flatnonzero(eff * 2.0**depth > MAX_WINDOW)
     if len(coarse):
         raise _window_error(pts[coarse[0]].tolist(), depth)
@@ -406,10 +385,3 @@ def locate_many(spec: GasketSpec, pts, depth: int) -> np.ndarray:
         l1 = np.where(hit2, d1 - 1.0, d1)
         l2 = np.where(hit3, d2 - 1.0, d2)
     return letters
-
-
-def shift(w: str, k: int) -> str:
-    """Drop the first k letters; shifts past the end give the empty word."""
-    if k < 0:
-        raise ValueError("shift count must be non-negative")
-    return w[k:]

@@ -10,6 +10,7 @@ compatibility identity hold by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -19,7 +20,7 @@ from .errors import ContractionError, ValidationError
 from .gasket import (
     Address,
     GasketSpec,
-    address_point,
+    address_bary,
     bary_f,
     canonicalize,
     enumerate_vertices,
@@ -183,16 +184,20 @@ class CellTable:
 
     Row c = i1 * 3**N + i2 holds the cell-pair (words[i1], words[i2]),
     with words in `words_of_length` order and `index` mapping a word to
-    its i.  The arrays serve vectorised code; `shift_rows` and
-    `alpha_rows` hold the same numbers as tuples of Python floats for
-    scalar loops (see `_bilinear9`).
+    its i.  On the barycentrics of either gasket, L_w of the i-th word
+    maps lam to 2^-N lam + offset[:, i], exactly.  The arrays serve
+    vectorised code; `offset_rows`, `shift_rows` and `alpha_rows` hold the
+    same numbers as tuples of Python floats for scalar loops.
     """
 
     index: dict  # block word -> i
+    offset: np.ndarray  # (3, 3**N) barycentric offsets of the maps L_w
+    offset_rows: tuple  # 3**N triples, offset[:, i] for each word
     shift: np.ndarray  # (3, 3, C) corner values
     alpha: np.ndarray  # (C,) constant scaling, 0 on tensor cells
     alpha_tensor: np.ndarray  # (3, 3, C) corner tensors, 0 on constant cells
     is_tensor: np.ndarray  # (C,) bool
+    any_tensor: bool  # is_tensor.any()
     shift_rows: tuple  # C tuples of 9 corner values, row-major
     alpha_rows: tuple  # C entries: a float, or a tuple of 9 corner values
 
@@ -204,14 +209,20 @@ class CellTable:
         cells = [model.scaling.cell(*p) for p in pairs]
         is_tensor = np.array([not np.isscalar(v) for v in cells])
         zero = np.zeros((3, 3))
+        # L_w(p_1) less its 2^-N e_1 term: a dyadic difference, so exact
+        offset = np.array([address_bary(Address(w, 1)) for w in words]).T
+        offset[0] -= 0.5**model.n
         return cls(
             index={w: i for i, w in enumerate(words)},
+            offset=offset,
+            offset_rows=tuple(map(tuple, offset.T.tolist())),
             shift=shift,
             alpha=np.array([0.0 if t else v for v, t in zip(cells, is_tensor)]),
             alpha_tensor=np.stack(
                 [v if t else zero for v, t in zip(cells, is_tensor)], axis=-1
             ),
             is_tensor=is_tensor,
+            any_tensor=bool(is_tensor.any()),
             shift_rows=tuple(tuple(model.shift[p].ravel().tolist()) for p in pairs),
             alpha_rows=tuple(
                 tuple(v.ravel().tolist()) if t else float(v)
@@ -226,15 +237,20 @@ def build_model(
     g1: GasketSpec = None,
     g2: GasketSpec = None,
 ) -> FifModel:
-    """Assemble a FifModel from validated data and a scaling field.  The
-    data are read once into the level-N value matrix z, in FactorGrid
-    order; a pair outside V_N, missing or given twice is refused."""
+    """Assemble a FifModel from a data set and a scaling field, however
+    they were made.  The data are read once into the level-N value matrix
+    z, in FactorGrid order.  Refused with ValidationError: a pair outside
+    V_N, missing or given twice; a data value that is not finite or, on a
+    boundary pair, not zero; a scaling value that is not finite."""
     g1 = g1 if g1 is not None else standard_gasket()
     g2 = g2 if g2 is not None else standard_gasket()
     if scaling.n != data.n:
         raise ValidationError(
             f"scaling field depth {scaling.n} does not match data depth {data.n}"
         )
+    for (w1, w2), v in scaling.cells.items():
+        if not np.all(np.isfinite(v)):
+            raise ValidationError(f"scaling on cell-pair {w1}|{w2} is not finite")
     alpha_sup = scaling.sup()
     if alpha_sup >= 1.0:
         raise ContractionError(f"scaling sup norm {alpha_sup} must be < 1")
@@ -242,11 +258,16 @@ def build_model(
     fg = FactorGrid(n)
     z = np.empty((vertex_count(n),) * 2)
     written = np.zeros(z.shape, dtype=bool)
+    edge = set(fg.restriction(0, n).tolist())  # the corners p_c, where f vanishes
     for key, value in data.entries.items():
         try:
             i, j = fg.index_of(key.first), fg.index_of(key.second)
         except KeyError:
             raise ValidationError(f"data vertex {key} lies outside V_{n} x V_{n}") from None
+        if not math.isfinite(value):
+            raise ValidationError(f"data value {value} at vertex {key} is not finite")
+        if value != 0.0 and (i in edge or j in edge):
+            raise ValidationError(f"boundary vertex {key} must carry z = 0, got {value}")
         if written[i, j] and z[i, j] != value:
             raise ValidationError(f"conflicting values {z[i, j]} and {value} for vertex {key}")
         z[i, j] = value
@@ -345,16 +366,6 @@ def touching_pairs(n: int) -> list:
     return out
 
 
-def sample_points(spec: GasketSpec, count: int) -> np.ndarray:
-    """Deterministic gasket points: the canonical vertices of the coarsest
-    depth that yields at least `count` of them (corners come first)."""
-    m = 0
-    while vertex_count(m) < count:
-        m += 1
-    verts = enumerate_vertices(m)[:count]
-    return np.array([address_point(spec, a) for a in verts])
-
-
 @dataclass
 class CompatibilityReport:
     max_discrepancy: float
@@ -371,18 +382,18 @@ def check_compatibility(
 
     Covers all touching pairs in either factor, not only the same-prefix
     neighbours; the shared point is fed as an exact corner so the check is
-    not polluted by barycentric round-off.
+    not polluted by barycentric round-off.  The other factor runs over
+    the first `samples_per_edge` canonical vertices of the coarsest level
+    that has them, by their exact barycentrics.
     """
     n = model.n
     words = words_of_length(n)
     pairs1 = touching_pairs(n)
     pairs2 = touching_pairs(n)
-    mu2 = np.array(
-        [bary_f(model.gasket2, p[0], p[1]) for p in sample_points(model.gasket2, samples_per_edge)]
-    )
-    lam1 = np.array(
-        [bary_f(model.gasket1, p[0], p[1]) for p in sample_points(model.gasket1, samples_per_edge)]
-    )
+    level = 0
+    while vertex_count(level) < samples_per_edge:
+        level += 1
+    lam = np.array([address_bary(a) for a in enumerate_vertices(level)[:samples_per_edge]])
     worst = ""
     max_disc = 0.0
     violations = []
@@ -399,14 +410,14 @@ def check_compatibility(
         for eta in words:
             row_a = model.shift[(omega, eta)][i - 1]
             row_b = model.shift[(tau, eta)][j - 1]
-            disc = float(np.max(np.abs(mu2 @ (row_a - row_b))))
+            disc = float(np.max(np.abs(lam @ (row_a - row_b))))
             record(f"first-factor junction {omega}/{tau} x {eta}", disc)
     # junctions in the second factor: h_{omega eta}(t, q_i) = h_{omega xi}(t, q_j)
     for eta, xi, i, j in pairs2:
         for omega in words:
             col_a = model.shift[(omega, eta)][:, i - 1]
             col_b = model.shift[(omega, xi)][:, j - 1]
-            disc = float(np.max(np.abs(lam1 @ (col_a - col_b))))
+            disc = float(np.max(np.abs(lam @ (col_a - col_b))))
             record(f"second-factor junction {eta}/{xi} x {omega}", disc)
     # double junctions at corner pairs
     for omega, tau, i, j in pairs1:

@@ -74,6 +74,24 @@ class TestBuild:
         cfg = write_config(tmp_path, config_dict(alpha=1.0))
         assert main(["build", "-c", cfg]) == 3
 
+    @pytest.mark.parametrize("field", ["z", "constant"])
+    def test_non_finite_value_exit_code(self, tmp_path, capsys, field):
+        raw = random_config(1, 0, 0.3)
+        if field == "z":
+            interior = next(d for d in raw["data"] if "@" not in (d["first"][0], d["second"][0]))
+            interior["z"] = float("nan")
+        else:
+            raw["scaling"]["constant"] = float("nan")
+        assert main(["build", "-c", write_config(tmp_path, raw)]) == 2
+        assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corner", [[float("nan"), 0.0], [float("inf"), 0.0], [1e308, 0.0]])
+    def test_non_finite_gasket_exit_code(self, tmp_path, capsys, corner):
+        raw = config_dict()
+        raw["gasket1"] = [[-1e308, 0.0], corner, [0.0, 1.0]]
+        assert main(["build", "-c", write_config(tmp_path, raw)]) == 7
+        assert "gasket1" in capsys.readouterr().err
+
     def test_malformed_json_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

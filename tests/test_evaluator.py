@@ -28,14 +28,11 @@ from gasketfif.gasket import (
     MAX_DESCENT_DEPTH,
     Address,
     GasketSpec,
-    address_coords,
+    address_bary,
     address_point,
-    bary_f,
     enumerate_vertices,
     standard_gasket,
     vertex_count,
-    word_map,
-    word_map_xy,
 )
 from gasketfif.grids import product_values
 from gasketfif.model import (
@@ -49,6 +46,7 @@ from gasketfif.model import (
 )
 
 SPEC = standard_gasket()
+SKEWED = GasketSpec(((0.1, 0.2), (1.3, -0.1), (0.4, 1.1)))
 
 
 def product_vertices(depth):
@@ -104,6 +102,30 @@ class TestEvalExact:
                 j = int(np.argmin(np.linalg.norm(fg2.lam[2] @ c2 - s, axis=1)))
                 assert F[i, j] == pytest.approx(eval_exact(ref05, a, b), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_reads_neither_gasket(self, n):
+        # alpha and h are bilinear in barycentric coordinates: f at a vertex
+        # depends on its address only, bit for bit
+        rng = np.random.default_rng(n)
+        pairs = list(zip(random_addresses(rng, 3 * n, 20), random_addresses(rng, 2 * n, 20)))
+        gaskets = (SPEC, SKEWED, moved(SPEC, (1e3, -1e3)))
+        values = [
+            [eval_exact(constant_model(n, 3, 0.6, g1, g2), a, b) for a, b in pairs]
+            for g1, g2 in zip(gaskets, gaskets[::-1])
+        ]
+        assert values[0] == values[1] == values[2]
+
+    @pytest.mark.parametrize("n, depth", [(1, 4), (2, 4), (3, 3)])
+    def test_far_gasket_matches_product_values(self, n, depth):
+        far = moved(SPEC, (1e3, -1e3))
+        model = constant_model(n, 7, 0.6, far, far)
+        fg, _, f = product_values(model, depth)
+        verts = enumerate_vertices(depth)
+        idx = [fg.index_of(a) for a in verts]
+        got = f[np.ix_(idx, idx)]
+        want = np.array([[eval_exact(model, a, b) for b in verts] for a in verts])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(f))
+
     def test_deeper_model_interpolates(self):
         m = gf.random_model(2, seed=7)
         for key, z in m.data.entries.items():
@@ -155,7 +177,7 @@ def vertex(spec, word, corner):
     """Address of L_word(p_corner) and its float point, built from the
     exact dyadic barycentric coordinates."""
     addr = Address(word, corner)
-    return addr, tuple(address_coords(spec, addr)[1].tolist())
+    return addr, tuple(address_point(spec, addr).tolist())
 
 
 def certified(model, t_addr, s_addr, k):
@@ -212,6 +234,32 @@ class TestCertifiedBound:
             # only gaskets whose float points resolve fewer levels refuse
             assert (g1, g2) != (SPEC, SPEC)
             return
+        assert err <= bound + ulps
+
+    @pytest.mark.parametrize(
+        "n, seed, alpha, g1, g2, words, k",
+        [
+            # a skinny gasket 1000 away from the origin
+            (2, 1, 0.01,
+             GasketSpec(((1000.15625, -1000.0), (997.375, -997.25), (1000.0, -999.0))),
+             SPEC, ("", 1, "2", 1), 6),
+            (3, 2, 0.01, SPEC,
+             GasketSpec(((-250.0, 400.0), (-252.0, 400.125), (-247.0, 400.5))),
+             ("111", 3, "3112", 1), 7),
+            (2, 2, 0.01,
+             GasketSpec(((1000.0, -998.867179118533), (1001.132820881467, -1000.0),
+                         (1000.155480198638, -1002.9931443049055))),
+             GasketSpec(((1000.0, -999.2768663172085), (1001.132820881467, -1000.0),
+                         (1000.155480198638, -1002.9931443049055))),
+             ("3", 2, "1", 2), 10),
+        ],
+    )
+    def test_bound_covers_input_rounding(self, n, seed, alpha, g1, g2, words, k):
+        # draws whose error comes from the rounding of the float input
+        # point, not from truncation or the evaluator's own arithmetic
+        model = constant_model(n, seed, alpha, g1, g2)
+        wt, ct, ws, cs = words
+        err, bound, ulps = certified(model, Address(wt, ct), Address(ws, cs), k)
         assert err <= bound + ulps
 
     def test_n3_k12(self):
@@ -295,8 +343,7 @@ def rb_apply_oracle(model, g):
         for a in enumerate_vertices(m):
             padded = a.word + str(a.corner) * (m - len(a.word))
             pre = Address(padded[n:], a.corner)
-            db, _ = address_coords(model.gasket1, pre)  # db is the same on any gasket
-            lam = [x / 2.0**db.level for x in db.numerators]
+            lam = address_bary(pre).tolist()  # the same on any gasket
             out.append((fg.index_of(a), padded[:n], fg.index_of(pre), lam))
         return out
 
@@ -533,25 +580,42 @@ CHAOS_MODELS = {1: gf.reference_model(0.3), 2: gf.random_model(2, 5)}
 
 
 def scalar_chaos_game(model, count, seed, burn_in):
-    """Scalar replay of chaos_game's orbits from the same random stream."""
+    """Scalar replay of chaos_game's orbits from the same random stream.
+
+    Each orbit steps its barycentric coordinates by L_w: lam -> 2^-N lam
+    + o_w, with o_w the coordinates of L_w(p_1) less 2^-N e_1.  The kept
+    coordinates are mapped into the plane as chaos_game maps them, one
+    (3, orbits) block of a step at a time."""
     words = words_of_length(model.n)
     nw = len(words)
+    scale = 0.5**model.n
+    offset = {w: address_bary(Address(w, 1)).tolist() for w in words}
+    for o in offset.values():
+        o[0] -= scale
     orbits = min(count, CHAOS_ORBITS)
     steps = -(-count // orbits)
     rng = np.random.default_rng(seed)
     draws = [rng.integers(0, nw * nw, size=orbits) for _ in range(burn_in + steps)]
-    g1, g2 = model.gasket1, model.gasket2
-    out = [None] * (steps * orbits)
+    kept_lam, kept_mu = np.empty((steps, 3, orbits)), np.empty((steps, 3, orbits))
+    values = np.empty((steps, orbits))
     for o in range(orbits):
-        t, s, x = g1.corners[0], g2.corners[0], 0.0
+        lam, mu, x = (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0
         for step, c in enumerate(draws):
             w1, w2 = words[c[o] // nw], words[c[o] % nw]
-            lam, mu = bary_f(g1, *t), bary_f(g2, *s)
             x = (_bilinear(model.scaling.cell(w1, w2), lam, mu) * x
                  + _bilinear(model.shift[(w1, w2)], lam, mu))
-            t, s = word_map_xy(g1, w1, *t), word_map_xy(g2, w2, *s)
+            lam = tuple(v * scale + a for v, a in zip(lam, offset[w1]))
+            mu = tuple(v * scale + a for v, a in zip(mu, offset[w2]))
             if step >= burn_in:
-                out[(step - burn_in) * orbits + o] = GraphSample(t, s, x)
+                j = step - burn_in
+                kept_lam[j, :, o], kept_mu[j, :, o], values[j, o] = lam, mu, x
+    t = np.stack([np.matmul(lam.T, model.gasket1.corner_array) for lam in kept_lam])
+    s = np.stack([np.matmul(mu.T, model.gasket2.corner_array) for mu in kept_mu])
+    out = [
+        GraphSample(tuple(t[j, o].tolist()), tuple(s[j, o].tolist()), float(values[j, o]))
+        for j in range(steps)
+        for o in range(orbits)
+    ]
     return out[:count]
 
 
@@ -587,6 +651,16 @@ class TestChaosGame:
             sm = a[int(i)]
             approx, bound = eval_approx(model, sm.t, sm.s, 10 // n)
             assert abs(sm.value - approx) <= bound + 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_far_gasket_samples_on_graph(self, n):
+        far = moved(SPEC, (1e3, -1e3))
+        model = constant_model(n, 5, 0.6, far, moved(SKEWED, (-250.0, 4e2)))
+        samples = chaos_game(model, 2000, seed=n)
+        for i in range(0, 2000, 37):
+            sm = samples[i]
+            approx, bound = eval_approx(model, sm.t, sm.s, 20 // n)
+            assert abs(sm.value - approx) <= bound + 64 * EPS * model.f_sup_bound
 
     def test_orbits_match_scalar_steps(self):
         # mixed scalar/tensor scaling on a custom gasket exercises every

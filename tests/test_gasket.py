@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,19 +11,17 @@ from gasketfif.gasket import (
     LETTERS,
     MAX_DESCENT_DEPTH,
     Address,
-    DyadicBary,
     GasketSpec,
-    address_coords,
+    address_bary,
     address_point,
     canonicalize,
     descend,
     enumerate_vertices,
     locate,
     locate_many,
-    shift,
+    reduce_dyadic,
     standard_gasket,
     vertex_count,
-    word_map,
     word_map_inverse,
 )
 
@@ -30,31 +29,44 @@ SPEC = standard_gasket()
 P1, P2, P3 = (np.array(p) for p in SPEC.corners)
 
 
+def word_map(spec, w, t):
+    """L_w(t) = L_{w_1}(...L_{w_|w|}(t)), with L_a(t) = (t + p_a) / 2, in
+    the plane: an oracle independent of the barycentric helpers."""
+    t = np.asarray(t, dtype=float)
+    for ch in reversed(w):
+        t = (t + spec.corner_array[int(ch) - 1]) / 2
+    return t
+
+
 class TestWordMap:
+    # the maps L_w on vertices: address_point(spec, (w, c)) is L_w(p_c)
     def test_fixed_point_of_own_corner(self):
-        assert np.allclose(word_map(SPEC, "1", P1), P1)
+        assert np.array_equal(address_point(SPEC, Address("1", 1)), P1)
 
     def test_single_letter_is_midpoint_map(self):
         # oracle: L_2(t) = (t + p2) / 2
-        assert np.allclose(word_map(SPEC, "2", (0.0, 0.0)), (P2 + 0.0) / 2)
-        t = np.array([0.3, 0.1])
-        assert np.allclose(word_map(SPEC, "2", t), (t + P2) / 2)
+        for c, p in zip(LETTERS, (P1, P2, P3)):
+            assert np.allclose(address_point(SPEC, Address("2", c)), (p + P2) / 2)
 
     def test_two_letter_hand_composition(self):
         # oracle: L_1(L_2(p3)) = p3/4 + p1/2 + p2/4
         expected = P3 / 4 + P1 / 2 + P2 / 4
-        got = word_map(SPEC, "12", P3)
+        got = address_point(SPEC, Address("12", 3))
         assert np.allclose(got, expected)
         assert np.allclose(got, (0.375, 0.21650635), atol=1e-8)
+        assert np.allclose(got, word_map(SPEC, "12", P3))
 
     def test_contraction_ratio_exact(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             w = "".join(rng.choice(list("123"), size=rng.integers(1, 7)))
-            t = rng.uniform(-1, 2, size=2)
-            u = rng.uniform(-1, 2, size=2)
-            d0 = np.linalg.norm(t - u)
-            d1 = np.linalg.norm(word_map(SPEC, w, t) - word_map(SPEC, w, u))
+            u, v = ("".join(rng.choice(list("123"), size=3)) for _ in range(2))
+            cu, cv = (int(c) for c in rng.integers(1, 4, size=2))
+            def dist(prefix):
+                a, b = Address(prefix + u, cu), Address(prefix + v, cv)
+                return np.linalg.norm(address_point(SPEC, a) - address_point(SPEC, b))
+
+            d0, d1 = dist(""), dist(w)
             assert d1 == pytest.approx(0.5 ** len(w) * d0, rel=1e-12)
 
 
@@ -81,21 +93,30 @@ class TestWordMapInverse:
 
 class TestAddressCoords:
     def test_bare_corner(self):
-        db, pt = address_coords(SPEC, Address("", 1))
-        assert db == DyadicBary((1, 0, 0), 0)
-        assert np.allclose(pt, P1)
+        assert address_bary(Address("", 1)).tolist() == [1.0, 0.0, 0.0]
+        assert np.array_equal(address_point(SPEC, Address("", 1)), P1)
 
     def test_midpoint(self):
         # oracle: L_1(p_2) = (p1 + p2)/2
-        db, pt = address_coords(SPEC, Address("1", 2))
-        assert db == DyadicBary((1, 1, 0), 1)
-        assert np.allclose(pt, (P1 + P2) / 2)
+        assert address_bary(Address("1", 2)).tolist() == [0.5, 0.5, 0.0]
+        assert np.allclose(address_point(SPEC, Address("1", 2)), (P1 + P2) / 2)
 
     def test_depth_two(self):
         # oracle: L_1 L_2 (p3) = p1/2 + p2/4 + p3/4
-        db, pt = address_coords(SPEC, Address("12", 3))
-        assert db == DyadicBary((2, 1, 1), 2)
-        assert np.allclose(pt, P1 / 2 + P2 / 4 + P3 / 4)
+        assert address_bary(Address("12", 3)).tolist() == [0.5, 0.25, 0.25]
+        assert np.allclose(address_point(SPEC, Address("12", 3)), P1 / 2 + P2 / 4 + P3 / 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(word=st.text("123", max_size=52), corner=st.sampled_from(LETTERS))
+    def test_exact_dyadics(self, word, corner):
+        # oracle: sum_k 2^-k e_{w_k} + 2^-|w| e_c in rational arithmetic
+        want = [Fraction(0)] * 3
+        for k, ch in enumerate(word, start=1):
+            want[int(ch) - 1] += Fraction(1, 2**k)
+        want[corner - 1] += Fraction(1, 2 ** len(word))
+        lam = address_bary(Address(word, corner))
+        assert [Fraction(v) for v in lam] == want
+        assert np.array_equal(address_point(SPEC, Address(word, corner)), lam @ SPEC.corner_array)
 
 
 class TestCanonicalize:
@@ -110,9 +131,7 @@ class TestCanonicalize:
         a = canonicalize(Address("121", 2))
         b = canonicalize(Address("122", 1))
         assert a == b
-        ca, _ = address_coords(SPEC, a)
-        cb, _ = address_coords(SPEC, Address("122", 1))
-        assert ca.reduced() == cb.reduced()
+        assert np.array_equal(address_bary(a), address_bary(Address("122", 1)))
 
     def test_idempotent_and_separating_bruteforce(self):
         # every address of depth <= 4: canonical forms agree exactly when
@@ -127,7 +146,7 @@ class TestCanonicalize:
         for a in addresses:
             ca = canonicalize(a)
             assert canonicalize(ca) == ca
-            key = address_coords(SPEC, a)[0].reduced()
+            key = tuple(address_bary(a).tolist())  # exact at these depths
             by_key.setdefault(key, set()).add(ca)
         for key, forms in by_key.items():
             assert len(forms) == 1, (key, forms)
@@ -140,7 +159,7 @@ class TestCanonicalize:
             k = int(rng.integers(0, 3))
             x = Address(w + str(a) + str(b) * k, int(b))
             y = Address(w + str(b) + str(a) * k, int(a))
-            assert address_coords(SPEC, x)[0].reduced() == address_coords(SPEC, y)[0].reduced()
+            assert np.array_equal(address_bary(x), address_bary(y))
             assert canonicalize(x) == canonicalize(y)
 
 
@@ -185,7 +204,7 @@ class TestEnumerateVertices:
                     for k, ch in enumerate(word, start=1):
                         nums[int(ch) - 1] += 2 ** (m - k)
                     nums[corner - 1] += 1
-                    key = DyadicBary(tuple(nums), m).reduced()
+                    key = reduce_dyadic(tuple(nums), m)
                     seen.setdefault(key, canonicalize(Address(word, corner)))
             return sorted(seen.values(), key=lambda a: (len(a.word), a.word, a.corner))
 
@@ -365,7 +384,7 @@ class TestDescend:
         # a vertex built from exact dyadic barycentrics is located or, on a
         # gasket whose float points cannot resolve `depth`, refused; never
         # sent to a hole
-        _, pt = address_coords(spec, Address(word, corner))
+        pt = address_point(spec, Address(word, corner))
         try:
             w = locate(spec, pt, depth)
         except PreconditionError:
@@ -375,20 +394,25 @@ class TestDescend:
         assert locate_many(spec, [pt], depth).tolist() == [[int(ch) for ch in w]]
 
 
-class TestShift:
-    def test_single_shift(self):
-        assert shift("123", 1) == "23"
-
-    def test_full_consumption(self):
-        assert shift("123", 3) == ""
-
-    def test_overshift_clamps(self):
-        assert shift("123", 5) == ""
-
-
 def test_degenerate_gasket_rejected():
     with pytest.raises(ValueError):
         GasketSpec(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)))
+
+
+@pytest.mark.parametrize(
+    "corners",
+    [
+        ((0.0, 0.0), (1.0, 0.0), (float("nan"), 1.0)),
+        ((float("nan"),) * 2,) * 3,
+        ((0.0, 0.0), (float("inf"), 0.0), (0.5, 1.0)),
+        ((0.0, 0.0), (1.0, 0.0), (0.5, float("-inf"))),
+        # finite corners whose side length overflows
+        ((-1e308, 0.0), (1e308, 0.0), (0.0, 1e308)),
+    ],
+)
+def test_non_finite_gasket_rejected(corners):
+    with pytest.raises(ValueError, match="must be finite"):
+        GasketSpec(corners)
 
 
 def test_address_parsing_roundtrip():
