@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import CapacityError, HypothesisError, PreconditionError
 from .evaluator import GraphSamples
@@ -274,6 +273,21 @@ def box_count(model: FifModel, n: int, table: OscillationTable) -> BoxCountRecor
     return BoxCountRecord(level=n, delta=delta, count=count)
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(slope, standard error) of the least-squares line of y against x.
+
+    The error is sqrt(SSR / (n - 2) / Sxx), SSR the sum of squared
+    residuals and Sxx the sum of (x - mean x)^2; two points lie on their
+    line, so it is 0 for n = 2."""
+    dx, dy = x - x.mean(), y - y.mean()
+    sxx = float(dx @ dx)
+    slope = float(dx @ dy) / sxx
+    if len(x) == 2:
+        return slope, 0.0
+    resid = dy - slope * dx
+    return slope, math.sqrt(float(resid @ resid) / (len(x) - 2) / sxx)
+
+
 @dataclass(frozen=True)
 class DimensionReport:
     lower: float
@@ -295,12 +309,12 @@ def estimate_box_dimension(records) -> DimensionReport:
         raise PreconditionError("box-count records must have distinct levels")
     x = np.array([rec.level * math.log(2.0) for rec in records])
     y = np.array([math.log(rec.count) for rec in records])
-    fit = stats.linregress(x, y)
+    slope, std_error = _line_fit(x, y)
     return DimensionReport(
         lower=float("nan"),
         upper=float("nan"),
-        slope=float(fit.slope),
-        std_error=float(fit.stderr),
+        slope=slope,
+        std_error=std_error,
         levels=tuple(records),
     )
 
@@ -345,8 +359,8 @@ def holder_fit(
         return HolderFit(float("inf"), 0.0, True, tuple(levels))
     x = np.array([-n * math.log(2.0) for n in levels])
     y = np.log(np.array(maxima))
-    fit = stats.linregress(x, y)
-    return HolderFit(float(fit.slope), float(fit.stderr), False, tuple(levels))
+    slope, std_error = _line_fit(x, y)
+    return HolderFit(slope, std_error, False, tuple(levels))
 
 
 def box_count_cloud(model: FifModel, samples, n: int) -> int:

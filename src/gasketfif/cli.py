@@ -24,15 +24,14 @@ from .errors import (
     ValidationError,
 )
 from .fileio import atomic_open
-from .gasket import MAX_ENUM_DEPTH, Address, GasketSpec, address_point, enumerate_vertices
+from .gasket import MAX_ENUM_DEPTH, Address, GasketSpec, address_bary, enumerate_vertices
 from .grids import product_values
 from .model import (
     DataSet,
     ScalingField,
+    _bilinear,
     build_model,
     check_compatibility,
-    eval_scaling,
-    eval_shift,
     perturb_shift,
     sup_bounds,
     words_of_length,
@@ -156,9 +155,12 @@ def build_from_config(path):
     triples = []
     for idx, item in enumerate(data_raw):
         try:
-            triples.append((item["first"], item["second"], float(item["z"])))
+            first, second, z = item["first"], item["second"], float(item["z"])
         except (KeyError, TypeError, ValueError) as e:
             raise _ConfigError(f"data[{idx}]: {e}") from None
+        if not isinstance(first, str) or not isinstance(second, str):
+            raise _ConfigError(f"data[{idx}]: addresses must be 'word@corner' strings")
+        triples.append((first, second, z))
     try:
         data = DataSet.build(n, triples)
     except ValueError as e:
@@ -329,8 +331,9 @@ def cmd_check(args):
             bad += 1
     check("interpolation", bad == 0, f"{bad} vertices off" if bad else "")
 
+    # the maps take exact barycentrics, so the residual is the recursion's
+    # own, not a round trip through plane points
     rng = np.random.default_rng(7)
-    g1, g2 = model.gasket1, model.gasket2
     words = words_of_length(model.n)
     tol = 1e-9 * (1.0 + model.f_sup_bound)
     worst = 0.0
@@ -341,14 +344,13 @@ def cmd_check(args):
         bs = Address(ws, int(rng.integers(1, 4)))
         omega = words[rng.integers(0, len(words))]
         eta = words[rng.integers(0, len(words))]
-        t = address_point(g1, at)
-        s = address_point(g2, bs)
+        lam, mu = address_bary(at), address_bary(bs)
         lhs = evaluator.eval_exact(model, Address(omega + at.word, at.corner),
                                    Address(eta + bs.word, bs.corner))
         rhs = (
-            eval_scaling(model, omega, eta, t, s)
+            _bilinear(model.scaling.cell(omega, eta), lam, mu)
             * evaluator.eval_exact(model, at, bs)
-            + eval_shift(model, omega, eta, t, s)
+            + _bilinear(model.shift[(omega, eta)], lam, mu)
         )
         worst = max(worst, abs(lhs - rhs))
     check("functional-equation", worst <= tol, f"residual {worst:.3e}")

@@ -44,11 +44,12 @@ class ProductVertex:
 
 @dataclass(frozen=True)
 class DataSet:
-    """Interpolation values z on the depth-N product vertex set.
+    """Interpolation values z on the depth-N product vertex set, keyed by
+    canonical vertex pairs.
 
-    Complete (every canonical vertex of V_N has a value), zero on the
-    boundary, and single-valued: feeding two representations of the same
-    point with different z is a hard error.
+    build_model checks the rest for every data set, however it was made:
+    that it is complete, lies in V_N x V_N, is finite and is zero on the
+    boundary.
     """
 
     n: int
@@ -56,42 +57,33 @@ class DataSet:
 
     @classmethod
     def build(cls, n: int, triples) -> "DataSet":
-        """Validate raw (first, second, z) triples into a DataSet.
+        """Parse raw (first, second, z) triples into a DataSet.
 
         Addresses may be Address objects or "word@corner" strings and need
-        not be canonical.
+        not be canonical.  Two representations of the same vertex with
+        different z are refused, never last-writer-wins.
         """
         if n < 1:
             raise ValidationError("depth N must be >= 1")
         entries = {}
+        canonical = {}  # each distinct address is parsed and canonicalized once
+
+        def vertex(a):
+            c = canonical.get(a)
+            if c is None:
+                c = canonical[a] = canonicalize(
+                    a if isinstance(a, Address) else Address.parse(a)
+                )
+            return c
+
         for first, second, z in triples:
-            a = first if isinstance(first, Address) else Address.parse(first)
-            b = second if isinstance(second, Address) else Address.parse(second)
-            key = ProductVertex(canonicalize(a), canonicalize(b))
+            key = ProductVertex(vertex(first), vertex(second))
             z = float(z)
             if key in entries and entries[key] != z:
                 raise ValidationError(
                     f"conflicting values {entries[key]} and {z} for vertex {key}"
                 )
             entries[key] = z
-        verts = enumerate_vertices(n)
-        required = {ProductVertex(a, b) for a in verts for b in verts}
-        missing = sorted(str(v) for v in required - set(entries))
-        if missing:
-            shown = ", ".join(missing[:8])
-            more = "" if len(missing) <= 8 else f" (+{len(missing) - 8} more)"
-            raise ValidationError(f"missing data for vertices: {shown}{more}")
-        extra = set(entries) - required
-        if extra:
-            raise ValidationError(
-                f"data contains vertices outside V_{n}: "
-                + ", ".join(sorted(str(v) for v in extra)[:8])
-            )
-        for key, z in entries.items():
-            if (not key.first.word or not key.second.word) and z != 0.0:
-                raise ValidationError(
-                    f"boundary vertex {key} must carry z = 0, got {z}"
-                )
         return cls(n, entries)
 
     @classmethod

@@ -12,6 +12,7 @@ from gasketfif import analysis
 from gasketfif.analysis import (
     PRODUCT_DIMENSION,
     BoxCountRecord,
+    _line_fit,
     box_count,
     box_count_cloud,
     dimension_bounds,
@@ -320,6 +321,73 @@ class TestEstimateBoxDimension:
         assert rep.slope <= upper + 0.2
 
 
+# Least-squares fits pinned as stats.linregress 1.17.1, the fit that the
+# closed form replaced, gave them: (x, y, slope, std_error).  The box
+# counts are test_07's and test_08's records (zero and bump model, alpha
+# 0.3, levels 2..6); the maxima are holder_fit's on reference_model(0.7),
+# levels 3..7, and on random_model(2, 1), levels 3..6.
+_LOG2 = math.log(2.0)
+REF03_COUNTS = (153, 1469, 13689, 126209, 1150937)
+PINNED_FITS = {
+    "zero03 counts": (
+        [n * _LOG2 for n in range(2, 7)],
+        [math.log(c) for c in (81, 729, 6561, 59049, 531441)],
+        3.1699250014423126,
+        0.0,
+    ),
+    "ref03 counts": (
+        [n * _LOG2 for n in range(2, 7)],
+        [math.log(c) for c in REF03_COUNTS],
+        3.2178815770883866,
+        0.008179523598038283,
+    ),
+    "ref07 maxima": (
+        [-n * _LOG2 for n in range(3, 8)],
+        [
+            math.log(m)
+            for m in (0.42625, 0.35306249999999995, 0.272534375, 0.20395765625, 0.14948422656250004)
+        ],
+        0.3815067077969009,
+        0.01986202483714284,
+    ),
+    "random N=2 maxima": (
+        [-n * _LOG2 for n in range(3, 7)],
+        [
+            math.log(m)
+            for m in (
+                1.4798056991285389,
+                1.0935421580782114,
+                0.7267330320585589,
+                0.4558420816203405,
+            )
+        ],
+        0.5685916672806565,
+        0.037716443778562675,
+    ),
+}
+
+
+class TestLineFit:
+    @pytest.mark.parametrize("name", sorted(PINNED_FITS))
+    def test_matches_pinned_linregress(self, name):
+        x, y, slope, std_error = PINNED_FITS[name]
+        got = _line_fit(np.array(x), np.array(y))
+        assert got[0] == pytest.approx(slope, rel=1e-9)
+        # linregress clips r to 1 on the exact power law and reports 0;
+        # the residuals there are rounding, about 4e-16
+        assert got[1] == pytest.approx(std_error, rel=1e-9, abs=1e-12)
+
+    def test_box_dimension_uses_the_fit(self):
+        _, _, slope, std_error = PINNED_FITS["ref03 counts"]
+        recs = [
+            BoxCountRecord(level=n, delta=2.0**-n, count=c)
+            for n, c in zip(range(2, 7), REF03_COUNTS)
+        ]
+        rep = estimate_box_dimension(recs)
+        assert rep.slope == pytest.approx(slope, rel=1e-9)
+        assert rep.std_error == pytest.approx(std_error, rel=1e-9)
+
+
 class TestDimensionBounds:
     def test_subcritical(self, ref03):
         lower, upper = dimension_bounds(ref03)
@@ -351,6 +419,14 @@ class TestHolderFit:
         assert fit.exponent >= holder_predict(ref07).exponent - 0.2
         # the graph is genuinely rougher: well below exponent 1
         assert fit.exponent <= 0.7
+
+    def test_two_levels(self):
+        # n - 2 = 0 points of freedom: linregress reports 0.0, and so does
+        # the fit, with the slope through the two maxima
+        fit = holder_fit(gf.random_model(1, 1), 3, 4)
+        assert fit.exponent == pytest.approx(0.9256894778242288, rel=1e-9)
+        assert fit.std_error == 0.0
+        assert fit.levels == (3, 4)
 
     def test_validation(self, ref03):
         with pytest.raises(PreconditionError):

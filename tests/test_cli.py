@@ -1,5 +1,11 @@
 
+import json
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +58,21 @@ class TestBuild:
         assert main(["build", "-c", cfg]) == 2
         err = capsys.readouterr().err
         assert "missing" in err
+
+    def test_boundary_nonzero_exit_code(self, tmp_path, capsys):
+        raw = config_dict()
+        for d in raw["data"]:
+            if d["first"].startswith("@"):
+                d["z"] = 0.7
+        assert main(["build", "-c", write_config(tmp_path, raw)]) == 2
+        assert "boundary vertex" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("address", [5, [1, 2], None])
+    def test_non_string_address_exit_code(self, tmp_path, capsys, address):
+        raw = config_dict()
+        raw["data"][3]["first"] = address
+        assert main(["build", "-c", write_config(tmp_path, raw)]) == 7
+        assert "data[3]: addresses must be" in capsys.readouterr().err
 
     def test_short_data_refused_before_allocating(self, tmp_path, capsys):
         # V_5 x V_5 has 133956 product vertices; an empty list is refused
@@ -376,6 +397,14 @@ class TestHolder:
         assert code == 0
         assert "inf" in capsys.readouterr().out
 
+    def test_two_levels(self, tmp_path, capsys):
+        # two points lie on their line: a zero standard error, not n - 2 = 0
+        # in a denominator
+        cfg = write_config(tmp_path, random_config(1, 1, 0.3))
+        code = main(["holder", "-c", cfg, "--min-level", "3", "--max-level", "4"])
+        assert code == 0
+        assert "empiricalExponent = 0.925689 +- 0.000000" in capsys.readouterr().out
+
 
 class TestCheck:
     def test_valid_model_passes(self, tmp_path, capsys):
@@ -397,3 +426,37 @@ class TestCheck:
         cfg = write_config(tmp_path, config_dict())
         assert main(["check", "-c", cfg, "--corrupt", "1|2|2|1|0.1"]) == 1
         assert "FAIL compatibility" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_functional_equation_exact_on_a_far_skinny_gasket(self, tmp_path, capsys, n):
+        # both sides come from exact barycentrics, so the residual is the
+        # recursion's alone; a round trip through these plane points gave
+        # about 1e-11
+        raw = random_config(n, 0, 0.3)
+        raw["gasket1"] = [[1000.15625, -1000], [997.375, -997.25], [1000, -999]]
+        assert main(["check", "-c", write_config(tmp_path, raw)]) == 0
+        line = next(
+            x for x in capsys.readouterr().out.splitlines() if "functional-equation" in x
+        )
+        assert float(re.search(r"residual (\S+)\)", line).group(1)) <= 1e-14
+
+
+class TestColdStart:
+    def test_cli_import_loads_nothing_but_numpy(self):
+        # a fresh interpreter: the CLI may import the standard library and
+        # numpy, and no heavy dependency that every run would pay for
+        src = Path(gf.__file__).resolve().parents[1]
+        code = (
+            "import json, sys; before = set(sys.modules); import gasketfif.cli; "
+            "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+        )
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        loaded = set(json.loads(out))
+        assert "gasketfif" in loaded
+        # _sysconfigdata_<platform> is the standard library's, unlisted
+        extra = loaded - set(sys.stdlib_module_names) - {"gasketfif", "numpy"}
+        assert not {m for m in extra if not m.startswith("_sysconfigdata")}

@@ -30,20 +30,11 @@ class TestDataSet:
         ds = DataSet.zeros(1)
         assert len(ds.entries) == 36
 
-    def test_missing_vertex_rejected(self):
+    def test_parses_without_checking_completeness(self):
+        # completeness and boundary values are build_model's to check
         ds = DataSet.zeros(1)
         triples = [(str(k.first), str(k.second), z) for k, z in ds.entries.items()]
-        with pytest.raises(ValidationError, match="missing"):
-            DataSet.build(1, triples[:-1])
-
-    def test_boundary_nonzero_rejected(self):
-        ds = DataSet.zeros(1)
-        triples = [
-            (str(k.first), str(k.second), 0.7 if not k.first.word else z)
-            for k, z in ds.entries.items()
-        ]
-        with pytest.raises(ValidationError, match="boundary"):
-            DataSet.build(1, triples)
+        assert len(DataSet.build(1, triples[:-1]).entries) == 35
 
     def test_conflicting_duplicate_representations_rejected(self):
         ds = DataSet.zeros(1)
@@ -96,8 +87,22 @@ class TestBuildModel:
                         c[i - 1, j - 1], abs=1e-12
                     )
 
+    def test_missing_vertex_rejected(self):
+        ds = DataSet.zeros(1)
+        triples = [(str(k.first), str(k.second), z) for k, z in ds.entries.items()]
+        with pytest.raises(ValidationError, match="missing"):
+            build_model(DataSet.build(1, triples[:-1]), ScalingField.constant(0.3, 1))
+
+    def test_boundary_nonzero_rejected(self):
+        ds = DataSet.zeros(1)
+        triples = [
+            (str(k.first), str(k.second), 0.7 if not k.first.word else z)
+            for k, z in ds.entries.items()
+        ]
+        with pytest.raises(ValidationError, match="boundary"):
+            build_model(DataSet.build(1, triples), ScalingField.constant(0.3, 1))
+
     def test_missing_pair_refused(self):
-        # a DataSet made without DataSet.build is not checked for gaps
         entries = dict(DataSet.zeros(1).entries)
         del entries[ProductVertex(Address("1", 2), Address("2", 3))]
         with pytest.raises(ValidationError, match=re.escape("missing data for vertex 1@2|2@3")):
@@ -126,8 +131,7 @@ class TestBuildModel:
 
     @pytest.mark.parametrize("first, second", [("1@2", "@1"), ("@3", "2@3"), ("@2", "@1")])
     def test_boundary_value_refused(self, first, second):
-        # f vanishes on the corners of either factor; DataSet.build checks
-        # that, a DataSet made directly was not checked
+        # f vanishes on the corners of either factor
         entries = dict(DataSet.zeros(1).entries)
         entries[ProductVertex(Address.parse(first), Address.parse(second))] = 0.7
         with pytest.raises(ValidationError, match=re.escape(f"boundary vertex {first}|{second}")):
