@@ -218,11 +218,12 @@ def _cell_oscillation(f: np.ndarray, cells, out: np.ndarray) -> np.ndarray:
             part = f[rows[:, t]]
             np.maximum(top, part, out=top)
             np.minimum(bot, part, out=bot)
-        vmax = top[:, cells[:, 0]]
-        vmin = bot[:, cells[:, 0]]
+        # np.take gathers columns faster than fancy indexing does
+        vmax = np.take(top, cells[:, 0], axis=1)
+        vmin = np.take(bot, cells[:, 0], axis=1)
         for t in range(1, cells.shape[1]):
-            np.maximum(vmax, top[:, cells[:, t]], out=vmax)
-            np.minimum(vmin, bot[:, cells[:, t]], out=vmin)
+            np.maximum(vmax, np.take(top, cells[:, t], axis=1), out=vmax)
+            np.minimum(vmin, np.take(bot, cells[:, t], axis=1), out=vmin)
         np.subtract(vmax, vmin, out=out[lo : lo + chunk])
     return out
 

@@ -204,37 +204,79 @@ def rb_apply(model: FifModel, g: GridFunction) -> GridFunction:
     return g._on_grid(model, level_step(model, g.grid, k, f, np.empty_like(g.values)))
 
 
-def _apply_in_place(model: FifModel, g: GridFunction, k: int, f: np.ndarray, tol: float) -> bool:
-    """Overwrite g.values with T g, given f, the values at level k = m-N;
-    returns whether every entry changed by at most tol.  Each entry is
-    written once, by its owner.  Once one entry has changed by more, the
-    remaining rectangles are only written: their change cannot alter the
-    answer."""
+def _apply_in_place(
+    model: FifModel, fg: FactorGrid, k: int, f: np.ndarray, values: np.ndarray, tol: float
+) -> bool:
+    """Overwrite `values`, the level k+N matrix of the index fg, with the
+    level step from f, the values at level k; returns whether every entry
+    changed by at most tol.  Each entry is written once, by its owner.
+    Once one entry has changed by more, the remaining rectangles are only
+    written: their change cannot alter the answer."""
     within = True
-    for rows, cols, block in step_blocks(model, g.grid, k, f):
+    for rows, cols, block in step_blocks(model, fg, k, f):
         if not within:
-            g.values[rows, cols] = block
+            values[rows, cols] = block
             continue
-        old = g.values[rows, cols]
+        old = values[rows, cols]
         old -= block  # exactly -(block - old): the same |change| bits
         within = float(old.max()) <= tol and -float(old.min()) <= tol
         old[...] = block
     return within
 
 
+def _fast_forward(model: FifModel, fg: FactorGrid, k: int, a: np.ndarray, tol: float) -> int:
+    """The applications of T that cannot pass the stopping test, run on
+    the level-k restriction alone.
+
+    Restriction commutes with T: the restriction A_j to level k that
+    application j reads is the (j-1)-th iterate of T on level k, from
+    zero, bit for bit.  Level-k entries are level-m entries, so the
+    level-k change of an application bounds its level-m change from
+    below.  A is iterated in place in `a` until application J, the first
+    whose level-k change is <= tol (or whose restriction to level k-N is
+    that of J-1).  Leaves A_{J-1} in `a`, rebuilt from the restriction
+    that application J-2 read, and returns J-1: applications 1 to J-1 all
+    change the level-m values by more than tol.
+    """
+    c = k - model.n
+    idx = fg.restriction(c, k)
+    a[...] = 0.0
+    kept = []  # the restrictions of the last three applications, oldest first
+    j = 0
+    while True:
+        j += 1
+        b = kept.pop(0) if len(kept) == 3 else np.empty((len(idx),) * 2)
+        _gather(a, idx, b)
+        unchanged = bool(kept) and np.array_equal(b.view(np.uint64), kept[-1].view(np.uint64))
+        kept.append(b)
+        if unchanged or _apply_in_place(model, fg, c, b, a, tol):
+            break
+        if j > 100000:
+            raise RuntimeError("fixed-point iteration failed to converge")
+    if j == 2:
+        a[...] = 0.0
+    elif j > 2:
+        level_step(model, fg, c, kept[-3], a)
+    return j - 1
+
+
 def solve_fixed_point(model: FifModel, depth: int, tol: float) -> GridFunction:
     """Iterate T from the zero grid function until the sup change is <= tol.
 
     The geometric contraction rate bounds the iteration count by
-    log(tol / f_sup_bound) / log(alpha_sup) + 1.  T runs in place on the
-    one value matrix.  An application reads only the restriction A to
-    level m-N, so A is copied into a second, 9^-N-sized matrix; then each
-    entry is overwritten once, by its owning cell-pair
+    log(tol / f_sup_bound) / log(alpha_sup) + 1.  An application reads
+    only the restriction A of the values to level k = m-N.  While the
+    change of A exceeds tol, so does the change of the values, and those
+    applications run on the 9^-N-sized A alone (`_fast_forward`); the
+    value matrix is then written once, with the last of them.  The rest
+    run T in place on the one value matrix: A is copied into its own
+    matrix, then each entry is overwritten once, by its owning cell-pair
     (grids.step_blocks), and compared with its old value only until one
     has changed by more than tol, which already decides the test.  When
     A is the previous A bit for bit, T maps the values to themselves: the
-    application counts, with change 0.  The result's `iterations` holds
-    the number of applications.
+    application counts, with change 0, and runs no step.  Values and the
+    result's `iterations`, the number of applications, are those of the
+    plain iteration g -> T g bit for bit.
     """
     if tol <= 0:
         raise PreconditionError("tolerance must be positive")
@@ -243,11 +285,15 @@ def solve_fixed_point(model: FifModel, depth: int, tol: float) -> GridFunction:
     idx = g.grid.restriction(k, depth)
     f = np.empty((len(idx),) * 2)
     iterations = 0
+    if k >= model.n:
+        iterations = _fast_forward(model, g.grid, k, f, tol)
+        if iterations:
+            level_step(model, g.grid, k, f, g.values)
     while True:
         iterations += 1
         if _gather(g.values, idx, f, same=iterations > 1):
             break
-        if _apply_in_place(model, g, k, f, tol):
+        if _apply_in_place(model, g.grid, k, f, g.values, tol):
             break
         if iterations > 100000:
             raise RuntimeError("fixed-point iteration failed to converge")

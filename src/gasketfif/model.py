@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -240,9 +240,13 @@ def build_model(
         raise ValidationError(
             f"scaling field depth {scaling.n} does not match data depth {data.n}"
         )
-    for (w1, w2), v in scaling.cells.items():
-        if not np.all(np.isfinite(v)):
-            raise ValidationError(f"scaling on cell-pair {w1}|{w2} is not finite")
+    stacked = np.empty((len(scaling.cells), 3, 3))
+    for c, v in enumerate(scaling.cells.values()):
+        stacked[c] = v  # a constant fills its 3x3
+    bad = ~np.isfinite(stacked).all(axis=(1, 2))
+    if bad.any():
+        w1, w2 = list(scaling.cells)[int(np.argmax(bad))]
+        raise ValidationError(f"scaling on cell-pair {w1}|{w2} is not finite")
     alpha_sup = scaling.sup()
     if alpha_sup >= 1.0:
         raise ContractionError(f"scaling sup norm {alpha_sup} must be < 1")
@@ -251,9 +255,10 @@ def build_model(
     z = np.empty((vertex_count(n),) * 2)
     written = np.zeros(z.shape, dtype=bool)
     edge = set(fg.restriction(0, n).tolist())  # the corners p_c, where f vanishes
+    index_of = cache(fg.index_of)  # once per distinct address
     for key, value in data.entries.items():
         try:
-            i, j = fg.index_of(key.first), fg.index_of(key.second)
+            i, j = index_of(key.first), index_of(key.second)
         except KeyError:
             raise ValidationError(f"data vertex {key} lies outside V_{n} x V_{n}") from None
         if not math.isfinite(value):

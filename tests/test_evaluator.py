@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import tracemalloc
 from functools import lru_cache
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from test_gasket import OFFSETS, gasket_specs, moved
 
 import gasketfif as gf
-from gasketfif import evaluator
+from gasketfif import evaluator, grids
 from gasketfif.errors import CapacityError, DomainError, PreconditionError
 from gasketfif.evaluator import (
     CHAOS_ORBITS,
@@ -525,14 +526,58 @@ class TestSolveFixedPoint:
         # the level step reproduces product_values bit for bit, so at a tiny
         # tolerance the restriction stops changing; that application counts
         # but runs no step
-        steps = []
-        apply = evaluator._apply_in_place
-        monkeypatch.setattr(
-            evaluator, "_apply_in_place", lambda *a: steps.append(1) or apply(*a)
-        )
-        g = solve_fixed_point(gf.random_model(1, 201), 3, 1e-300)
-        assert len(steps) == g.iterations - 1
-        assert np.array_equal(g.values, product_values(gf.random_model(1, 201), 3)[2])
+        model, depth = gf.random_model(1, 201), 3
+        iterations = two_buffer_fixed_point(model, depth, 1e-300)[1]
+        gathers, steps = spy_fixed_point(monkeypatch)
+        g = solve_fixed_point(model, depth, 1e-300)
+        assert g.iterations == iterations
+        # the level-m applications: each but the last runs a full-size
+        # step, and one more writes the values the coarse phase reached
+        sizes = [n for n, _ in gathers]
+        full = vertex_count(depth - 1)
+        assert gathers[-1] == (full, True)
+        assert sizes.count(full) == steps.count(depth)
+        # so do the coarse applications, which stop on an unchanged
+        # restriction here; one more step rebuilds the restriction handed over
+        assert sizes.count(vertex_count(depth - 2)) == steps.count(depth - 1)
+        assert np.array_equal(g.values, product_values(model, depth)[2])
+
+    @pytest.mark.parametrize("kind", ["constant", "tensor", "zero"])
+    @pytest.mark.parametrize("n, depth", [(1, 5), (1, 6), (2, 4), (2, 6), (3, 6)])
+    def test_fast_forward_equals_the_two_buffer_iteration(self, n, depth, kind):
+        # the coarse phase stops on the level-k change, a lower bound for
+        # the level-m one; a tol equal to a change of the plain iteration,
+        # or one ulp either side of it, is where the two could disagree
+        model = {
+            "constant": lambda: gf.random_model(n, 3),
+            "tensor": lambda: tensor_model(n, 4),
+            "zero": lambda: gf.zero_model(0.3, n),
+        }[kind]()
+        g, iterates = GridFunction(model, depth), []
+        while not iterates or iterates[-1][0] > 0:
+            nxt = rb_apply(model, g)
+            change = float(np.max(np.abs(nxt.values - g.values)))
+            iterates.append((change, hashlib.sha256(nxt.values).digest()))
+            g = nxt
+        tols = {5e-324}
+        for change, _ in iterates:
+            if change > 0:
+                tols |= {change, np.nextafter(change, 0.0), np.nextafter(change, np.inf)}
+        for tol in sorted(tols):
+            j = next(j for j, (change, _) in enumerate(iterates, start=1) if change <= tol)
+            got = solve_fixed_point(model, depth, tol)
+            assert got.iterations == j
+            assert hashlib.sha256(got.values).digest() == iterates[j - 1][1]
+
+    def test_two_full_size_steps(self, monkeypatch):
+        # the plain iteration runs 7 steps at depth 6; all but the last two
+        # run on the level-5 restriction alone
+        model = gf.random_model(1, 1)
+        _, steps = spy_fixed_point(monkeypatch)
+        g = solve_fixed_point(model, 6, 1e-12)
+        assert g.iterations == 7
+        assert steps.count(6) <= 2
+        assert np.array_equal(g.values, product_values(model, 6)[2])
 
     def test_tolerance_equal_to_a_change_stops_there(self):
         # once a rectangle changes by more than tol the rest are only
@@ -560,6 +605,28 @@ class TestSolveFixedPoint:
             tracemalloc.stop()
         assert g.values.nbytes == 8 * vertex_count(6) ** 2
         assert peak < 1.3 * 8 * vertex_count(6) ** 2
+
+
+def spy_fixed_point(monkeypatch):
+    """Lists filled as solve_fixed_point runs: (rows, found unchanged) of
+    each restriction _gather copies, and the target level of each level
+    step."""
+    gathers, steps = [], []
+    gather, step = evaluator._gather, grids.step_blocks
+
+    def spy_gather(values, idx, out, same=False):
+        unchanged = gather(values, idx, out, same)
+        gathers.append((len(idx), unchanged))
+        return unchanged
+
+    def spy_step(model, fg, k, f):
+        steps.append(k + model.n)
+        return step(model, fg, k, f)
+
+    monkeypatch.setattr(evaluator, "_gather", spy_gather)
+    monkeypatch.setattr(evaluator, "step_blocks", spy_step)
+    monkeypatch.setattr(grids, "step_blocks", spy_step)
+    return gathers, steps
 
 
 def two_buffer_fixed_point(model, depth, tol):

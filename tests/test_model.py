@@ -6,6 +6,7 @@ import pytest
 import gasketfif as gf
 from gasketfif.errors import ContractionError, ValidationError
 from gasketfif.gasket import Address, GasketSpec, address_point, canonicalize, standard_gasket
+from gasketfif.grids import FactorGrid
 from gasketfif.model import (
     DataSet,
     ProductVertex,
@@ -148,6 +149,28 @@ class TestBuildModel:
         with pytest.raises(ValidationError, match="cell-pair 2[|]3 is not finite") as info:
             build_model(gf.random_dataset(1, 0), ScalingField.from_cells(cells, 1))
         assert not isinstance(info.value, ContractionError)
+
+    def test_first_non_finite_scaling_cell_is_named(self):
+        # the cells are checked together; the refusal names the first bad
+        # one in the field's order
+        cells = {(w1, w2): 0.2 for w1 in "123" for w2 in "123"}
+        cells[("3", "1")] = float("nan")
+        cells[("1", "2")] = np.full((3, 3), 0.2)
+        cells[("1", "2")][2, 0] = float("inf")
+        with pytest.raises(ValidationError, match="cell-pair 1[|]2 is not finite"):
+            build_model(gf.random_dataset(1, 0), ScalingField.from_cells(cells, 1))
+
+    def test_index_of_once_per_distinct_address(self, monkeypatch):
+        # an address occurs in 2 V(N) pairs, but is looked up once
+        calls = []
+        index_of = FactorGrid.index_of
+        monkeypatch.setattr(
+            FactorGrid, "index_of", lambda fg, a: calls.append(a) or index_of(fg, a)
+        )
+        data = gf.random_dataset(2, 0)
+        build_model(data, ScalingField.constant(0.3, 2))
+        distinct = {a for key in data.entries for a in (key.first, key.second)}
+        assert len(calls) == len(set(calls)) == len(distinct)
 
 
 def canonical_read(data, g1, g2):
