@@ -241,7 +241,7 @@ def _write_ppm(path, values, order):
     gray = gray.astype(np.uint8)[np.ix_(order, order)]
     h, w = gray.shape
     rgb = np.repeat(gray[:, :, None], 3, axis=2)
-    with atomic_open(path, binary=True) as fh:
+    with atomic_open(path) as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(rgb.tobytes())
 

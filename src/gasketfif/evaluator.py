@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .fileio import atomic_open
+from .fileio import atomic_open, format_17g
 from .gasket import MAX_DESCENT_DEPTH, Address, descend
 from .grids import FactorGrid, check_grid_bytes, level_step, step_blocks, word_index
 from .model import FifModel, _bilinear, _bilinear9, _bilinear_form
@@ -120,6 +120,13 @@ def _input_rounding_bound(model: FifModel, k: int) -> float:
     return delta * ((12.0 * two_n + 24.0) * h * geo + 24.0 * rho**k * model.f_sup_bound)
 
 
+def _check_depth(model: FifModel, depth: int) -> None:
+    """Refuse a grid-function depth, before anything is built."""
+    if depth < model.n or depth % model.n:
+        raise PreconditionError(f"grid depth must be a positive multiple of N={model.n}")
+    check_grid_bytes(depth)
+
+
 class GridFunction:
     """Values on a depth-m product vertex grid with tensor-barycentric
     off-grid extension; the domain and range of the contraction operator.
@@ -129,15 +136,14 @@ class GridFunction:
     `at` and `__call__` read it by address and by point.
     """
 
-    def __init__(self, model: FifModel, depth: int, values: np.ndarray = None):
-        if depth < model.n or depth % model.n:
-            raise PreconditionError(
-                f"grid depth must be a positive multiple of N={model.n}"
-            )
-        check_grid_bytes(depth)
+    def __init__(
+        self, model: FifModel, depth: int, values: np.ndarray = None, grid: FactorGrid = None
+    ):
+        """`grid`, when given, is the FactorGrid(depth) to index by."""
+        _check_depth(model, depth)
         self.model = model
         self.depth = depth
-        self.grid = FactorGrid(depth)
+        self.grid = FactorGrid(depth) if grid is None else grid
         shape = (len(self.grid.lam[depth]),) * 2
         if values is None:
             values = np.zeros(shape)
@@ -268,7 +274,8 @@ def solve_fixed_point(model: FifModel, depth: int, tol: float) -> GridFunction:
     only the restriction A of the values to level k = m-N.  While the
     change of A exceeds tol, so does the change of the values, and those
     applications run on the 9^-N-sized A alone (`_fast_forward`); the
-    value matrix is then written once, with the last of them.  The rest
+    value matrix is allocated only then, so the call peaks no higher than
+    product_values, and written once, with the last of them.  The rest
     run T in place on the one value matrix: A is copied into its own
     matrix, then each entry is overwritten once, by its owning cell-pair
     (grids.step_blocks), and compared with its old value only until one
@@ -280,15 +287,17 @@ def solve_fixed_point(model: FifModel, depth: int, tol: float) -> GridFunction:
     """
     if tol <= 0:
         raise PreconditionError("tolerance must be positive")
-    g = GridFunction(model, depth)
+    _check_depth(model, depth)
+    fg = FactorGrid(depth)
     k = depth - model.n
-    idx = g.grid.restriction(k, depth)
+    idx = fg.restriction(k, depth)
     f = np.empty((len(idx),) * 2)
     iterations = 0
     if k >= model.n:
-        iterations = _fast_forward(model, g.grid, k, f, tol)
-        if iterations:
-            level_step(model, g.grid, k, f, g.values)
+        iterations = _fast_forward(model, fg, k, f, tol)
+    g = GridFunction(model, depth, grid=fg)
+    if iterations:
+        level_step(model, fg, k, f, g.values)
     while True:
         iterations += 1
         if _gather(g.values, idx, f, same=iterations > 1):
@@ -418,22 +427,19 @@ def chaos_game(
 #: header of every graph CSV: one row per point (t, s, f(t, s))
 CSV_HEADER = "t_x,t_y,s_x,s_y,f\n"
 
-_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
-
 #: rows of a graph CSV formatted per write
 _CSV_BLOCK_ROWS = 4096
 
 
 def write_graph_csv(path, count: int, rows) -> None:
-    """Write `count` graph points as CSV with 17-significant-digit
-    decimals, atomically (temp file + rename).  rows(lo, hi) returns rows
-    lo to hi - 1 as a (hi - lo, 5) array; they are formatted a block at a
-    time, so no Python object is held per row of the file."""
+    """Write `count` graph points as CSV, atomically (temp file + rename),
+    each value as its '%.17g' text (`fileio.format_17g`).  rows(lo, hi)
+    returns rows lo to hi - 1 as a (hi - lo, 5) array; they are formatted a
+    block at a time, so no Python object is held per row of the file."""
     with atomic_open(path) as fh:
-        fh.write(CSV_HEADER)
+        fh.write(CSV_HEADER.encode("ascii"))
         for lo in range(0, count, _CSV_BLOCK_ROWS):
-            block = rows(lo, min(lo + _CSV_BLOCK_ROWS, count))
-            fh.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(format_17g(rows(lo, min(lo + _CSV_BLOCK_ROWS, count))))
 
 
 def samples_to_csv(samples, path) -> None:

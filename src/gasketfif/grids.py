@@ -23,10 +23,11 @@ if TYPE_CHECKING:
 #: bytes one level's value matrix may take: depth 7 (86 MB) fits, depth 8 (775 MB) does not.
 #: The calls under it hold more, in level-m matrices: product_values 1 + 9^-N
 #: (the level m-N values it steps from), solve_fixed_point 1 + 9^-N (its copy
-#: of the restriction) plus 3 * 81^-N while it iterates that copy alone (100 MB
-#: at depth 7, N=1), oscillation 2 * 9^-N (the level m-N values and one
-#: image block of the last step) plus its 9^n-entry table; box_count holds
-#: 2^16 table entries at a time beside the table (1.0 MB at level 7).
+#: of the restriction; while it iterates that copy alone, before the values
+#: exist, 9^-N + 3 * 81^-N), 97 MB for both at depth 7, N=1, oscillation
+#: 2 * 9^-N (the level m-N values and one image block of the last step) plus
+#: its 9^n-entry table; box_count holds 2^16 table entries at a time beside
+#: the table (1.0 MB at level 7).
 GRID_BYTES = 2**28
 
 

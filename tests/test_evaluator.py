@@ -606,6 +606,32 @@ class TestSolveFixedPoint:
         assert g.values.nbytes == 8 * vertex_count(6) ** 2
         assert peak < 1.3 * 8 * vertex_count(6) ** 2
 
+    def test_peaks_no_higher_than_product_values(self):
+        # the value matrix is allocated once the coarse phase is over, so
+        # the level-5 restrictions it iterates never sit beside it
+        model = gf.random_model(1, 1)
+        peaks = []
+        for run in (lambda: product_values(model, 7), lambda: solve_fixed_point(model, 7, 1e-12)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20
+
+    def test_refused_before_anything_is_built(self, ref03):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                solve_fixed_point(ref03, 8, 1e-12)
+            with pytest.raises(PreconditionError):
+                solve_fixed_point(gf.random_model(2, seed=1), 3, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 def spy_fixed_point(monkeypatch):
     """Lists filled as solve_fixed_point runs: (rows, found unchanged) of
