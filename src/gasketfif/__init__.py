@@ -63,8 +63,6 @@ from .model import (
     eval_scaling,
     eval_shift,
     perturb_shift,
-    sup_bounds,
-    touching_pairs,
 )
 from .reference import (
     bump_dataset,

@@ -291,8 +291,6 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class DimensionReport:
-    lower: float
-    upper: float
     slope: float
     std_error: float
     levels: tuple
@@ -301,8 +299,7 @@ class DimensionReport:
 def estimate_box_dimension(records) -> DimensionReport:
     """Least-squares slope of log(count) against n log 2.
 
-    Unweighted regression over the provided levels; the analytic bound
-    fields are left unset (see dimension_bounds)."""
+    Unweighted regression over the provided levels."""
     records = list(records)
     if len(records) < 3:
         raise PreconditionError("need at least 3 box-count records")
@@ -311,13 +308,7 @@ def estimate_box_dimension(records) -> DimensionReport:
     x = np.array([rec.level * math.log(2.0) for rec in records])
     y = np.array([math.log(rec.count) for rec in records])
     slope, std_error = _line_fit(x, y)
-    return DimensionReport(
-        lower=float("nan"),
-        upper=float("nan"),
-        slope=slope,
-        std_error=std_error,
-        levels=tuple(records),
-    )
+    return DimensionReport(slope=slope, std_error=std_error, levels=tuple(records))
 
 
 def dimension_bounds(model: FifModel) -> tuple:

@@ -223,6 +223,11 @@ class CellTable:
         )
 
 
+def _vertex_names(fg: FactorGrid) -> dict:
+    """The canonical address of each vertex of FactorGrid's deepest level, by index."""
+    return {fg.index_of(a): a for a in enumerate_vertices(fg.depth)}
+
+
 def build_model(
     data: DataSet,
     scaling: ScalingField,
@@ -271,7 +276,7 @@ def build_model(
         written[i, j] = True
     if not written.all():
         i, j = np.argwhere(~written)[0]
-        name = {fg.index_of(a): a for a in enumerate_vertices(n)}
+        name = _vertex_names(fg)
         raise ValidationError(f"missing data for vertex {name[i]}|{name[j]}")
     cells = fg.cells[n]
     # corners[i, :, j, :] is z on the corners of the i-th and j-th cells
@@ -340,96 +345,53 @@ def eval_shift(model: FifModel, omega: str, eta: str, t, s) -> float:
     return _bilinear(model.shift[(omega, eta)], lam, mu)
 
 
-def sup_bounds(model: FifModel) -> tuple:
-    """(alpha sup, shift sup, a-priori sup bound on f)."""
-    return model.alpha_sup, model.shift_sup, model.f_sup_bound
-
-
-def touching_pairs(n: int) -> list:
-    """All touching pairs of distinct depth-n cells of one gasket factor.
-
-    Each entry is (omega, tau, i, j) with omega = w.a.b^k, tau = w.b.a^k
-    and shared point L_omega(p_i) = L_tau(p_j), i.e. i = b, j = a.
-    """
-    out = []
-    for plen in range(n):
-        k = n - plen - 1
-        for w in words_of_length(plen):
-            for a in (1, 2, 3):
-                for b in range(a + 1, 4):
-                    omega = w + str(a) + str(b) * k
-                    tau = w + str(b) + str(a) * k
-                    out.append((omega, tau, b, a))
-    return out
+#: the largest junction discrepancy check_compatibility accepts
+COMPATIBILITY_TOL = 1e-12
 
 
 @dataclass
 class CompatibilityReport:
     max_discrepancy: float
-    first_factor_pairs: int
-    second_factor_pairs: int
-    worst: str
-    violations: list  # (description, discrepancy) above tolerance
+    worst: str  # the vertex pair of max_discrepancy, "" when it is 0
+    violations: list  # (description, discrepancy) not within COMPATIBILITY_TOL
 
 
-def check_compatibility(
-    model: FifModel, samples_per_edge: int = 10, tol: float = 1e-12
-) -> CompatibilityReport:
-    """Verify the shift field agrees across every junction of depth-N cells.
+def check_compatibility(model: FifModel) -> CompatibilityReport:
+    """Verify that the cell-pair maps agree wherever two cells touch.
 
-    Covers all touching pairs in either factor, not only the same-prefix
-    neighbours; the shared point is fed as an exact corner so the check is
-    not polluted by barycentric round-off.  The other factor runs over
-    the first `samples_per_edge` canonical vertices of the coarsest level
-    that has them, by their exact barycentrics.
+    Corner [a, b] of the cell-pair (i, j) in `cell_table` is the value the
+    pair writes at the product vertex (cells[i, a], cells[j, b]) of
+    FactorGrid(N).  The discrepancy of a vertex pair is the max less the
+    min of all its writers; h is bilinear, so two cells agree along a
+    junction exactly when they agree at its corners.  A discrepancy that
+    is not <= COMPATIBILITY_TOL, NaN among them, is a violation.
     """
     n = model.n
-    words = words_of_length(n)
-    pairs1 = touching_pairs(n)
-    pairs2 = touching_pairs(n)
-    level = 0
-    while vertex_count(level) < samples_per_edge:
-        level += 1
-    lam = np.array([address_bary(a) for a in enumerate_vertices(level)[:samples_per_edge]])
-    worst = ""
-    max_disc = 0.0
-    violations = []
+    fg = FactorGrid(n)
+    cells = fg.cells[n].T  # cells[a, i]: corner a of the i-th word cell
+    nv = vertex_count(n)
+    w = cells.shape[1]
+    # key[a, b, i, j]: the vertex pair that corner [a, b] of cell-pair (i, j) writes
+    key = (cells[:, None, :, None] * nv + cells[None, :, None, :]).ravel()
+    values = model.cell_table.shift.reshape(3, 3, w, w).ravel()
+    hi = np.full(nv * nv, -np.inf)
+    lo = np.full(nv * nv, np.inf)
+    with np.errstate(invalid="ignore"):  # a NaN writer makes its pair's spread NaN
+        np.maximum.at(hi, key, values)
+        np.minimum.at(lo, key, values)
+        disc = hi - lo  # and so does a lone infinite one: inf - inf
+    worst = int(np.argmax(disc))  # the first NaN, if any
+    bad = np.flatnonzero(~(disc <= COMPATIBILITY_TOL))
+    names = _vertex_names(fg) if disc[worst] != 0 else {}
 
-    def record(desc, disc):
-        nonlocal max_disc, worst
-        if disc > max_disc:
-            max_disc, worst = disc, desc
-        if disc > tol:
-            violations.append((desc, disc))
+    def junction(pair):
+        i, j = divmod(int(pair), nv)
+        return f"junction at {names[i]}|{names[j]}"
 
-    # junctions in the first factor: h_{omega eta}(p_i, s) = h_{tau eta}(p_j, s)
-    for omega, tau, i, j in pairs1:
-        for eta in words:
-            row_a = model.shift[(omega, eta)][i - 1]
-            row_b = model.shift[(tau, eta)][j - 1]
-            disc = float(np.max(np.abs(lam @ (row_a - row_b))))
-            record(f"first-factor junction {omega}/{tau} x {eta}", disc)
-    # junctions in the second factor: h_{omega eta}(t, q_i) = h_{omega xi}(t, q_j)
-    for eta, xi, i, j in pairs2:
-        for omega in words:
-            col_a = model.shift[(omega, eta)][:, i - 1]
-            col_b = model.shift[(omega, xi)][:, j - 1]
-            disc = float(np.max(np.abs(lam @ (col_a - col_b))))
-            record(f"second-factor junction {eta}/{xi} x {omega}", disc)
-    # double junctions at corner pairs
-    for omega, tau, i, j in pairs1:
-        for eta, xi, k, l in pairs2:
-            disc = abs(
-                model.shift[(omega, eta)][i - 1, k - 1]
-                - model.shift[(tau, xi)][j - 1, l - 1]
-            )
-            record(f"corner junction {omega}/{tau} x {eta}/{xi}", disc)
     return CompatibilityReport(
-        max_discrepancy=max_disc,
-        first_factor_pairs=len(pairs1),
-        second_factor_pairs=len(pairs2),
-        worst=worst,
-        violations=violations,
+        max_discrepancy=float(disc[worst]),
+        worst=junction(worst) if names else "",
+        violations=[(junction(pair), float(disc[pair])) for pair in bad],
     )
 
 

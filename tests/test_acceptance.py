@@ -233,7 +233,7 @@ def test_10_vertex_count():
 def test_11_compatibility(ref03, ref05, ref07, zero03):
     worst = 0.0
     for m in (ref03, ref05, ref07, zero03):
-        rep = check_compatibility(m, samples_per_edge=10)
+        rep = check_compatibility(m)
         worst = max(worst, rep.max_discrepancy)
     verdict(
         11,

@@ -427,6 +427,13 @@ class TestCheck:
         assert main(["check", "-c", cfg, "--corrupt", "1|2|2|1|0.1"]) == 1
         assert "FAIL compatibility" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+    def test_non_finite_corner_fails(self, tmp_path, capsys, delta):
+        # a NaN is never > tol and max() drops it: each line must test <= tol
+        cfg = write_config(tmp_path, config_dict())
+        assert main(["check", "-c", cfg, "--corrupt", f"1|2|2|1|{delta}"]) == 1
+        assert "FAIL compatibility" in capsys.readouterr().out
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_functional_equation_exact_on_a_far_skinny_gasket(self, tmp_path, capsys, n):
         # both sides come from exact barycentrics, so the residual is the

@@ -1,13 +1,20 @@
+import itertools
+import math
 import re
+from collections import Counter
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gasketfif as gf
 from gasketfif.errors import ContractionError, ValidationError
 from gasketfif.gasket import Address, GasketSpec, address_point, canonicalize, standard_gasket
 from gasketfif.grids import FactorGrid
 from gasketfif.model import (
+    COMPATIBILITY_TOL,
     DataSet,
     ProductVertex,
     ScalingField,
@@ -16,8 +23,6 @@ from gasketfif.model import (
     eval_scaling,
     eval_shift,
     perturb_shift,
-    sup_bounds,
-    touching_pairs,
     words_of_length,
 )
 
@@ -57,7 +62,7 @@ class TestDataSet:
 class TestBuildModel:
     def test_zero_data_sup_bounds(self):
         m = gf.zero_model(0.3)
-        assert sup_bounds(m) == (0.3, 0.0, 0.0)
+        assert (m.alpha_sup, m.shift_sup, m.f_sup_bound) == (0.3, 0.0, 0.0)
 
     def test_bump_keys_into_expected_cell(self, ref03):
         # z = 0.5 at (1@2, 1@2) must land at corner (2,2) of cell (1,1)
@@ -270,6 +275,74 @@ class TestEvalShift:
         assert eval_shift(m, "2", "3", t, s) == pytest.approx(lam @ c @ mu, abs=1e-12)
 
 
+def touching_pairs(n: int) -> list:
+    """All touching pairs of distinct depth-n cells of one gasket factor.
+
+    Each entry is (omega, tau, i, j) with omega = w.a.b^k, tau = w.b.a^k
+    and shared point L_omega(p_i) = L_tau(p_j), i.e. i = b, j = a.  The
+    junction list of an earlier check_compatibility, kept as its oracle.
+    """
+    out = []
+    for plen in range(n):
+        k = n - plen - 1
+        for w in words_of_length(plen):
+            for a in (1, 2, 3):
+                for b in range(a + 1, 4):
+                    out.append((w + str(a) + str(b) * k, w + str(b) + str(a) * k, b, a))
+    return out
+
+
+def junction_oracle(model, samples: int = 10) -> float:
+    """The largest discrepancy over every first-factor, second-factor and
+    corner junction of touching_pairs, the other factor sampled at its
+    first `samples` canonical vertices: the loop of an earlier
+    check_compatibility, on finite shift values."""
+    n = model.n
+    words = words_of_length(n)
+    pairs = touching_pairs(n)
+    level = 0
+    while gf.gasket.vertex_count(level) < samples:
+        level += 1
+    lam = np.array([gf.address_bary(a) for a in gf.enumerate_vertices(level)[:samples]])
+    sh = model.shift
+    worst = 0.0
+    for omega, tau, i, j in pairs:
+        for eta in words:
+            d = lam @ (sh[(omega, eta)][i - 1] - sh[(tau, eta)][j - 1])
+            worst = max(worst, float(np.max(np.abs(d))))
+    for eta, xi, i, j in pairs:
+        for omega in words:
+            d = lam @ (sh[(omega, eta)][:, i - 1] - sh[(omega, xi)][:, j - 1])
+            worst = max(worst, float(np.max(np.abs(d))))
+    for omega, tau, i, j in pairs:
+        for eta, xi, k, l in pairs:
+            worst = max(worst, abs(sh[(omega, eta)][i - 1, k - 1] - sh[(tau, xi)][j - 1, l - 1]))
+    return worst
+
+
+def corner_pair(w1, w2, a, b) -> str:
+    """The product vertex that corner (a, b) of the cell-pair (w1, w2) writes."""
+    return f"{canonicalize(Address(w1, a))}|{canonicalize(Address(w2, b))}"
+
+
+def corners(n: int):
+    """Every (w1, w2, a, b): a corner of a depth-n cell-pair."""
+    words = words_of_length(n)
+    return list(itertools.product(words, words, (1, 2, 3), (1, 2, 3)))
+
+
+@cache
+def writer_counts(n: int) -> Counter:
+    """The number of cell-pair corners that write each product vertex, by
+    canonical addresses alone."""
+    return Counter(corner_pair(*c) for c in corners(n))
+
+
+@cache
+def random_n1():
+    return gf.random_model(1, 3)
+
+
 class TestTouchingPairs:
     def test_depth_one_count(self):
         assert len(touching_pairs(1)) == 3
@@ -287,26 +360,68 @@ class TestTouchingPairs:
 
 class TestCompatibility:
     def test_tensor_built_model_is_compatible(self, ref03):
-        rep = check_compatibility(ref03, samples_per_edge=12)
+        rep = check_compatibility(ref03)
         assert rep.max_discrepancy <= 1e-12
-        assert rep.first_factor_pairs == 3
         assert rep.violations == []
 
     def test_random_deeper_model_is_compatible(self):
         m = gf.random_model(2, seed=11)
-        rep = check_compatibility(m, samples_per_edge=8)
+        rep = check_compatibility(m)
         assert rep.max_discrepancy <= 1e-12
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (1, 5), (2, 0), (2, 5), (3, 0), (4, 0)])
+    def test_every_built_model_reads_zero(self, n, seed):
+        rep = check_compatibility(gf.random_model(n, seed))
+        assert rep.max_discrepancy == 0.0
+        assert rep.worst == ""
+        assert rep.violations == []
 
     def test_corrupted_cell_is_flagged(self, ref03):
         bad = perturb_shift(ref03, "1", "2", 2, 1, 0.1)
-        rep = check_compatibility(bad, samples_per_edge=10)
-        # the perturbed corner is on the 1/2 junction; at the corner sample
-        # the mu-weight is 1, so the worst discrepancy is the full 0.1
+        rep = check_compatibility(bad)
+        # the perturbed corner is on the 1/2 junction, and the other cells
+        # there still write the old value, so the discrepancy is the full 0.1
         assert rep.max_discrepancy == pytest.approx(0.1, abs=1e-12)
         assert any("junction" in desc for desc, _ in rep.violations)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_corner_matches_the_junction_loop(self, n):
+        # every corner of every cell-pair: 81 cases at N=1, 729 at N=2
+        m = gf.random_model(n, 3)
+        for w1, w2, a, b in corners(n):
+            bad = perturb_shift(m, w1, w2, a, b, 0.1)
+            rep = check_compatibility(bad)
+            assert rep.max_discrepancy == junction_oracle(bad)
+            pair = corner_pair(w1, w2, a, b)
+            expected = [f"junction at {pair}"] if writer_counts(n)[pair] >= 2 else []
+            assert [desc for desc, _ in rep.violations] == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        delta=st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan])),
+        corner=st.integers(0, 80),
+    )
+    def test_any_delta(self, delta, corner):
+        m = random_n1()
+        w1, w2, a, b = corners(1)[corner]
+        z = m.shift[(w1, w2)][a - 1, b - 1]
+        bad = perturb_shift(m, w1, w2, a, b, delta)
+        rep = check_compatibility(bad)
+        flagged = [desc for desc, _ in rep.violations]
+        pair = f"junction at {corner_pair(w1, w2, a, b)}"
+        moved = z + delta
+        if math.isfinite(moved):
+            assert rep.max_discrepancy == junction_oracle(bad)
+            seen = writer_counts(1)[corner_pair(w1, w2, a, b)] >= 2
+            assert flagged == ([pair] if seen and abs(moved - z) > COMPATIBILITY_TOL else [])
+        else:
+            # a non-finite corner is broken even where no other cell writes
+            assert flagged == [pair]
+            assert rep.worst == pair
+            assert not rep.max_discrepancy <= COMPATIBILITY_TOL
+
     def test_perturbation_scales_with_weight(self, ref03):
         bad = perturb_shift(ref03, "1", "2", 2, 1, 0.1)
-        rep = check_compatibility(bad, samples_per_edge=6)
+        rep = check_compatibility(bad)
         for desc, disc in rep.violations:
             assert disc <= 0.1 + 1e-12
