@@ -355,17 +355,15 @@ def holder_fit(
     return HolderFit(slope, std_error, False, tuple(levels))
 
 
-def box_count_cloud(model: FifModel, samples, n: int) -> int:
+def box_count_cloud(model: FifModel, samples: GraphSamples, n: int) -> int:
     """Independent box count from a chaos-game point cloud.
 
     Bins samples by their containing cell-pair (cell-adapted horizontal
     boxes, since gasket cells are not axis aligned) and applies the same
-    vertical-stack rule to the empirical value range per bin.  `samples`
-    is a GraphSamples or an iterable of GraphSample.  Cross-check oracle
-    only; under-counts slightly when a bin is under-sampled."""
+    vertical-stack rule to the empirical value range per bin.  Cross-check
+    oracle only; under-counts slightly when a bin is under-sampled."""
     if 9**n > np.iinfo(np.int64).max:
         raise CapacityError(f"level {n} cell-pair codes do not fit in 64 bits")
-    samples = GraphSamples.of(samples)
     digits = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
     cell1 = (locate_many(model.gasket1, samples.t, n) - 1) @ digits
     cell2 = (locate_many(model.gasket2, samples.s, n) - 1) @ digits

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fileio import atomic_open, format_17g
-from .gasket import MAX_DESCENT_DEPTH, Address, descend
-from .grids import FactorGrid, check_grid_bytes, level_step, step_blocks, word_index
+from .gasket import MAX_DESCENT_DEPTH, Address, descend, vertex_count
+from .grids import FactorGrid, check_grid_bytes, level_step, level_steps, step_blocks, word_index
 from .model import FifModel, _bilinear, _bilinear9, _bilinear_form
 
 
@@ -230,83 +230,45 @@ def _apply_in_place(
     return within
 
 
-def _fast_forward(model: FifModel, fg: FactorGrid, k: int, a: np.ndarray, tol: float) -> int:
-    """The applications of T that cannot pass the stopping test, run on
-    the level-k restriction alone.
-
-    Restriction commutes with T: the restriction A_j to level k that
-    application j reads is the (j-1)-th iterate of T on level k, from
-    zero, bit for bit.  Level-k entries are level-m entries, so the
-    level-k change of an application bounds its level-m change from
-    below.  A is iterated in place in `a` until application J, the first
-    whose level-k change is <= tol (or whose restriction to level k-N is
-    that of J-1).  Leaves A_{J-1} in `a`, rebuilt from the restriction
-    that application J-2 read, and returns J-1: applications 1 to J-1 all
-    change the level-m values by more than tol.
-    """
-    c = k - model.n
-    idx = fg.restriction(c, k)
-    a[...] = 0.0
-    kept = []  # the restrictions of the last three applications, oldest first
-    j = 0
-    while True:
-        j += 1
-        b = kept.pop(0) if len(kept) == 3 else np.empty((len(idx),) * 2)
-        _gather(a, idx, b)
-        unchanged = bool(kept) and np.array_equal(b.view(np.uint64), kept[-1].view(np.uint64))
-        kept.append(b)
-        if unchanged or _apply_in_place(model, fg, c, b, a, tol):
-            break
-        if j > 100000:
-            raise RuntimeError("fixed-point iteration failed to converge")
-    if j == 2:
-        a[...] = 0.0
-    elif j > 2:
-        level_step(model, fg, c, kept[-3], a)
-    return j - 1
-
-
 def solve_fixed_point(model: FifModel, depth: int, tol: float) -> GridFunction:
     """Iterate T from the zero grid function until the sup change is <= tol.
 
-    The geometric contraction rate bounds the iteration count by
-    log(tol / f_sup_bound) / log(alpha_sup) + 1.  An application reads
-    only the restriction A of the values to level k = m-N.  While the
-    change of A exceeds tol, so does the change of the values, and those
-    applications run on the 9^-N-sized A alone (`_fast_forward`); the
-    value matrix is allocated only then, so the call peaks no higher than
-    product_values, and written once, with the last of them.  The rest
-    run T in place on the one value matrix: A is copied into its own
-    matrix, then each entry is overwritten once, by its owning cell-pair
-    (grids.step_blocks), and compared with its old value only until one
-    has changed by more than tol, which already decides the test.  When
-    A is the previous A bit for bit, T maps the values to themselves: the
-    application counts, with change 0, and runs no step.  Values and the
+    Restriction commutes with T, so level L of the iterate T^j 0 is T^j 0
+    on level L alone, and its change bounds the change at level m from
+    below.  The loop runs level by level, L = N, 2N, ..., m: level L
+    starts at application j, the one that stopped level L-N (j = 1 at
+    level N), entering with T^(j-1) 0, the level step run j-1 times from
+    zeros at level L-(j-1)N.  An application gathers the level L-N
+    restriction and, unless it is the previous one bit for bit (then T
+    maps the values to themselves: change 0), overwrites the values in
+    place (_apply_in_place).  From application L/N on that restriction is
+    exact, so each level stops by application L/N + 1.  Values and the
     result's `iterations`, the number of applications, are those of the
-    plain iteration g -> T g bit for bit.
+    plain iteration g -> T g bit for bit; the peak is product_values'.
     """
     if tol <= 0:
         raise PreconditionError("tolerance must be positive")
     _check_depth(model, depth)
+    n = model.n
     fg = FactorGrid(depth)
-    k = depth - model.n
-    idx = fg.restriction(k, depth)
-    f = np.empty((len(idx),) * 2)
-    iterations = 0
-    if k >= model.n:
-        iterations = _fast_forward(model, fg, k, f, tol)
-    g = GridFunction(model, depth, grid=fg)
-    if iterations:
-        level_step(model, fg, k, f, g.values)
-    while True:
-        iterations += 1
-        if _gather(g.values, idx, f, same=iterations > 1):
-            break
-        if _apply_in_place(model, g.grid, k, f, g.values, tol):
-            break
-        if iterations > 100000:
+    j = 1
+    for level in range(n, depth + 1, n):
+        start = level - (j - 1) * n
+        values = np.zeros((vertex_count(start),) * 2)  # frees the previous level's values
+        values = level_steps(model, fg, start, level, values)
+        idx = fg.restriction(level - n, level)
+        f = np.empty((len(idx),) * 2)
+        first = j
+        for j in range(first, level // n + 2):
+            if _gather(values, idx, f, same=j > first):
+                break
+            if _apply_in_place(model, fg, level - n, f, values, tol):
+                break
+        else:
             raise RuntimeError("fixed-point iteration failed to converge")
-    g.iterations = iterations
+        del f  # not held beside the next level's entry
+    g = GridFunction(model, depth, values, grid=fg)
+    g.iterations = j
     return g
 
 
@@ -331,17 +293,6 @@ class GraphSamples:
     t: np.ndarray
     s: np.ndarray
     value: np.ndarray
-
-    @classmethod
-    def of(cls, samples) -> "GraphSamples":
-        """`samples` itself when it is a GraphSamples; otherwise the arrays
-        of an iterable of GraphSample, built once."""
-        if isinstance(samples, cls):
-            return samples
-        rows = np.array(
-            [(*sm.t, *sm.s, sm.value) for sm in samples], dtype=float
-        ).reshape(-1, 5)
-        return cls(rows[:, 0:2], rows[:, 2:4], rows[:, 4])
 
     def __len__(self) -> int:
         return len(self.value)
@@ -442,9 +393,7 @@ def write_graph_csv(path, count: int, rows) -> None:
             fh.write(format_17g(rows(lo, min(lo + _CSV_BLOCK_ROWS, count))))
 
 
-def samples_to_csv(samples, path) -> None:
-    """Write graph samples, a GraphSamples or an iterable of GraphSample,
-    with `write_graph_csv`."""
-    samples = GraphSamples.of(samples)
+def samples_to_csv(samples: GraphSamples, path) -> None:
+    """Write graph samples with `write_graph_csv`."""
     cols = (samples.t, samples.s, samples.value[:, None])
     write_graph_csv(path, len(samples), lambda lo, hi: np.hstack([c[lo:hi] for c in cols]))

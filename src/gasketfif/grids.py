@@ -23,11 +23,11 @@ if TYPE_CHECKING:
 #: bytes one level's value matrix may take: depth 7 (86 MB) fits, depth 8 (775 MB) does not.
 #: The calls under it hold more, in level-m matrices: product_values 1 + 9^-N
 #: (the level m-N values it steps from), solve_fixed_point 1 + 9^-N (its copy
-#: of the restriction; while it iterates that copy alone, before the values
-#: exist, 9^-N + 3 * 81^-N), 97 MB for both at depth 7, N=1, oscillation
-#: 2 * 9^-N (the level m-N values and one image block of the last step) plus
-#: its 9^n-entry table; box_count holds 2^16 table entries at a time beside
-#: the table (1.0 MB at level 7).
+#: of the restriction, or the level m-N values its entry to level m steps
+#: from), 97 MB for both at depth 7, N=1, oscillation 2 * 9^-N (the level
+#: m-N values and one image block of the last step) plus its 9^n-entry
+#: table; box_count holds 2^16 table entries at a time beside the table
+#: (1.0 MB at level 7).
 GRID_BYTES = 2**28
 
 
@@ -266,6 +266,16 @@ def level_step(
     return out
 
 
+def level_steps(
+    model: FifModel, fg: FactorGrid, k: int, depth: int, f: np.ndarray
+) -> np.ndarray:
+    """The level steps from the level-k values f up to level `depth`, each
+    into a new matrix; f itself when k == depth."""
+    for k in range(k, depth, model.n):
+        f = level_step(model, fg, k, f, np.empty((len(fg.lam[k + model.n]),) * 2))
+    return f
+
+
 def product_values(model: FifModel, depth: int):
     """Exact values of f at all depth-`depth` product vertices, any depth >= 1.
 
@@ -284,6 +294,4 @@ def product_values(model: FifModel, depth: int):
         data_fg, _, data = product_values(model, n)
         idx = data_fg.restriction(start, n)
         f = data[np.ix_(idx, idx)]
-    for k in range(start, depth, n):
-        f = level_step(model, fg, k, f, np.empty((len(fg.lam[k + n]),) * 2))
-    return fg, fg, f
+    return fg, fg, level_steps(model, fg, start, depth, f)

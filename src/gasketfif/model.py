@@ -401,8 +401,11 @@ def perturb_shift(
     """Copy of the model with one shift corner value perturbed.
 
     Breaks junction compatibility on purpose; used by diagnostics and
-    tests, never by construction.
+    tests, never by construction.  i and j, the corner's row and column,
+    are 1, 2 or 3; anything else raises ValueError.
     """
+    if not (1 <= i <= 3 and 1 <= j <= 3):
+        raise ValueError(f"corner ({i}, {j}) is not in 1..3 x 1..3")
     shift = dict(model.shift)
     c = np.array(shift[(omega, eta)])
     c[i - 1, j - 1] += delta

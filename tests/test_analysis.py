@@ -278,7 +278,6 @@ class TestBoxCount:
         samples = chaos_game(model, count, seed)
         want = scalar_cloud_count(model, samples, level)
         assert box_count_cloud(model, samples, level) == want
-        assert box_count_cloud(model, list(samples), level) == want
 
     def test_cloud_level_limit(self, ref03):
         # level 19 is the deepest whose cell-pair codes 9^n fit in int64

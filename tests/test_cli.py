@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -433,6 +434,21 @@ class TestCheck:
         cfg = write_config(tmp_path, config_dict())
         assert main(["check", "-c", cfg, "--corrupt", f"1|2|2|1|{delta}"]) == 1
         assert "FAIL compatibility" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("corner", ["0|1", "4|1", "-1|1", "1|0", "1|4", "1|-1"])
+    def test_corner_out_of_range_is_a_usage_error(self, tmp_path, capsys, corner):
+        # 0 and -1 would index a corner from the end, 4 past it
+        cfg = write_config(tmp_path, config_dict())
+        assert main(["check", "-c", cfg, "--corrupt", f"1|2|{corner}|0.1"]) == 6
+        err = capsys.readouterr().err
+        assert "bad --corrupt spec" in err and "Traceback" not in err
+
+    def test_non_finite_corner_warns_nothing(self, tmp_path):
+        # 0 * inf is NaN in the bilinear forms; the FAIL lines report it
+        cfg = write_config(tmp_path, config_dict())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "-c", cfg, "--corrupt", "1|2|2|1|inf"]) == 1
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_functional_equation_exact_on_a_far_skinny_gasket(self, tmp_path, capsys, n):
