@@ -60,8 +60,6 @@ from .model import (
     ScalingField,
     build_model,
     check_compatibility,
-    eval_scaling,
-    eval_shift,
     perturb_shift,
 )
 from .reference import (

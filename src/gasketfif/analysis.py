@@ -96,16 +96,11 @@ class OscillationTable:
         self.values = values
         self.samples_per_cell = samples_per_cell
 
-    word_index = staticmethod(word_index)
-
     def r(self, omega: str, eta: str) -> float:
-        return float(self.values[self.word_index(omega), self.word_index(eta)])
+        return float(self.values[word_index(omega), word_index(eta)])
 
     def max(self) -> float:
         return float(self.values.max())
-
-    def total(self) -> float:
-        return float(self.values.sum())
 
 
 def refinement_depth(samples_per_cell: int) -> int:

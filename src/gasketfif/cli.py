@@ -29,7 +29,7 @@ from .grids import product_values
 from .model import (
     DataSet,
     ScalingField,
-    _bilinear,
+    _bilinear9,
     build_model,
     check_compatibility,
     perturb_shift,
@@ -340,6 +340,7 @@ def _run_checks(model) -> list:
     # own, not a round trip through plane points
     rng = np.random.default_rng(7)
     words = words_of_length(model.n)
+    table = model.cell_table
     tol = 1e-9 * (1.0 + model.f_sup_bound)
     worst = 0.0
     for _ in range(200):
@@ -347,16 +348,15 @@ def _run_checks(model) -> list:
         ws = "".join(rng.choice(list("123"), size=rng.integers(0, 4)))
         at = Address(wt, int(rng.integers(1, 4)))
         bs = Address(ws, int(rng.integers(1, 4)))
-        omega = words[rng.integers(0, len(words))]
-        eta = words[rng.integers(0, len(words))]
+        i, j = rng.integers(0, len(words)), rng.integers(0, len(words))
+        c = i * len(words) + j
         lam, mu = address_bary(at), address_bary(bs)
-        lhs = evaluator.eval_exact(model, Address(omega + at.word, at.corner),
-                                   Address(eta + bs.word, bs.corner))
-        rhs = (
-            _bilinear(model.scaling.cell(omega, eta), lam, mu)
-            * evaluator.eval_exact(model, at, bs)
-            + _bilinear(model.shift[(omega, eta)], lam, mu)
-        )
+        lhs = evaluator.eval_exact(model, Address(words[i] + at.word, at.corner),
+                                   Address(words[j] + bs.word, bs.corner))
+        alpha = table.alpha_rows[c]
+        if type(alpha) is not float:
+            alpha = _bilinear9(alpha, lam, mu)
+        rhs = alpha * evaluator.eval_exact(model, at, bs) + _bilinear9(table.shift_rows[c], lam, mu)
         worst = np.maximum(worst, abs(lhs - rhs))  # max() would drop a NaN
     check("functional-equation", worst <= tol, f"residual {worst:.3e}")
 

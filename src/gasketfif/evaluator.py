@@ -17,7 +17,7 @@ from .errors import PreconditionError
 from .fileio import atomic_open, format_17g
 from .gasket import MAX_DESCENT_DEPTH, Address, descend, vertex_count
 from .grids import FactorGrid, check_grid_bytes, level_step, level_steps, step_blocks, word_index
-from .model import FifModel, _bilinear, _bilinear9, _bilinear_form
+from .model import FifModel, _bilinear9, _bilinear_form
 
 
 def eval_exact(model: FifModel, addr_t: Address, addr_s: Address) -> float:
@@ -164,7 +164,7 @@ class GridFunction:
         cells = self.grid.cells[self.depth]
         rows, cols = cells[word_index(w1)], cells[word_index(w2)]
         corner = self.values[np.ix_(rows, cols)]
-        return _bilinear(corner, lams[-1], mus[-1])
+        return float(_bilinear_form(corner, lams[-1], mus[-1]))
 
     def _on_grid(self, model: FifModel, values: np.ndarray) -> "GridFunction":
         """A grid function of `model` on this one's grids."""

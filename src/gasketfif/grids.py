@@ -172,9 +172,9 @@ def _row_chunks(rows: int) -> list:
     return list(zip(starts, starts[1:] + [rows]))
 
 
-def _image_chunks(model: FifModel, lam, lamt, f: np.ndarray, w1: str, w2: str, h, out):
-    """The image block alpha_w f + h_w of the cell-pair (w1, w2), one
-    chunk of rows (_row_chunks) at a time.
+def _image_chunks(model: FifModel, lam, lamt, f: np.ndarray, c: int, h, out):
+    """The image block alpha_w f + h_w of the cell-pair in row c of the
+    model's cell_table, one chunk of rows (_row_chunks) at a time.
 
     lam and lamt are the level-k barycentrics and their transpose, f the
     level-k values.  Yields (lo, hi, rows) with rows the block's rows
@@ -182,9 +182,12 @@ def _image_chunks(model: FifModel, lam, lamt, f: np.ndarray, w1: str, w2: str, h
     written in place, or one chunk, which the next reuses; h is scratch of
     one chunk.
     """
-    shift = lam @ model.shift[(w1, w2)]
-    sc = model.scaling.cell(w1, w2)
-    scale = None if np.isscalar(sc) else lam @ sc
+    table = model.cell_table
+    # unit-stride copies of the (3, 3) slices, so that matmul calls BLAS
+    shift = lam @ np.ascontiguousarray(table.shift[:, :, c])
+    sc, scale = table.alpha[c], None
+    if table.is_tensor[c]:
+        scale = lam @ np.ascontiguousarray(table.alpha_tensor[:, :, c])
     whole = len(out) == len(f)
     for lo, hi in _row_chunks(len(f)):
         hb = h[: hi - lo]
@@ -212,16 +215,17 @@ def step_blocks(model: FifModel, fg: FactorGrid, k: int, f: np.ndarray):
     values there; every entry is in exactly one rectangle, in no fixed
     order.  block is a view of a buffer that the next rectangle reuses.
     """
-    words, lam = words_of_length(model.n), fg.lam[k]
+    lam = fg.lam[k]
     # each owned part of an index map L_w is a few runs of consecutive
     # indices (FactorGrid numbers the images of L_1, L_2, L_3 in turn), so a
     # block is written as a few rectangular slices, not element by element
     runs = fg.owned_runs(k, model.n)
     h = np.empty((_STEP_ROWS + 1, f.shape[1]))
     block = np.empty_like(h)
-    for i, w1 in enumerate(words):
-        for j, w2 in enumerate(words):
-            for lo, hi, bb in _image_chunks(model, lam, lam.T, f, w1, w2, h, block):
+    nw = 3**model.n
+    for i in range(nw):
+        for j in range(nw):
+            for lo, hi, bb in _image_chunks(model, lam, lam.T, f, i * nw + j, h, block):
                 for a0, a1, r0 in runs[i]:
                     x0, x1 = max(a0, lo), min(a1, hi)
                     if x0 >= x1:
@@ -246,12 +250,13 @@ def image_blocks(model: FifModel, fg: FactorGrid, k: int, f: np.ndarray):
     the owner reads too.  So every entry of block equals the level-(k+N)
     value, not only the owned ones.
     """
-    words, lam = words_of_length(model.n), fg.lam[k]
+    lam = fg.lam[k]
     h = np.empty((_STEP_ROWS + 1, f.shape[1]))
     block = np.empty_like(f)
-    for i, w1 in enumerate(words):
-        for j, w2 in enumerate(words):
-            for _ in _image_chunks(model, lam, lam.T, f, w1, w2, h, block):
+    nw = 3**model.n
+    for i in range(nw):
+        for j in range(nw):
+            for _ in _image_chunks(model, lam, lam.T, f, i * nw + j, h, block):
                 pass
             yield i, j, block
 

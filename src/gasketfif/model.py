@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .gasket import (
     Address,
     GasketSpec,
     address_bary,
-    bary_f,
     canonicalize,
     enumerate_vertices,
     standard_gasket,
@@ -124,38 +123,24 @@ class ScalingField:
                             f"corner tensor for {w1}|{w2} must be 3x3, got {arr.shape}"
                         )
                     cells[(w1, w2)] = arr
+        for key in mapping:
+            if key not in cells:
+                name = "|".join(map(str, key)) if isinstance(key, tuple) else key
+                raise ValidationError(f"scaling key {name} is not a cell-pair of length {n}")
         return cls(n, cells)
-
-    def cell(self, omega: str, eta: str):
-        return self.cells[(omega, eta)]
-
-    def sup(self) -> float:
-        # bilinear forms attain their sup at corner pairs, so this is exact
-        out = 0.0
-        for v in self.cells.values():
-            m = abs(v) if np.isscalar(v) else float(np.max(np.abs(v)))
-            out = max(out, m)
-        return out
-
-    def corner_range(self) -> float:
-        out = 0.0
-        for v in self.cells.values():
-            if not np.isscalar(v):
-                out = max(out, float(np.max(v) - np.min(v)))
-        return out
 
 
 @dataclass(frozen=True)
 class FifModel:
-    """Immutable, fully assembled interpolation system with its derived
-    constants."""
+    """Immutable, fully assembled interpolation system: its cell-pair maps
+    in `cell_table` and its derived constants."""
 
     gasket1: GasketSpec
     gasket2: GasketSpec
     n: int
     scaling: ScalingField
-    shift: dict = field(compare=False)  # (omega, eta) -> 3x3 corner values
     data: DataSet = field(compare=False)
+    cell_table: "CellTable" = field(compare=False)
     a: float = 0.0
     alpha_sup: float = 0.0
     shift_sup: float = 0.0
@@ -163,16 +148,10 @@ class FifModel:
     k_h: float = 0.0
     k_alpha: float = 0.0
 
-    # a cached property, not a field: dataclasses.replace (perturb_shift)
-    # must not carry a table built from the old shift into the new model
-    @cached_property
-    def cell_table(self) -> "CellTable":
-        return CellTable.build(self)
-
 
 @dataclass(frozen=True, eq=False)
 class CellTable:
-    """The cell-pair maps of a model in one flat table.
+    """The cell-pair maps of a model in one flat table, their only store.
 
     Row c = i1 * 3**N + i2 holds the cell-pair (words[i1], words[i2]),
     with words in `words_of_length` order and `index` mapping a word to
@@ -194,31 +173,28 @@ class CellTable:
     alpha_rows: tuple  # C entries: a float, or a tuple of 9 corner values
 
     @classmethod
-    def build(cls, model: "FifModel") -> "CellTable":
-        words = words_of_length(model.n)
-        pairs = [(w1, w2) for w1 in words for w2 in words]
-        shift = np.stack([model.shift[p] for p in pairs], axis=-1)
-        cells = [model.scaling.cell(*p) for p in pairs]
-        is_tensor = np.array([not np.isscalar(v) for v in cells])
-        zero = np.zeros((3, 3))
+    def build(
+        cls, n: int, shift: np.ndarray, alpha: np.ndarray, is_tensor: np.ndarray
+    ) -> "CellTable":
+        """The table of the (3, 3, C) corner values `shift` and `alpha`,
+        where a constant cell (not is_tensor) fills its 3x3 of alpha."""
+        words = words_of_length(n)
         # L_w(p_1) less its 2^-N e_1 term: a dyadic difference, so exact
         offset = np.array([address_bary(Address(w, 1)) for w in words]).T
-        offset[0] -= 0.5**model.n
+        offset[0] -= 0.5**n
+        alpha_rows = alpha.reshape(9, -1).T.tolist()
         return cls(
             index={w: i for i, w in enumerate(words)},
             offset=offset,
             offset_rows=tuple(map(tuple, offset.T.tolist())),
             shift=shift,
-            alpha=np.array([0.0 if t else v for v, t in zip(cells, is_tensor)]),
-            alpha_tensor=np.stack(
-                [v if t else zero for v, t in zip(cells, is_tensor)], axis=-1
-            ),
+            alpha=np.where(is_tensor, 0.0, alpha[0, 0]),
+            alpha_tensor=np.where(is_tensor, alpha, 0.0),
             is_tensor=is_tensor,
             any_tensor=bool(is_tensor.any()),
-            shift_rows=tuple(tuple(model.shift[p].ravel().tolist()) for p in pairs),
+            shift_rows=tuple(map(tuple, shift.reshape(9, -1).T.tolist())),
             alpha_rows=tuple(
-                tuple(v.ravel().tolist()) if t else float(v)
-                for v, t in zip(cells, is_tensor)
+                tuple(v) if t else v[0] for v, t in zip(alpha_rows, is_tensor.tolist())
             ),
         )
 
@@ -245,17 +221,20 @@ def build_model(
         raise ValidationError(
             f"scaling field depth {scaling.n} does not match data depth {data.n}"
         )
-    stacked = np.empty((len(scaling.cells), 3, 3))
-    for c, v in enumerate(scaling.cells.values()):
-        stacked[c] = v  # a constant fills its 3x3
-    bad = ~np.isfinite(stacked).all(axis=(1, 2))
+    n = data.n
+    words = words_of_length(n)
+    pairs = [(w1, w2) for w1 in words for w2 in words]
+    stacked = np.empty((3, 3, len(pairs)))
+    for c, p in enumerate(pairs):
+        stacked[:, :, c] = scaling.cells[p]  # a constant fills its 3x3
+    is_tensor = np.array([not np.isscalar(scaling.cells[p]) for p in pairs])
+    bad = ~np.isfinite(stacked).all(axis=(0, 1))
     if bad.any():
-        w1, w2 = list(scaling.cells)[int(np.argmax(bad))]
+        w1, w2 = pairs[int(np.argmax(bad))]
         raise ValidationError(f"scaling on cell-pair {w1}|{w2} is not finite")
-    alpha_sup = scaling.sup()
+    alpha_sup = float(abs(stacked).max())  # a bilinear form's sup is at a corner pair
     if alpha_sup >= 1.0:
         raise ContractionError(f"scaling sup norm {alpha_sup} must be < 1")
-    n = data.n
     fg = FactorGrid(n)
     z = np.empty((vertex_count(n),) * 2)
     written = np.zeros(z.shape, dtype=bool)
@@ -278,13 +257,11 @@ def build_model(
         i, j = np.argwhere(~written)[0]
         name = _vertex_names(fg)
         raise ValidationError(f"missing data for vertex {name[i]}|{name[j]}")
-    cells = fg.cells[n]
-    # corners[i, :, j, :] is z on the corners of the i-th and j-th cells
-    corners = z[cells[:, :, None, None], cells[None, None, :, :]]
+    cells = fg.cells[n].T
+    # corners[a, b, i * 3**n + j] is z on corner a of the i-th cell and corner b of the j-th
+    corners = z[cells[:, None, :, None], cells[None, :, None, :]].reshape(3, 3, -1)
     corners.setflags(write=False)
-    words = list(enumerate(words_of_length(n)))
-    shift = {(w1, w2): corners[i, :, j, :] for i, w1 in words for j, w2 in words}
-    k_h_range = float((corners.max(axis=(1, 3)) - corners.min(axis=(1, 3))).max())
+    k_h_range = float((corners.max(axis=(0, 1)) - corners.min(axis=(0, 1))).max())
     shift_sup = float(np.max(np.abs(z)))
     min_sep = min(g1.min_side, g2.min_side)
     return FifModel(
@@ -292,21 +269,15 @@ def build_model(
         gasket2=g2,
         n=n,
         scaling=scaling,
-        shift=shift,
         data=data,
+        cell_table=CellTable.build(n, corners, stacked, is_tensor),
         a=2.0**-n,
         alpha_sup=alpha_sup,
         shift_sup=shift_sup,
         f_sup_bound=shift_sup / (1.0 - alpha_sup),
         k_h=k_h_range / min_sep,
-        k_alpha=scaling.corner_range() / min_sep,
+        k_alpha=float(np.ptp(stacked, axis=(0, 1)).max()) / min_sep,
     )
-
-
-def _bilinear(cell, lam, mu) -> float:
-    if np.isscalar(cell):
-        return float(cell)
-    return float(_bilinear_form(cell, lam, mu))
 
 
 def _bilinear_form(cell, lam, mu):
@@ -329,20 +300,6 @@ def _bilinear9(c, lam, mu) -> float:
         + lam[1] * (c[3] * m0 + c[4] * m1 + c[5] * m2)
         + lam[2] * (c[6] * m0 + c[7] * m1 + c[8] * m2)
     )
-
-
-def eval_scaling(model: FifModel, omega: str, eta: str, t, s) -> float:
-    """alpha_{omega eta}(t, s) for preimage coordinates (t, s)."""
-    lam = bary_f(model.gasket1, float(t[0]), float(t[1]))
-    mu = bary_f(model.gasket2, float(s[0]), float(s[1]))
-    return _bilinear(model.scaling.cell(omega, eta), lam, mu)
-
-
-def eval_shift(model: FifModel, omega: str, eta: str, t, s) -> float:
-    """h_{omega eta}(t, s) for preimage coordinates (t, s)."""
-    lam = bary_f(model.gasket1, float(t[0]), float(t[1]))
-    mu = bary_f(model.gasket2, float(s[0]), float(s[1]))
-    return _bilinear(model.shift[(omega, eta)], lam, mu)
 
 
 #: the largest junction discrepancy check_compatibility accepts
@@ -406,9 +363,9 @@ def perturb_shift(
     """
     if not (1 <= i <= 3 and 1 <= j <= 3):
         raise ValueError(f"corner ({i}, {j}) is not in 1..3 x 1..3")
-    shift = dict(model.shift)
-    c = np.array(shift[(omega, eta)])
-    c[i - 1, j - 1] += delta
-    c.setflags(write=False)
-    shift[(omega, eta)] = c
-    return replace(model, shift=shift)
+    table = model.cell_table
+    shift = table.shift.copy()
+    shift[i - 1, j - 1, table.index[omega] * len(table.index) + table.index[eta]] += delta
+    shift.setflags(write=False)
+    alpha = np.where(table.is_tensor, table.alpha_tensor, table.alpha)
+    return replace(model, cell_table=CellTable.build(model.n, shift, alpha, table.is_tensor))

@@ -31,7 +31,8 @@ from gasketfif.gasket import (
     enumerate_vertices,
     standard_gasket,
 )
-from gasketfif.model import check_compatibility, eval_scaling, eval_shift
+from gasketfif.model import check_compatibility
+from oracles import eval_scaling, eval_shift
 
 SPEC = standard_gasket()
 PRODUCT_DIM = 2.0 * math.log(3.0) / math.log(2.0)

@@ -233,7 +233,7 @@ class TestBoxCount:
         # from the per-cell ceiling
         tab = oscillation(ref03, 3)
         rec = box_count(ref03, 3, tab)
-        assert rec.count <= 2 * 9**3 + 2**3 * tab.total() / ref03.gasket1.side
+        assert rec.count <= 2 * 9**3 + 2**3 * tab.values.sum() / ref03.gasket1.side
 
     def test_holds_less_than_its_table(self):
         # the stacks are summed a chunk of rows at a time, with no

@@ -133,6 +133,17 @@ class TestBuild:
         raw["scaling"] = {"cells": {"1|1": "x"}}
         assert main(["build", "-c", write_config(tmp_path, raw)]) == 7
 
+    @pytest.mark.parametrize("verb", ["build", "check"])
+    def test_unknown_scaling_key_exit_code(self, tmp_path, capsys, verb):
+        # the nine cell-pairs of N=1 and two keys that name none of them
+        raw = config_dict()
+        cells = {f"{a}|{b}": 0.3 for a in "123" for b in "123"}
+        raw["scaling"] = {"cells": {**cells, "4|1": 5.0, "12|3": 0.99}}
+        assert main([verb, "-c", write_config(tmp_path, raw)]) == 2
+        out = capsys.readouterr()
+        assert "scaling key 4|1 is not a cell-pair of length 1" in out.err
+        assert out.out == ""
+
     def test_depth_above_enumeration_limit(self, tmp_path, capsys):
         # refused before the 9^n-entry scaling field is built
         raw = config_dict()

@@ -38,13 +38,11 @@ from gasketfif.gasket import (
 from gasketfif.grids import product_values
 from gasketfif.model import (
     ScalingField,
-    _bilinear,
     build_model,
-    eval_scaling,
-    eval_shift,
     perturb_shift,
     words_of_length,
 )
+from oracles import eval_scaling, eval_shift, scaling_at, shift_at
 
 SPEC = standard_gasket()
 SKEWED = GasketSpec(((0.1, 0.2), (1.3, -0.1), (0.4, 1.1)))
@@ -352,8 +350,8 @@ def rb_apply_oracle(model, g):
     pulls = pullbacks(g.grid)
     for i, w1, pi, lam in pulls:
         for j, w2, pj, mu in pulls:
-            alpha = _bilinear(model.scaling.cell(w1, w2), lam, mu)
-            h = _bilinear(model.shift[(w1, w2)], lam, mu)
+            alpha = scaling_at(model, w1, w2, lam, mu)
+            h = shift_at(model, w1, w2, lam, mu)
             res[i, j] = alpha * g.values[pi, pj] + h
     return res
 
@@ -566,9 +564,9 @@ class TestSolveFixedPoint:
 
     @pytest.mark.parametrize("kind", ["constant", "tensor", "zero"])
     @pytest.mark.parametrize("n, depth", [(1, 5), (1, 6), (2, 4), (2, 6), (3, 6)])
-    def test_fast_forward_equals_the_two_buffer_iteration(self, n, depth, kind):
-        # the coarse phase stops on the level-k change, a lower bound for
-        # the level-m one; a tol equal to a change of the plain iteration,
+    def test_level_loop_equals_two_buffer_iteration(self, n, depth, kind):
+        # each level stops on its own change, a lower bound for the
+        # level-m one; a tol equal to a change of the plain iteration,
         # or one ulp either side of it, is where the two could disagree
         model = {
             "constant": lambda: gf.random_model(n, 3),
@@ -717,8 +715,7 @@ def scalar_chaos_game(model, count, seed, burn_in):
         lam, mu, x = (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0
         for step, c in enumerate(draws):
             w1, w2 = words[c[o] // nw], words[c[o] % nw]
-            x = (_bilinear(model.scaling.cell(w1, w2), lam, mu) * x
-                 + _bilinear(model.shift[(w1, w2)], lam, mu))
+            x = scaling_at(model, w1, w2, lam, mu) * x + shift_at(model, w1, w2, lam, mu)
             lam = tuple(v * scale + a for v, a in zip(lam, offset[w1]))
             mu = tuple(v * scale + a for v, a in zip(mu, offset[w2]))
             if step >= burn_in:

@@ -20,11 +20,10 @@ from gasketfif.model import (
     ScalingField,
     build_model,
     check_compatibility,
-    eval_scaling,
-    eval_shift,
     perturb_shift,
     words_of_length,
 )
+from oracles import eval_scaling, eval_shift, shift_corners
 
 SPEC = standard_gasket()
 P = SPEC.corner_array
@@ -66,7 +65,7 @@ class TestBuildModel:
 
     def test_bump_keys_into_expected_cell(self, ref03):
         # z = 0.5 at (1@2, 1@2) must land at corner (2,2) of cell (1,1)
-        c = ref03.shift[("1", "1")]
+        c = shift_corners(ref03, "1", "1")
         assert c[1, 1] == 0.5
         assert np.count_nonzero(c) == 1
 
@@ -86,7 +85,8 @@ class TestBuildModel:
         # the shift for cell (w1, w2) takes base-domain arguments, so its
         # corner values at (p_i, q_j) must reproduce the stored tensor
         m = gf.random_model(2, seed=5)
-        for (w1, w2), c in m.shift.items():
+        for w1, w2 in itertools.product(words_of_length(2), repeat=2):
+            c = shift_corners(m, w1, w2)
             for i in (1, 2, 3):
                 for j in (1, 2, 3):
                     assert eval_shift(m, w1, w2, P[i - 1], Q[j - 1]) == pytest.approx(
@@ -165,6 +165,15 @@ class TestBuildModel:
         with pytest.raises(ValidationError, match="cell-pair 1[|]2 is not finite"):
             build_model(gf.random_dataset(1, 0), ScalingField.from_cells(cells, 1))
 
+    @pytest.mark.parametrize("key", [("4", "1"), ("12", "3"), ("1", ""), ("11", "22")])
+    def test_unknown_scaling_key_refused(self, key):
+        # every cell-pair is there, and the extra key names none of length 1
+        cells = {(w1, w2): 0.2 for w1 in "123" for w2 in "123"}
+        cells[key] = 0.5
+        msg = f"scaling key {key[0]}|{key[1]} is not a cell-pair of length 1"
+        with pytest.raises(ValidationError, match=re.escape(msg)):
+            ScalingField.from_cells(cells, 1)
+
     def test_index_of_once_per_distinct_address(self, monkeypatch):
         # an address occurs in 2 V(N) pairs, but is looked up once
         calls = []
@@ -215,10 +224,10 @@ def test_data_read_matches_canonical_addresses(n, kind):
         )
     model = build_model(data, scaling, g1)
     shift, shift_sup, k_h = canonical_read(data, g1, standard_gasket())
-    assert model.shift.keys() == shift.keys()
+    assert model.cell_table.shift.shape == (3, 3, len(shift))
     for key, c in shift.items():
-        assert np.array_equal(bits(model.shift[key]), bits(c))
-        assert not model.shift[key].flags.writeable
+        assert np.array_equal(bits(shift_corners(model, *key)), bits(c))
+    assert not model.cell_table.shift.flags.writeable
     assert bits(model.shift_sup) == bits(shift_sup)
     assert bits(model.k_h) == bits(k_h)
 
@@ -267,7 +276,7 @@ class TestEvalShift:
         # cell (2,2) has all nine corners interior-valued? no: corners of
         # cell 2 include the bare corner p2 -> mixed; use centroid of the
         # interior-heavy evaluation instead via direct bilinear identity
-        c = m.shift[("2", "3")]
+        c = shift_corners(m, "2", "3")
         lam = np.array([0.2, 0.5, 0.3])
         mu = np.array([0.1, 0.6, 0.3])
         t = lam @ P
@@ -304,7 +313,7 @@ def junction_oracle(model, samples: int = 10) -> float:
     while gf.gasket.vertex_count(level) < samples:
         level += 1
     lam = np.array([gf.address_bary(a) for a in gf.enumerate_vertices(level)[:samples]])
-    sh = model.shift
+    sh = {(a, b): shift_corners(model, a, b) for a in words for b in words}
     worst = 0.0
     for omega, tau, i, j in pairs:
         for eta in words:
@@ -404,7 +413,7 @@ class TestCompatibility:
     def test_any_delta(self, delta, corner):
         m = random_n1()
         w1, w2, a, b = corners(1)[corner]
-        z = m.shift[(w1, w2)][a - 1, b - 1]
+        z = shift_corners(m, w1, w2)[a - 1, b - 1]
         bad = perturb_shift(m, w1, w2, a, b, delta)
         rep = check_compatibility(bad)
         flagged = [desc for desc, _ in rep.violations]
