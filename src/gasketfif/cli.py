@@ -310,6 +310,12 @@ def cmd_check(args):
     return EXIT_OK if not failures else EXIT_CHECK_FAILED
 
 
+def _random_word(rng, size) -> str:
+    """A word of `size` random letters: the draws of rng.choice(list("123"),
+    size=size), from the same stream, with no array of strings."""
+    return "".join(["123"[i] for i in rng.integers(0, 3, size=size).tolist()])
+
+
 def _run_checks(model) -> list:
     """Run and print the checks of the `check` verb; returns the names of
     those that failed."""
@@ -344,8 +350,8 @@ def _run_checks(model) -> list:
     tol = 1e-9 * (1.0 + model.f_sup_bound)
     worst = 0.0
     for _ in range(200):
-        wt = "".join(rng.choice(list("123"), size=rng.integers(0, 4)))
-        ws = "".join(rng.choice(list("123"), size=rng.integers(0, 4)))
+        wt = _random_word(rng, rng.integers(0, 4))
+        ws = _random_word(rng, rng.integers(0, 4))
         at = Address(wt, int(rng.integers(1, 4)))
         bs = Address(ws, int(rng.integers(1, 4)))
         i, j = rng.integers(0, len(words)), rng.integers(0, len(words))
@@ -362,7 +368,7 @@ def _run_checks(model) -> list:
 
     worst = 0.0
     for _ in range(100):
-        w = "".join(rng.choice(list("123"), size=4))
+        w = _random_word(rng, 4)
         c = int(rng.integers(1, 4))
         corner = int(rng.integers(1, 4))
         v1 = evaluator.eval_exact(model, Address("", corner), Address(w, c))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fileio import atomic_open, format_17g
-from .gasket import MAX_DESCENT_DEPTH, Address, descend, vertex_count
+from .gasket import MAX_DESCENT_DEPTH, Address, _descent_start, descend, vertex_count
 from .grids import FactorGrid, check_grid_bytes, level_step, level_steps, step_blocks, word_index
 from .model import FifModel, _bilinear9, _bilinear_form
 
@@ -58,14 +58,18 @@ def eval_exact(model: FifModel, addr_t: Address, addr_s: Address) -> float:
 def eval_approx(model: FifModel, t, s, k: int) -> tuple:
     """Truncated unrolling of f at an arbitrary point of the product.
 
-    Descends k*N letters into the nested cell chain of (t, s), reading
-    each block's barycentric coordinates off the descent, accumulates the
-    shift contributions, and drops the residual term coeff * f(t', s'),
-    where coeff is the product of the scaling factors along the path.
-    Returns (value, error_bound).  The bound is the a-posteriori
-    |coeff| * f_sup_bound, never above alpha_sup^k * f_sup_bound, plus
-    `_input_rounding_bound`, what the rounding of t and s can move the
-    sum by.  k*N beyond MAX_DESCENT_DEPTH raises PreconditionError.
+    Descends k*N letters into the nested cell chain of (t, s), both
+    factors in one loop, letter by letter, by the rule of `descend`; the
+    block indices i, j build up as base-3 integers.  At the end of each
+    block it adds coeff * h_(i, j)(lam, mu), the shift at the block's
+    barycentrics, and multiplies coeff, the product of the scaling
+    factors along the path, by alpha_(i, j)(lam, mu); the dropped residual
+    is coeff * f(t', s').  Returns (value, error_bound).  The bound is the
+    a-posteriori |coeff| * f_sup_bound, never above alpha_sup^k *
+    f_sup_bound, plus `_input_rounding_bound`, what the rounding of t and
+    s can move the sum by.  k*N beyond MAX_DESCENT_DEPTH raises
+    PreconditionError; a point that `descend` refuses raises its error,
+    t's before s's.
     """
     if k < 1:
         raise PreconditionError("truncation depth k must be >= 1")
@@ -77,21 +81,70 @@ def eval_approx(model: FifModel, t, s, k: int) -> tuple:
             f"resolves at most {MAX_DESCENT_DEPTH} (k <= {MAX_DESCENT_DEPTH // n} "
             f"for N={n})"
         )
-    wt, lams = descend(model.gasket1, t, d)
-    ws, mus = descend(model.gasket2, s, d)
+    l0, l1, l2, neg1 = _descent_start(model.gasket1, t, d)
+    try:
+        m0, m1, m2, neg2 = _descent_start(model.gasket2, s, d)
+    except Exception:
+        descend(model.gasket1, t, d)  # an error of t at any depth comes first
+        raise
     table = model.cell_table
-    index, nw = table.index, len(table.index)
+    nw, shift_rows, alpha_rows = len(table.index), table.shift_rows, table.alpha_rows
     value = 0.0
     coeff = 1.0
-    for lo in range(0, d, n):
-        hi = lo + n
-        c = index[wt[lo:hi]] * nw + index[ws[lo:hi]]
-        lam, mu = lams[hi - 1], mus[hi - 1]
-        value += coeff * _bilinear9(table.shift_rows[c], lam, mu)
-        alpha = table.alpha_rows[c]
-        coeff *= alpha if type(alpha) is float else _bilinear9(alpha, lam, mu)
+    i = j = 0
+    left = n
+    for _ in range(d):
+        neg1 *= 2.0
+        neg2 *= 2.0
+        l0, l1, l2 = 2.0 * l0, 2.0 * l1, 2.0 * l2
+        m0, m1, m2 = 2.0 * m0, 2.0 * m1, 2.0 * m2
+        if l0 - 1.0 >= neg1:
+            l0 -= 1.0
+            i *= 3
+        elif l1 - 1.0 >= neg1:
+            l1 -= 1.0
+            i = 3 * i + 1
+        elif l2 - 1.0 >= neg1:
+            l2 -= 1.0
+            i = 3 * i + 2
+        else:
+            _descent_error(model, t, s, d)
+        if m0 - 1.0 >= neg2:
+            m0 -= 1.0
+            j *= 3
+        elif m1 - 1.0 >= neg2:
+            m1 -= 1.0
+            j = 3 * j + 1
+        elif m2 - 1.0 >= neg2:
+            m2 -= 1.0
+            j = 3 * j + 2
+        else:
+            _descent_error(model, t, s, d)
+        left -= 1
+        if left:
+            continue
+        left = n
+        c = i * nw + j
+        h = shift_rows[c]
+        # _bilinear9(h, lam, mu), its terms in its order
+        value += coeff * (
+            l0 * (h[0] * m0 + h[1] * m1 + h[2] * m2)
+            + l1 * (h[3] * m0 + h[4] * m1 + h[5] * m2)
+            + l2 * (h[6] * m0 + h[7] * m1 + h[8] * m2)
+        )
+        alpha = alpha_rows[c]
+        coeff *= alpha if type(alpha) is float else _bilinear9(alpha, (l0, l1, l2), (m0, m1, m2))
+        i = j = 0
     bound = abs(coeff) * model.f_sup_bound
     return value, bound + _input_rounding_bound(model, k)
+
+
+def _descent_error(model: FifModel, t, s, d: int):
+    """Raise the error of descending t, else that of descending s, to d
+    letters: what eval_approx's fused descent met, in `descend`'s order."""
+    descend(model.gasket1, t, d)
+    descend(model.gasket2, s, d)
+    raise RuntimeError(f"descend accepts the points {tuple(t)}, {tuple(s)}, eval_approx does not")
 
 
 def _input_rounding_bound(model: FifModel, k: int) -> float:

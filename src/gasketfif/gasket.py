@@ -288,6 +288,33 @@ def _window_error(t, depth: int) -> PreconditionError:
     )
 
 
+def _descent_start(spec: GasketSpec, t, depth: int) -> tuple:
+    """The gates of a descent of t to `depth`, before its first letter.
+
+    Returns (l0, l1, l2, neg): lam = bary_f(t) and neg = -eff, the
+    negated starting window.  Raises as `descend` does: DomainError
+    outside the hull, PreconditionError for a window that would exceed
+    MAX_WINDOW, and DomainError at depth 1 when a coordinate lies below
+    -eff: the hull gate admits coordinates down to -SNAP_TOL, far below
+    the window, and no letter accepts them.
+    """
+    x, y = float(t[0]), float(t[1])
+    l0, l1, l2 = bary_f(spec, x, y)
+    if min(l0, l1, l2) < -SNAP_TOL:
+        raise DomainError(f"point {tuple(t)} lies outside the gasket hull")
+    eff = _window_start(spec, x, y)
+    if eff * 2.0**depth > MAX_WINDOW:
+        raise _window_error(t, depth)
+    neg = -eff
+    if not (l0 >= neg and l1 >= neg and l2 >= neg):
+        raise _hole_error(t, 1)
+    return l0, l1, l2, neg
+
+
+def _hole_error(t, depth: int) -> DomainError:
+    return DomainError(f"point {tuple(t)} is not on the gasket at depth {depth}")
+
+
 def descend(spec: GasketSpec, t, depth: int) -> tuple:
     """Symbolic descent of the point t through `depth` nested cells.
 
@@ -300,6 +327,12 @@ def descend(spec: GasketSpec, t, depth: int) -> tuple:
     of lam itself; eff starts at twice a bound on it (`_window_start`,
     MAX_DESCENT_DEPTH) and doubles per level along with it.
 
+    Every coordinate is >= -eff before the first letter
+    (`_descent_start` checks it) and after each accepted one; doubling is
+    exact, so 2 lam_i >= -2 eff holds at the next level already, and
+    the letter is the first a with 2 lam_a - 1 >= -2 eff: one test per
+    candidate letter.
+
     Returns (word, lams): the word of length `depth` and lams[j], the
     barycentric triple of t in its cell after j + 1 letters.  Points
     outside the hull (by more than SNAP_TOL) or in a hole of the gasket
@@ -308,32 +341,23 @@ def descend(spec: GasketSpec, t, depth: int) -> tuple:
     PreconditionError.
     """
     _check_depth(depth)
-    x, y = float(t[0]), float(t[1])
-    l0, l1, l2 = bary_f(spec, x, y)
-    if min(l0, l1, l2) < -SNAP_TOL:
-        raise DomainError(f"point {tuple(t)} lies outside the gasket hull")
-    eff = _window_start(spec, x, y)
-    if eff * 2.0**depth > MAX_WINDOW:
-        raise _window_error(t, depth)
+    l0, l1, l2, neg = _descent_start(spec, t, depth)
     letters = []
     lams = []
-    for _ in range(depth):
-        eff *= 2.0
-        neg = -eff
-        d0, d1, d2 = 2.0 * l0, 2.0 * l1, 2.0 * l2
-        if d0 - 1.0 >= neg and d1 >= neg and d2 >= neg:
+    for level in range(1, depth + 1):
+        neg *= 2.0
+        l0, l1, l2 = 2.0 * l0, 2.0 * l1, 2.0 * l2
+        if l0 - 1.0 >= neg:
             letters.append("1")
-            l0, l1, l2 = d0 - 1.0, d1, d2
-        elif d0 >= neg and d1 - 1.0 >= neg and d2 >= neg:
+            l0 -= 1.0
+        elif l1 - 1.0 >= neg:
             letters.append("2")
-            l0, l1, l2 = d0, d1 - 1.0, d2
-        elif d0 >= neg and d1 >= neg and d2 - 1.0 >= neg:
+            l1 -= 1.0
+        elif l2 - 1.0 >= neg:
             letters.append("3")
-            l0, l1, l2 = d0, d1, d2 - 1.0
+            l2 -= 1.0
         else:
-            raise DomainError(
-                f"point {tuple(t)} is not on the gasket at depth {len(letters) + 1}"
-            )
+            raise _hole_error(t, level)
         lams.append((l0, l1, l2))
     return "".join(letters), lams
 
@@ -350,7 +374,8 @@ def locate_many(spec: GasketSpec, pts, depth: int) -> np.ndarray:
 
     Applies the rule of `descend` to arrays with the same float operations
     in the same order, so row i spells exactly ``locate(spec, pts[i],
-    depth)`` and raises where it raises.
+    depth)`` and raises where it raises; the error names the first row
+    that fails at the shallowest failing level.
     """
     _check_depth(depth)
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
@@ -365,21 +390,20 @@ def locate_many(spec: GasketSpec, pts, depth: int) -> np.ndarray:
     coarse = np.flatnonzero(eff * 2.0**depth > MAX_WINDOW)
     if len(coarse):
         raise _window_error(pts[coarse[0]].tolist(), depth)
+    neg = -eff
+    # rows with a coordinate below -eff: no letter takes them at level 1
+    stray = ~((l0 >= neg) & (l1 >= neg) & (l2 >= neg))
     letters = np.empty((len(pts), depth), dtype=np.int8)
     for level in range(depth):
-        eff = eff * 2.0
-        neg = -eff
+        neg = neg * 2.0
         d0, d1, d2 = 2.0 * l0, 2.0 * l1, 2.0 * l2
-        ok0, ok1, ok2 = d0 >= neg, d1 >= neg, d2 >= neg
-        hit1 = (d0 - 1.0 >= neg) & ok1 & ok2
-        hit2 = ~hit1 & ok0 & (d1 - 1.0 >= neg) & ok2
-        hit3 = ~hit1 & ~hit2 & ok0 & ok1 & (d2 - 1.0 >= neg)
-        missed = np.flatnonzero(~(hit1 | hit2 | hit3))
+        hit1 = d0 - 1.0 >= neg
+        hit2 = ~hit1 & (d1 - 1.0 >= neg)
+        hit3 = ~(hit1 | hit2)
+        missed = np.flatnonzero(hit3 & ~(d2 - 1.0 >= neg) | stray)
         if len(missed):
-            raise DomainError(
-                f"point {tuple(pts[missed[0]].tolist())} is not on the gasket "
-                f"at depth {level + 1}"
-            )
+            raise _hole_error(pts[missed[0]].tolist(), level + 1)
+        stray = False
         letters[:, level] = np.where(hit1, 1, np.where(hit2, 2, 3))
         l0 = np.where(hit1, d0 - 1.0, d0)
         l1 = np.where(hit2, d1 - 1.0, d1)

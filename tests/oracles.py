@@ -1,9 +1,20 @@
-"""Scalar oracles of the cell-pair maps, read one row of FifModel.cell_table
-at a time by word pair."""
+"""Scalar oracles: the cell-pair maps, read one row of FifModel.cell_table
+at a time by word pair, and the sequential descent and truncated
+unrolling that `gasket.descend` and `evaluator.eval_approx` replace."""
 
 import numpy as np
 
-from gasketfif.gasket import bary_f
+from gasketfif.errors import DomainError, PreconditionError
+from gasketfif.evaluator import _input_rounding_bound
+from gasketfif.gasket import (
+    MAX_DESCENT_DEPTH,
+    MAX_WINDOW,
+    SNAP_TOL,
+    _check_depth,
+    _window_error,
+    _window_start,
+    bary_f,
+)
 from gasketfif.model import _bilinear9
 
 
@@ -41,3 +52,68 @@ def eval_shift(model, omega: str, eta: str, t, s) -> float:
     lam = bary_f(model.gasket1, float(t[0]), float(t[1]))
     mu = bary_f(model.gasket2, float(s[0]), float(s[1]))
     return shift_at(model, omega, eta, lam, mu)
+
+
+def descend_oracle(spec, t, depth: int) -> tuple:
+    """`gasket.descend` by its full rule: at every level, the first letter
+    a for which every coordinate of 2 lam - e_a is at least -eff."""
+    _check_depth(depth)
+    x, y = float(t[0]), float(t[1])
+    l0, l1, l2 = bary_f(spec, x, y)
+    if min(l0, l1, l2) < -SNAP_TOL:
+        raise DomainError(f"point {tuple(t)} lies outside the gasket hull")
+    eff = _window_start(spec, x, y)
+    if eff * 2.0**depth > MAX_WINDOW:
+        raise _window_error(t, depth)
+    letters = []
+    lams = []
+    for _ in range(depth):
+        eff *= 2.0
+        neg = -eff
+        d0, d1, d2 = 2.0 * l0, 2.0 * l1, 2.0 * l2
+        if d0 - 1.0 >= neg and d1 >= neg and d2 >= neg:
+            letters.append("1")
+            l0, l1, l2 = d0 - 1.0, d1, d2
+        elif d0 >= neg and d1 - 1.0 >= neg and d2 >= neg:
+            letters.append("2")
+            l0, l1, l2 = d0, d1 - 1.0, d2
+        elif d0 >= neg and d1 >= neg and d2 - 1.0 >= neg:
+            letters.append("3")
+            l0, l1, l2 = d0, d1, d2 - 1.0
+        else:
+            raise DomainError(
+                f"point {tuple(t)} is not on the gasket at depth {len(letters) + 1}"
+            )
+        lams.append((l0, l1, l2))
+    return "".join(letters), lams
+
+
+def eval_approx_oracle(model, t, s, k: int) -> tuple:
+    """`evaluator.eval_approx` sequentially: the whole descent of t, then
+    that of s (`descend_oracle`), then one pass over the blocks that reads
+    each block's words back through `CellTable.index`."""
+    if k < 1:
+        raise PreconditionError("truncation depth k must be >= 1")
+    n = model.n
+    d = k * n
+    if d > MAX_DESCENT_DEPTH:
+        raise PreconditionError(
+            f"truncation depth k={k} needs {d} letters per factor; float input "
+            f"resolves at most {MAX_DESCENT_DEPTH} (k <= {MAX_DESCENT_DEPTH // n} "
+            f"for N={n})"
+        )
+    wt, lams = descend_oracle(model.gasket1, t, d)
+    ws, mus = descend_oracle(model.gasket2, s, d)
+    table = model.cell_table
+    index, nw = table.index, len(table.index)
+    value = 0.0
+    coeff = 1.0
+    for lo in range(0, d, n):
+        hi = lo + n
+        c = index[wt[lo:hi]] * nw + index[ws[lo:hi]]
+        lam, mu = lams[hi - 1], mus[hi - 1]
+        value += coeff * _bilinear9(table.shift_rows[c], lam, mu)
+        alpha = table.alpha_rows[c]
+        coeff *= alpha if type(alpha) is float else _bilinear9(alpha, lam, mu)
+    bound = abs(coeff) * model.f_sup_bound
+    return value, bound + _input_rounding_bound(model, k)

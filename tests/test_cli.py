@@ -14,7 +14,7 @@ from conftest import config_dict, write_config
 
 import gasketfif as gf
 from gasketfif import evaluator
-from gasketfif.cli import build_from_config, main
+from gasketfif.cli import _random_word, build_from_config, main
 from gasketfif.evaluator import eval_exact
 
 
@@ -195,6 +195,21 @@ class TestEval:
     def test_point_outside_domain(self, tmp_path):
         cfg = write_config(tmp_path, config_dict())
         assert main(["eval", "-c", cfg, "--point", "9", "9", "0", "0"]) == 4
+
+    @pytest.mark.parametrize(
+        "point, code",
+        [
+            # the centroid of the unit triangle, a hole, on both factors
+            (["0.5", "0.28867513459481287"] * 2, 4),
+            # a touching point of two cells on both factors
+            (["0.5", "0"] * 2, 0),
+        ],
+    )
+    def test_point_exit_codes(self, tmp_path, capsys, point, code):
+        cfg = write_config(tmp_path, config_dict())
+        assert main(["eval", "-c", cfg, "--point", *point]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert main(["eval", "-c", cfg, "--point", *point, "--depth", "45"]) == 6
 
     def test_neither_selector(self, tmp_path):
         cfg = write_config(tmp_path, config_dict())
@@ -473,6 +488,18 @@ class TestCheck:
             x for x in capsys.readouterr().out.splitlines() if "functional-equation" in x
         )
         assert float(re.search(r"residual (\S+)\)", line).group(1)) <= 1e-14
+
+
+    @pytest.mark.parametrize("seed", [0, 7, 11, 2024])
+    def test_check_words_follow_the_choice_stream(self, seed):
+        # the check draws its words as integers; rng.choice over the
+        # letters consumes the same stream and spells the same words
+        by_choice, by_index = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(40):
+            size = int(by_choice.integers(0, 5))
+            assert size == int(by_index.integers(0, 5))
+            assert _random_word(by_index, size) == "".join(by_choice.choice(list("123"), size=size))
+        assert by_index.integers(0, 2**62) == by_choice.integers(0, 2**62)
 
 
 class TestColdStart:

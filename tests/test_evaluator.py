@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_gasket import OFFSETS, gasket_specs, moved
+from test_gasket import OFFSETS, gasket_specs, hull_point, moved, nudged_vertices, probe
 
 import gasketfif as gf
 from gasketfif import evaluator, grids
@@ -42,7 +42,7 @@ from gasketfif.model import (
     perturb_shift,
     words_of_length,
 )
-from oracles import eval_scaling, eval_shift, scaling_at, shift_at
+from oracles import eval_approx_oracle, eval_scaling, eval_shift, scaling_at, shift_at
 
 SPEC = standard_gasket()
 SKEWED = GasketSpec(((0.1, 0.2), (1.3, -0.1), (0.4, 1.1)))
@@ -314,6 +314,92 @@ class TestCertifiedBound:
         bumped = perturb_shift(ref03, "1", "1", 2, 2, 0.25)
         assert eval_approx(bumped, t, s, 2)[0] != before
         assert eval_approx(ref03, t, s, 2)[0] == before
+
+
+@lru_cache(maxsize=None)
+def scaled_model(n, kind, g1, g2):
+    """Random data on (g1, g2) with constant, corner-tensor or mixed scaling."""
+    rng = np.random.default_rng(n)
+    words = words_of_length(n)
+    cells = {
+        (w1, w2): float(rng.uniform(-0.5, 0.5))
+        if kind == "constant" or (kind == "mixed" and rng.random() < 0.5)
+        else rng.uniform(-0.3, 0.3, (3, 3))
+        for w1 in words
+        for w2 in words
+    }
+    return build_model(gf.random_dataset(n, 7), ScalingField.from_cells(cells, n), g1, g2)
+
+
+def approx_bits(f, model, t, s, k):
+    """Value and bound as uint64 bits, or the type and message of the error."""
+    try:
+        return np.array(f(model, t, s, k)).view(np.uint64).tolist()
+    except (DomainError, PreconditionError, TypeError) as e:
+        return type(e), str(e)
+
+
+# a few fixed gaskets, so that scaled_model builds each model once: the
+# unit and a skewed gasket, near the origin or far from it
+model_gaskets = st.builds(moved, st.sampled_from((SPEC, SKEWED)), st.sampled_from(OFFSETS))
+
+
+class TestEvalApproxOracle:
+    """eval_approx against `eval_approx_oracle`, the sequential descent of
+    t, then s, then one pass over the blocks: value and bound bit for bit,
+    the same exception with the same message."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from((1, 2, 3)),
+        kind=st.sampled_from(("constant", "tensor", "mixed")),
+        g1=model_gaskets,
+        g2=model_gaskets,
+        pairs=st.lists(
+            st.tuples(nudged_vertices(MAX_DESCENT_DEPTH), nudged_vertices(MAX_DESCENT_DEPTH)),
+            min_size=1,
+            max_size=8,
+        ),
+        hull=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=3),
+        chaos_seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_equals_oracle(self, n, kind, g1, g2, pairs, hull, chaos_seed, data):
+        # k + 1 beyond the deepest accepted k is refused
+        k = data.draw(st.integers(1, MAX_DESCENT_DEPTH // n + 1), label="k")
+        model = scaled_model(n, kind, g1, g2)
+        points = [(probe(g1, *a).tolist(), probe(g2, *b).tolist()) for a, b in pairs]
+        # hull points, mostly in holes, paired with gasket points
+        points += [
+            (hull_point(g1, u, v).tolist(), s)
+            for (u, v), (_, s) in zip(hull, points)
+            if u + v <= 1.0
+        ]
+        samples = chaos_game(model, 4, chaos_seed, burn_in=20)
+        points += list(zip(samples.t.tolist(), samples.s.tolist()))
+        for t, s in points:
+            want = approx_bits(eval_approx_oracle, model, t, s, k)
+            assert approx_bits(eval_approx, model, t, s, k) == want
+            # and with the factors swapped, so s fails where t did
+            want = approx_bits(eval_approx_oracle, model, s, t, k)
+            assert approx_bits(eval_approx, model, s, t, k) == want
+
+    def test_first_factor_error_comes_first(self, ref03):
+        # t, the centre of a depth-14 cell, leaves the gasket at depth 15 and
+        # s at depth 1: the error of t's whole descent is raised, as
+        # descending t, then s, raises it
+        corners = [address_point(SPEC, Address("1" * 14, c)) for c in LETTERS]
+        t = tuple(np.mean(corners, axis=0).tolist())
+        s = tuple(SPEC.corner_array.mean(axis=0).tolist())
+        want = approx_bits(eval_approx_oracle, ref03, t, s, 30)
+        assert want == (DomainError, f"point {t} is not on the gasket at depth 15")
+        assert approx_bits(eval_approx, ref03, t, s, 30) == want
+        # and before an s that is no point at all
+        assert approx_bits(eval_approx, ref03, t, None, 30) == want
+        t = (0.25, 0.0)
+        want = approx_bits(eval_approx_oracle, ref03, t, None, 30)
+        assert want[0] is TypeError
+        assert approx_bits(eval_approx, ref03, t, None, 30) == want
 
 
 def tensor_model(n, seed):

@@ -13,7 +13,9 @@ from gasketfif.gasket import (
     Address,
     GasketSpec,
     address_bary,
+    _window_start,
     address_point,
+    bary_f,
     canonicalize,
     descend,
     enumerate_vertices,
@@ -24,6 +26,7 @@ from gasketfif.gasket import (
     vertex_count,
     word_map_inverse,
 )
+from oracles import descend_oracle
 
 SPEC = standard_gasket()
 P1, P2, P3 = (np.array(p) for p in SPEC.corners)
@@ -277,35 +280,54 @@ def _scalar_words(spec, pts, depth):
     return out
 
 
+def nudged_vertices(max_letters: int = 30):
+    """(word, corner, dx, dy): the vertex L_word(p_corner) moved by (dx, dy).
+
+    Short words give exact vertices, which are touching points of two cells
+    at any deeper level; long words give generic gasket points.  Nudges
+    below SNAP_TOL are kept only by the doubling snap window.
+    """
+    return st.tuples(
+        st.text("123", max_size=max_letters),
+        st.sampled_from(LETTERS),
+        st.sampled_from((0.0, 5e-10, -5e-10, 3e-9)),
+        st.sampled_from((0.0, 5e-10, -5e-10)),
+    )
+
+
+nudged_addresses = st.lists(nudged_vertices(), min_size=1, max_size=25)
+
+# barycentric pairs of hull points, mostly in holes of the gasket
+hull_pairs = st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=5)
+
+
+def probe(spec, word, corner, dx, dy) -> np.ndarray:
+    """A `nudged_vertices` draw as a point of `spec`."""
+    return address_point(spec, Address(word, corner)) + (dx, dy)
+
+
+def hull_point(spec, u, v) -> np.ndarray:
+    """The point with barycentrics (u, v, 1 - u - v)."""
+    return np.array((u, v, 1.0 - u - v)) @ spec.corner_array
+
+
+def probe_points(spec, addresses, hull) -> np.ndarray:
+    """The (P, 2) points of `nudged_addresses` and `hull_pairs` draws."""
+    pts = [probe(spec, *a) for a in addresses]
+    pts += [hull_point(spec, u, v) for u, v in hull if u + v <= 1.0]
+    return np.array(pts)
+
+
 class TestLocateMany:
     @settings(max_examples=60, deadline=None)
     @given(
         spec=gasket_specs,
-        # short words give exact vertices, which are touching points of two
-        # cells at any deeper level; long words give generic gasket points.
-        # Nudges below SNAP_TOL are kept only by the doubling snap window.
-        addresses=st.lists(
-            st.tuples(
-                st.text("123", max_size=30),
-                st.sampled_from(LETTERS),
-                st.sampled_from((0.0, 5e-10, -5e-10, 3e-9)),
-                st.sampled_from((0.0, 5e-10, -5e-10)),
-            ),
-            min_size=1,
-            max_size=25,
-        ),
-        # barycentric pairs of hull points, mostly in holes of the gasket
-        hull=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=5),
+        addresses=nudged_addresses,
+        hull=hull_pairs,
         depth=st.integers(1, 12),
     )
     def test_same_words_as_locate(self, spec, addresses, hull, depth):
-        pts = [address_point(spec, Address(w, c)) + (dx, dy) for w, c, dx, dy in addresses]
-        pts += [
-            np.array((u, v, 1.0 - u - v)) @ spec.corner_array
-            for u, v in hull
-            if u + v <= 1.0
-        ]
-        pts = np.array(pts)
+        pts = probe_points(spec, addresses, hull)
         expected = _scalar_words(spec, pts, depth)
         ok = [i for i, w in enumerate(expected) if w is not None]
         got = locate_many(spec, pts[ok], depth)
@@ -392,6 +414,94 @@ class TestDescend:
             return
         assert len(w) == depth
         assert locate_many(spec, [pt], depth).tolist() == [[int(ch) for ch in w]]
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the exception it raised."""
+    try:
+        return f(*args)
+    except (DomainError, PreconditionError) as e:
+        return type(e), str(e)
+
+
+def descent_bits(spec, t, depth, f=descend):
+    """The word and every lams triple as uint64 bits, or the error."""
+    got = outcome(f, spec, t, depth)
+    if isinstance(got[0], type):
+        return got
+    word, lams = got
+    return word, np.array(lams).view(np.uint64).tolist()
+
+
+def batch_error(errors):
+    """The error locate_many raises for rows whose scalar descents raised
+    `errors` (None where a row descends): a hull error first, then a
+    window error, then the shallowest failing level, each of the first
+    row that has it."""
+
+    def rank(err):
+        kind, msg = err
+        if msg.endswith("lies outside the gasket hull"):
+            return (0,)
+        if kind is PreconditionError:
+            return (1,)
+        return (2, int(msg.rsplit(" ", 1)[1]))
+
+    raised = [e for e in errors if e is not None]
+    return min(raised, key=rank) if raised else None
+
+
+# the unit gasket and custom corners, near the origin or far from it
+placed_gaskets = st.builds(moved, gasket_specs, st.sampled_from(OFFSETS))
+
+
+class TestDescendOracle:
+    """descend and locate_many against `descend_oracle`, the full test of
+    all three coordinates for every letter at every level."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec=placed_gaskets,
+        addresses=nudged_addresses,
+        hull=hull_pairs,
+        depth=st.integers(1, MAX_DESCENT_DEPTH + 1),
+    )
+    def test_descend_equals_oracle(self, spec, addresses, hull, depth):
+        for p in probe_points(spec, addresses, hull):
+            for t in (tuple(p.tolist()), p):  # messages print the input's elements
+                assert descent_bits(spec, t, depth) == descent_bits(spec, t, depth, descend_oracle)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec=placed_gaskets,
+        addresses=nudged_addresses,
+        hull=hull_pairs,
+        depth=st.integers(1, MAX_DESCENT_DEPTH + 1),
+    )
+    def test_locate_many_equals_oracle(self, spec, addresses, hull, depth):
+        pts = probe_points(spec, addresses, hull)
+        words, errors = [], []
+        for row in pts.tolist():
+            got = outcome(descend_oracle, spec, row, depth)
+            failed = isinstance(got[0], type)
+            errors.append(got if failed else None)
+            words.append(None if failed else [int(ch) for ch in got[0]])
+        got = outcome(locate_many, spec, pts, depth)
+        want = batch_error(errors)
+        if want is None:
+            assert got.tolist() == words
+        else:
+            assert got == want
+
+    def test_coordinate_below_the_window_fails_at_depth_one(self):
+        # inside the hull gate, outside the starting window: no letter
+        t = (0.25, -2e-10)
+        assert bary_f(SPEC, *t)[2] < -_window_start(SPEC, *t)
+        for depth in (1, 5):
+            want = outcome(descend_oracle, SPEC, t, depth)
+            assert want == (DomainError, f"point {t} is not on the gasket at depth 1")
+            assert outcome(descend, SPEC, t, depth) == want
+            assert outcome(locate_many, SPEC, [t], depth) == want
 
 
 def test_degenerate_gasket_rejected():
