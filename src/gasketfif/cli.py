@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -402,8 +403,22 @@ def _run_checks(model) -> list:
     return failures
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with its usage errors exiting EXIT_USAGE, not 2
+    (the config validation code), and with a negative number in exponent
+    form (-1e-10) read as a value, as -0.25 is, not as an option flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gasketfif",
         description="Fractal interpolation on the product of two Sierpinski gaskets",
         epilog=EPILOG,

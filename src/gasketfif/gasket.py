@@ -84,15 +84,6 @@ class Address:
         return cls(word, c)
 
 
-def reduce_dyadic(nums: tuple, level: int) -> tuple:
-    """(nums, level) of the dyadic triple nums/2^level in lowest terms: the
-    one key of a vertex, whatever address or level it was reached by."""
-    while level > 0 and nums[0] % 2 == 0 and nums[1] % 2 == 0 and nums[2] % 2 == 0:
-        nums = (nums[0] // 2, nums[1] // 2, nums[2] // 2)
-        level -= 1
-    return nums, level
-
-
 @dataclass(frozen=True)
 class GasketSpec:
     """The three outer corner points of one gasket."""

@@ -3,9 +3,9 @@ evaluation of the interpolation function on product vertex grids.
 
 The oscillation and box-counting pipeline needs f on every depth-m product
 vertex for m up to ~6, which is far too many points for the scalar
-evaluator.  Here vertices are indexed level by level with exact dyadic
-keys, and the defining recursion is applied to whole index blocks with
-numpy, one cell-pair at a time.
+evaluator.  Here vertices are indexed level by level, from their exact
+integer barycentric numerators, and the defining recursion is applied
+to whole index blocks with numpy, one cell-pair at a time.
 """
 
 from __future__ import annotations
@@ -15,16 +15,17 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CapacityError, PreconditionError
-from .gasket import Address, reduce_dyadic, vertex_count, words_of_length
+from .gasket import Address, vertex_count, words_of_length
 
 if TYPE_CHECKING:
     from .model import FifModel
 
 #: bytes one level's value matrix may take: depth 7 (86 MB) fits, depth 8 (775 MB) does not.
 #: The calls under it hold more, in level-m matrices: product_values 1 + 9^-N
-#: (the level m-N values it steps from), solve_fixed_point 1 + 9^-N (its copy
-#: of the restriction, or the level m-N values its entry to level m steps
-#: from), 97 MB for both at depth 7, N=1, oscillation 2 * 9^-N (the level
+#: (the level m-N values it steps from), solve_fixed_point 1 + 9^-N + 81^-N
+#: (the level m-N values it steps from or compares with, or its copy of their
+#: restriction; beside a level m-N iterate it rebuilds, the level m-2N one it
+#: steps from), 97 MB for both at depth 7, N=1, oscillation 2 * 9^-N (the level
 #: m-N values and one image block of the last step) plus its 9^n-entry
 #: table; box_count holds 2^16 table entries at a time beside the table
 #: (1.0 MB at level 7).
@@ -75,41 +76,29 @@ class FactorGrid:
 
     def __init__(self, depth: int):
         self.depth = depth
-        keys = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)]  # already reduced
-        self.lam = []
+        # level k's vertices as integer barycentric numerators over 2^k: L_a
+        # maps numerators n over 2^k to n + 2^k e_a over 2^(k+1), and a
+        # vertex keeps its point as 2n over 2^(k+1)
+        nums = np.eye(3, dtype=np.int64)
+        self.lam = [np.eye(3)]
         self.child = []
         self.emb = []
         self.cells = [np.array([[0, 1, 2]])]
-
-        def finish_level(keys):
-            nums = np.array([key[0] for key in keys], dtype=float)
-            levels = np.array([key[1] for key in keys])
-            self.lam.append(np.ldexp(nums, -levels[:, None]))  # exact: nums / 2^level
-
-        finish_level(keys)
         for k in range(depth):
-            new_keys = []
-            new_index = {}
-            child_k = [np.empty(len(keys), dtype=np.intp) for _ in range(3)]
-            for a in (1, 2, 3):
-                for v, (nums, lev) in enumerate(keys):
-                    two = 2**lev
-                    nn = list(nums)
-                    nn[a - 1] += two
-                    key = reduce_dyadic(tuple(nn), lev + 1)
-                    idx = new_index.get(key)
-                    if idx is None:
-                        idx = len(new_keys)
-                        new_index[key] = idx
-                        new_keys.append(key)
-                    child_k[a - 1][v] = idx
+            images = nums[None] + 2**k * np.eye(3, dtype=np.int64)[:, None]  # (a, v, 3)
+            base = 2 ** (k + 1) + 1  # two numerators fix the third
+            keys = (images[..., 0] * base + images[..., 1]).ravel()
+            uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            # new indices in order of first occurrence, L_1's images first
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            child_k = rank[inverse].reshape(3, -1)
             self.child.append(child_k)
-            self.emb.append(np.array([new_index[key] for key in keys], dtype=np.intp))
-            self.cells.append(
-                np.vstack([child_k[a][self.cells[k]] for a in range(3)])
-            )
-            keys = new_keys
-            finish_level(keys)
+            self.emb.append(rank[np.searchsorted(uniq, 2 * (nums[:, 0] * base + nums[:, 1]))])
+            self.cells.append(child_k[:, self.cells[k]].reshape(-1, 3))
+            nums = images.reshape(-1, 3)[first[order]]
+            self.lam.append(np.ldexp(nums.astype(float), -(k + 1)))  # exact: nums / 2^(k+1)
 
     def compose(self, k: int, w: str) -> np.ndarray:
         """Index map of L_w from level-k vertices into level k+|w|."""

@@ -1,6 +1,7 @@
 """Scalar oracles: the cell-pair maps, read one row of FifModel.cell_table
-at a time by word pair, and the sequential descent and truncated
-unrolling that `gasket.descend` and `evaluator.eval_approx` replace."""
+at a time by word pair, the sequential descent and truncated unrolling
+that `gasket.descend` and `evaluator.eval_approx` replace, and the
+dict-keyed vertex index that `grids.FactorGrid` builds with array ops."""
 
 import numpy as np
 
@@ -117,3 +118,49 @@ def eval_approx_oracle(model, t, s, k: int) -> tuple:
         coeff *= alpha if type(alpha) is float else _bilinear9(alpha, lam, mu)
     bound = abs(coeff) * model.f_sup_bound
     return value, bound + _input_rounding_bound(model, k)
+
+
+def reduce_dyadic(nums: tuple, level: int) -> tuple:
+    """(nums, level) of the dyadic triple nums/2^level in lowest terms: the
+    one key of a vertex, whatever address or level it was reached by."""
+    while level > 0 and nums[0] % 2 == 0 and nums[1] % 2 == 0 and nums[2] % 2 == 0:
+        nums = (nums[0] // 2, nums[1] // 2, nums[2] // 2)
+        level -= 1
+    return nums, level
+
+
+def factor_grid_oracle(depth: int) -> tuple:
+    """(lam, child, emb, cells) of `grids.FactorGrid(depth)`, built one
+    vertex at a time: a level-(k+1) vertex gets the next index when its
+    reduced dyadic key is first met, running over L_1, L_2, L_3 in turn and
+    the level-k vertices in index order."""
+    keys = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)]  # already reduced
+    lam, child, emb, cells = [], [], [], [np.array([[0, 1, 2]])]
+
+    def finish_level(keys):
+        nums = np.array([key[0] for key in keys], dtype=float)
+        levels = np.array([key[1] for key in keys])
+        lam.append(np.ldexp(nums, -levels[:, None]))  # exact: nums / 2^level
+
+    finish_level(keys)
+    for k in range(depth):
+        new_keys = []
+        new_index = {}
+        child_k = [np.empty(len(keys), dtype=np.intp) for _ in range(3)]
+        for a in (1, 2, 3):
+            for v, (nums, lev) in enumerate(keys):
+                nn = list(nums)
+                nn[a - 1] += 2**lev
+                key = reduce_dyadic(tuple(nn), lev + 1)
+                idx = new_index.get(key)
+                if idx is None:
+                    idx = len(new_keys)
+                    new_index[key] = idx
+                    new_keys.append(key)
+                child_k[a - 1][v] = idx
+        child.append(child_k)
+        emb.append(np.array([new_index[key] for key in keys], dtype=np.intp))
+        cells.append(np.vstack([child_k[a][cells[k]] for a in range(3)]))
+        keys = new_keys
+        finish_level(keys)
+    return lam, child, emb, cells

@@ -215,6 +215,49 @@ class TestEval:
         cfg = write_config(tmp_path, config_dict())
         assert main(["eval", "-c", cfg]) == 6
 
+    def test_negative_exponent_form_reaches_the_evaluator(self, tmp_path, capsys):
+        # just below the base edge: the same refusal as the plain decimal form
+        cfg = write_config(tmp_path, config_dict())
+        for y in ("-1e-10", "-0.0000000001"):
+            assert main(["eval", "-c", cfg, "--point", "0.25", y, "0.25", "0"]) == 4
+            err = capsys.readouterr().err
+            assert "not on the gasket at depth 1" in err and "Traceback" not in err
+        # -0e0 is -0.0, on the gasket, in every position
+        outs = []
+        for zero in ("-0.0", "-0e0", "-0E+00"):
+            assert main(["eval", "-c", cfg, "--point", "0.5", zero, "0.5", zero]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "-c", "model.json", "--bogus"], "unrecognized arguments: --bogus"),
+            (["eval", "--point", "0", "0", "0", "0"], "the following arguments are required"),
+            (["grid", "-c", "model.json", "--depth", "x", "-o", "a.csv"], "invalid int value"),
+            (["eval", "-c", "model.json", "--point", "0", "0"], "expected 4 arguments"),
+            (["nope"], "invalid choice"),
+            ([], "the following arguments are required"),
+        ],
+    )
+    def test_exit_6_with_the_message_on_stderr(self, capsys, argv, message):
+        # 2 is the code of config validation errors
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 6
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: gasketfif") and ": error: " in err and message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"], ["check", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: gasketfif")
+
 
 class TestGrid:
     def test_depth_one_row_count(self, tmp_path, capsys):

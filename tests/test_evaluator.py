@@ -613,18 +613,17 @@ class TestSolveFixedPoint:
         model, depth = gf.random_model(1, 201), 3
         iterations = two_buffer_fixed_point(model, depth, 1e-300)[1]
         gathers, steps = spy_fixed_point(monkeypatch)
+        writes = spy_writes(monkeypatch)
         g = solve_fixed_point(model, depth, 1e-300)
         assert g.iterations == iterations
-        # the level-m applications: each but the last runs a full-size
-        # step, and one more builds the values the loop enters level m with
+        # level N stops on an unchanged restriction, so every later level
+        # is stepped once from the values below it and gathers nothing
         sizes = [n for n, _ in gathers]
-        full = vertex_count(depth - 1)
-        assert gathers[-1] == (full, True)
-        assert sizes.count(full) == steps.count(depth)
-        # every coarser level stops on an unchanged restriction here too
-        for level in range(1, depth + 1):
-            size = vertex_count(level - 1)
-            assert [gt for gt in gathers if gt[0] == size][-1] == (size, True)
+        assert vertex_count(depth - 1) not in sizes
+        assert set(sizes) == {vertex_count(0)} and gathers[-1][1]
+        # level m is written whole once; its second step is only compared
+        assert writes.count(depth) == 1
+        assert steps.count(depth) == 2
         assert np.array_equal(g.values, product_values(model, depth)[2])
 
     @settings(max_examples=60, deadline=None)
@@ -759,6 +758,27 @@ def spy_fixed_point(monkeypatch):
     monkeypatch.setattr(evaluator, "step_blocks", spy_step)
     monkeypatch.setattr(grids, "step_blocks", spy_step)
     return gathers, steps
+
+
+def spy_writes(monkeypatch):
+    """A list filled as solve_fixed_point runs: the level of each value
+    matrix written whole, by a level step into a matrix of its own or in
+    place."""
+    writes = []
+    step, apply = grids.level_step, evaluator._apply_in_place
+
+    def spy_step(model, fg, k, f, out):
+        writes.append(k + model.n)
+        return step(model, fg, k, f, out)
+
+    def spy_apply(model, fg, k, f, values, tol):
+        writes.append(k + model.n)
+        return apply(model, fg, k, f, values, tol)
+
+    monkeypatch.setattr(grids, "level_step", spy_step)
+    monkeypatch.setattr(evaluator, "level_step", spy_step)
+    monkeypatch.setattr(evaluator, "_apply_in_place", spy_apply)
+    return writes
 
 
 def two_buffer_fixed_point(model, depth, tol):

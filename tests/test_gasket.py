@@ -21,12 +21,11 @@ from gasketfif.gasket import (
     enumerate_vertices,
     locate,
     locate_many,
-    reduce_dyadic,
     standard_gasket,
     vertex_count,
     word_map_inverse,
 )
-from oracles import descend_oracle
+from oracles import descend_oracle, reduce_dyadic
 
 SPEC = standard_gasket()
 P1, P2, P3 = (np.array(p) for p in SPEC.corners)

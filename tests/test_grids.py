@@ -18,12 +18,28 @@ from gasketfif.grids import (
     product_values,
 )
 from gasketfif.model import ProductVertex, ScalingField, build_model, words_of_length
+from oracles import factor_grid_oracle
 
 
 def test_runs_cover_any_index_map():
     idx = np.array([5, 6, 7, 2, 3, 9, 9])
     assert _runs(idx) == [(0, 3, 5), (3, 5, 2), (5, 6, 9), (6, 7, 9)]
     assert _runs(np.array([4])) == [(0, 1, 4)]
+
+
+@pytest.mark.parametrize("depth", range(9))
+def test_array_build_equals_the_dict_built_index(depth):
+    fg = FactorGrid(depth)
+    lam, child, emb, cells = factor_grid_oracle(depth)
+    assert len(fg.lam) == len(lam) == depth + 1
+    for k in range(depth + 1):
+        assert np.array_equal(fg.lam[k].view(np.uint64), lam[k].view(np.uint64))
+        assert fg.cells[k].dtype == np.intp and np.array_equal(fg.cells[k], cells[k])
+    for k in range(depth):
+        assert fg.emb[k].dtype == np.intp and np.array_equal(fg.emb[k], emb[k])
+        for a in range(3):
+            assert fg.child[k][a].dtype == np.intp
+            assert np.array_equal(fg.child[k][a], child[k][a])
 
 
 def test_index_of_reduces_the_address():
