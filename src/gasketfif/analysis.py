@@ -350,22 +350,54 @@ def holder_fit(
     return HolderFit(slope, std_error, False, tuple(levels))
 
 
+def _cell_codes(letters: np.ndarray) -> np.ndarray:
+    """The index, in `words_of_length` order, of the word of each row of
+    a (P, n) array of letters 1..3: its base-3 digits, the letters less
+    1, read column by column."""
+    code = np.zeros(len(letters), dtype=np.int64)
+    for col in letters.T:
+        code *= 3
+        code += col
+    code -= (3 ** letters.shape[1] - 1) // 2  # each of the n digits is 1 less
+    return code
+
+
 def box_count_cloud(model: FifModel, samples: GraphSamples, n: int) -> int:
     """Independent box count from a chaos-game point cloud.
 
     Bins samples by their containing cell-pair (cell-adapted horizontal
     boxes, since gasket cells are not axis aligned) and applies the same
     vertical-stack rule to the empirical value range per bin.  Cross-check
-    oracle only; under-counts slightly when a bin is under-sampled."""
-    if 9**n > np.iinfo(np.int64).max:
+    oracle only; under-counts slightly when a bin is under-sampled.
+    Samples whose t, s and value differ in length, or with a value that
+    is not finite, raise PreconditionError; a count beyond int64 raises
+    CapacityError."""
+    int64_max = np.iinfo(np.int64).max
+    if 9**n > int64_max:
         raise CapacityError(f"level {n} cell-pair codes do not fit in 64 bits")
-    digits = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    cell1 = (locate_many(model.gasket1, samples.t, n) - 1) @ digits
-    cell2 = (locate_many(model.gasket2, samples.s, n) - 1) @ digits
+    shapes = tuple(np.shape(a) for a in (samples.t, samples.s, samples.value))
+    p = len(samples.value)
+    if shapes != ((p, 2), (p, 2), (p,)):
+        raise PreconditionError(
+            f"samples need t and s of shape ({p}, 2) beside {p} values, got shapes {shapes}"
+        )
+    if not np.isfinite(samples.value).all():
+        raise PreconditionError("sample values must be finite")
+    cell1 = _cell_codes(locate_many(model.gasket1, samples.t, n))
+    cell2 = _cell_codes(locate_many(model.gasket2, samples.s, n))
     keys, inv = np.unique(cell1 * 3**n + cell2, return_inverse=True)
     lo = np.full(len(keys), np.inf)
     hi = np.full(len(keys), -np.inf)
     np.minimum.at(lo, inv, samples.value)
     np.maximum.at(hi, inv, samples.value)
     factor = 2.0**n / _common_side(model)
-    return len(keys) + int(np.ceil((hi - lo) * factor).astype(np.int64).sum())
+    with np.errstate(over="ignore"):  # a range that overflows is refused below
+        stacks = np.ceil((hi - lo) * factor)
+    total = float(stacks.sum())
+    if total < 2.0**62:  # far from int64's end: every stack and the sum are exact
+        return len(keys) + int(stacks.astype(np.int64).sum())
+    if math.isfinite(total):
+        total = sum(map(int, stacks.tolist()))  # exact, in Python integers
+    if not total + len(keys) <= int64_max:
+        raise CapacityError(f"the level {n} cloud count does not fit in 64 bits")
+    return len(keys) + total

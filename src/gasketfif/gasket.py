@@ -268,7 +268,10 @@ def _window_start(spec: GasketSpec, x, y):
         abs(a[3] * x) + abs(a[4] * y) + abs(a[5]),
         abs(a[6] * x) + abs(a[7] * y) + abs(a[8]),
     )
-    peak = np.maximum.reduce(rows) if isinstance(x, np.ndarray) else max(rows)
+    if isinstance(x, np.ndarray):
+        peak = np.maximum(np.maximum(rows[0], rows[1]), rows[2])
+    else:
+        peak = max(rows)
     return _WINDOW_ULPS * peak + 2.0 * spec._bary_residual
 
 
@@ -361,16 +364,20 @@ def locate(spec: GasketSpec, t, depth: int) -> str:
 
 def locate_many(spec: GasketSpec, pts, depth: int) -> np.ndarray:
     """Batched `locate`: the letters (1, 2 or 3) of the depth-`depth` cell
-    of every row of the (P, 2) array `pts`, as a (P, depth) int8 array.
+    of every row of the (P, 2) array `pts`, as a (P, depth) int8 array:
+    the transpose of a C-ordered (depth, P) one, each level's letters in
+    one contiguous row.
 
     Applies the rule of `descend` to arrays with the same float operations
     in the same order, so row i spells exactly ``locate(spec, pts[i],
     depth)`` and raises where it raises; the error names the first row
-    that fails at the shallowest failing level.
+    that fails at the shallowest failing level.  Each level steps the
+    coordinates in place and subtracts the hit masks: d - hit is d - 1.0
+    where hit is set and d - 0.0 = d elsewhere, the values of `descend`.
     """
     _check_depth(depth)
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    x, y = pts[:, 0], pts[:, 1]
+    x, y = np.ascontiguousarray(pts.T)
     l0, l1, l2 = bary_f(spec, x, y)
     outside = np.flatnonzero(np.minimum(np.minimum(l0, l1), l2) < -SNAP_TOL)
     if len(outside):
@@ -384,19 +391,28 @@ def locate_many(spec: GasketSpec, pts, depth: int) -> np.ndarray:
     neg = -eff
     # rows with a coordinate below -eff: no letter takes them at level 1
     stray = ~((l0 >= neg) & (l1 >= neg) & (l2 >= neg))
-    letters = np.empty((len(pts), depth), dtype=np.int8)
+    letters = np.empty((depth, len(pts)), dtype=np.int8)
+    scratch = np.empty_like(l0)
     for level in range(depth):
-        neg = neg * 2.0
-        d0, d1, d2 = 2.0 * l0, 2.0 * l1, 2.0 * l2
-        hit1 = d0 - 1.0 >= neg
-        hit2 = ~hit1 & (d1 - 1.0 >= neg)
+        neg *= 2.0
+        l0 *= 2.0
+        l1 *= 2.0
+        l2 *= 2.0
+        hit1 = np.subtract(l0, 1.0, out=scratch) >= neg
+        hit2 = np.subtract(l1, 1.0, out=scratch) >= neg
+        hit2 &= ~hit1
         hit3 = ~(hit1 | hit2)
-        missed = np.flatnonzero(hit3 & ~(d2 - 1.0 >= neg) | stray)
-        if len(missed):
-            raise _hole_error(pts[missed[0]].tolist(), level + 1)
+        missed = ~(np.subtract(l2, 1.0, out=scratch) >= neg)
+        missed &= hit3
+        missed |= stray
+        if missed.any():
+            raise _hole_error(pts[np.argmax(missed)].tolist(), level + 1)
         stray = False
-        letters[:, level] = np.where(hit1, 1, np.where(hit2, 2, 3))
-        l0 = np.where(hit1, d0 - 1.0, d0)
-        l1 = np.where(hit2, d1 - 1.0, d1)
-        l2 = np.where(hit3, d2 - 1.0, d2)
-    return letters
+        row = letters[level]  # 1 + hit2 + 2 hit3, in int8
+        np.add(hit2.view(np.int8), 1, out=row)
+        row += hit3.view(np.int8)
+        row += hit3.view(np.int8)
+        l0 -= hit1
+        l1 -= hit2
+        l2 -= hit3
+    return letters.T

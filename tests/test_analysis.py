@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from gasketfif.analysis import (
     refinement_depth,
 )
 from gasketfif.errors import CapacityError, HypothesisError, PreconditionError
-from gasketfif.evaluator import chaos_game
+from gasketfif.evaluator import GraphSamples, chaos_game
 from gasketfif.gasket import Address, GasketSpec, locate, vertex_count
 from gasketfif.grids import FactorGrid, product_values
 from gasketfif.model import ScalingField, build_model, words_of_length
@@ -285,6 +286,61 @@ class TestBoxCount:
         assert box_count_cloud(ref03, samples, 19) == scalar_cloud_count(ref03, samples, 19)
         with pytest.raises(CapacityError):
             box_count_cloud(ref03, samples, 20)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_cloud_refuses_non_finite_values(self, ref03, bad):
+        samples = chaos_game(ref03, 50, 3)
+        value = samples.value.copy()
+        value[7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="finite"):
+                box_count_cloud(ref03, GraphSamples(samples.t, samples.s, value), 2)
+
+    def test_cloud_refuses_mismatched_lengths(self, ref03):
+        samples = chaos_game(ref03, 3, 3)
+        t, s, value = samples.t, samples.s, samples.value
+        for bad in (
+            GraphSamples(t[:2], s[:1], value[:2]),  # used to count 2
+            GraphSamples(t, s, value[:2]),
+            GraphSamples(t[:2], s[:2], value),
+            GraphSamples(t.reshape(-1), s.reshape(-1), np.repeat(value, 2)),
+        ):
+            with pytest.raises(PreconditionError, match="shape"):
+                box_count_cloud(ref03, bad, 2)
+
+    def test_cloud_count_beyond_int64(self, ref03):
+        # three level-1 cell-pairs, (1, 1), (2, 2) and (3, 3), of two
+        # samples each, one at value 0; the stack of value v has
+        # ceil(v * 2^1 / side) boxes, and side is 1
+        top = ref03.gasket1.corners[2]
+        pts = np.array([(0.0, 0.0), (0.25, 0.0), (1.0, 0.0), (0.75, 0.0), top, (0.5, 0.7)])
+
+        def count(*v):
+            samples = GraphSamples(pts, pts, np.array([0.0, v[0], 0.0, v[1], 0.0, v[2]]))
+            return box_count_cloud(ref03, samples, 1), scalar_cloud_count(ref03, samples, 1)
+
+        # sums past 2^62 that fit are counted exactly, up to int64's end
+        got, want = count(2.0**61, 2.0**60, 0.0)
+        assert got == want == 3 + 2**62 + 2**61
+        got, want = count(2.0**61, 2.0**61 - 2.0**10, 511.5)
+        assert got == want == 3 + 2**62 + 2**62 - 2**11 + 1023
+        # past it by one box with the 3 boxes of the bases, by a stack
+        # past it, a single stack past it, a range that overflows to inf:
+        # refused, never a negative count
+        for v in (
+            (2.0**61, 2.0**61 - 2.0**9, 511.5),
+            (2.0**61, 2.0**61, 0.0),
+            (2.0**63, 0.0, 0.0),
+            (1.7e308, 1.0, 0.0),
+        ):
+            with pytest.raises(CapacityError, match="64 bits"):
+                count(*v)
+        samples = GraphSamples(pts[:2], pts[:2], np.array([-1.7e308, 1.7e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapacityError):
+                box_count_cloud(ref03, samples, 1)
 
 
 class TestEstimateBoxDimension:

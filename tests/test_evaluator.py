@@ -882,20 +882,29 @@ class TestChaosGame:
 
     def test_orbits_match_scalar_steps(self):
         # mixed scalar/tensor scaling on a custom gasket exercises every
-        # branch of the array step; the scalar replay is the reference
-        rng = np.random.default_rng(3)
-        words = words_of_length(1)
-        cells = {
-            (w1, w2): rng.uniform(-0.3, 0.3, (3, 3)) if (w1 + w2) in ("12", "33")
-            else float(rng.uniform(-0.3, 0.3))
-            for w1 in words
-            for w2 in words
-        }
+        # branch of the array step, at N=1 (9 cell-pairs) and at N=2 (81,
+        # 27 of them tensor cells); the scalar replay is the reference, bit
+        # for bit
         g1 = GasketSpec(((0.1, 0.2), (1.3, -0.1), (0.4, 1.1)))
-        model = build_model(gf.random_dataset(1, 5), ScalingField.from_cells(cells, 1), g1)
-        for count, burn_in in ((37, 5), (2 * CHAOS_ORBITS + 7, 0)):
-            got = chaos_game(model, count, 11, burn_in)
-            assert list(got) == scalar_chaos_game(model, count, 11, burn_in)
+        for n, tensor in ((1, lambda w: w in ("12", "33")), (2, lambda w: w[0] == w[3])):
+            rng = np.random.default_rng(3)
+            words = words_of_length(n)
+            cells = {
+                (w1, w2): rng.uniform(-0.3, 0.3, (3, 3)) if tensor(w1 + w2)
+                else float(rng.uniform(-0.3, 0.3))
+                for w1 in words
+                for w2 in words
+            }
+            scaling = ScalingField.from_cells(cells, n)
+            model = build_model(gf.random_dataset(n, 5), scaling, g1)
+            assert 0 < model.cell_table.is_tensor.sum() < 9**n
+            for count, burn_in in ((37, 5), (2 * CHAOS_ORBITS + 7, 0)):
+                got = chaos_game(model, count, 11, burn_in)
+                want = scalar_chaos_game(model, count, 11, burn_in)
+                assert list(got) == want
+                rows = np.array([sm.t + sm.s + (sm.value,) for sm in want])
+                got_rows = np.column_stack([got.t, got.s, got.value])
+                assert got_rows.view(np.uint64).tolist() == rows.view(np.uint64).tolist()
 
     def test_container_interface(self, ref03):
         samples = chaos_game(ref03, 10, seed=4)

@@ -268,6 +268,10 @@ def moved(spec, offset):
     return GasketSpec(tuple((x + offset[0], y + offset[1]) for x, y in spec.corners))
 
 
+# the unit gasket and custom corners, near the origin or far from it
+placed_gaskets = st.builds(moved, gasket_specs, st.sampled_from(OFFSETS))
+
+
 def _scalar_words(spec, pts, depth):
     """Scalar locate per point; None where it raises DomainError."""
     out = []
@@ -340,6 +344,33 @@ class TestLocateMany:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             locate_many(SPEC, [P1], 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=placed_gaskets,
+        addresses=nudged_addresses,
+        hull=hull_pairs,
+        depth=st.integers(1, MAX_DESCENT_DEPTH + 1),
+    )
+    def test_strided_and_fortran_input(self, spec, addresses, hull, depth):
+        # column slices of a (P, 5) sample block, as in a graph CSV, and
+        # a Fortran-order copy give the letters and the error of the
+        # C-contiguous points
+        pts = np.ascontiguousarray(probe_points(spec, addresses, hull))
+        rows = [pts[i : i + 1] for i in range(len(pts))]
+        # all rows, which most draws fail, and the rows that descend alone
+        kept = [r for r in rows if not isinstance(outcome(locate_many, spec, r, depth)[0], type)]
+        for part in (pts, np.concatenate(kept or [pts[:0]])):
+            block = np.zeros((len(part), 5))
+            block[:, 0:2] = part
+            block[:, 2:4] = part
+            want = outcome(locate_many, spec, part, depth)
+            for layout in (block[:, 0:2], block[:, 2:4], np.asfortranarray(part)):
+                got = outcome(locate_many, spec, layout, depth)
+                if isinstance(want, tuple):
+                    assert got == want
+                else:
+                    assert got.dtype == np.int8 and got.tolist() == want.tolist()
 
 
 class TestDescend:
@@ -448,10 +479,6 @@ def batch_error(errors):
 
     raised = [e for e in errors if e is not None]
     return min(raised, key=rank) if raised else None
-
-
-# the unit gasket and custom corners, near the origin or far from it
-placed_gaskets = st.builds(moved, gasket_specs, st.sampled_from(OFFSETS))
 
 
 class TestDescendOracle:
