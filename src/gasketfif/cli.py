@@ -26,7 +26,7 @@ from .errors import (
 )
 from .fileio import atomic_open
 from .gasket import MAX_ENUM_DEPTH, Address, GasketSpec, address_bary, enumerate_vertices
-from .grids import product_values
+from .grids import FactorGrid, product_values
 from .model import (
     DataSet,
     ScalingField,
@@ -384,10 +384,11 @@ def _run_checks(model) -> list:
     check("vertex-count", ok)
 
     depth = model.n
+    grid = FactorGrid(depth)
     sup_ratio = 0.0
     for _ in range(5):
-        ga = evaluator.GridFunction(model, depth)
-        gb = evaluator.GridFunction(model, depth)
+        ga = evaluator.GridFunction(model, depth, grid=grid)
+        gb = evaluator.GridFunction(model, depth, grid=grid)
         ga.values = rng.standard_normal(ga.values.shape)
         gb.values = rng.standard_normal(gb.values.shape)
         num = np.max(np.abs(evaluator.rb_apply(model, ga).values

@@ -194,6 +194,8 @@ class GridFunction:
     ):
         """`grid`, when given, is the FactorGrid(depth) to index by."""
         _check_depth(model, depth)
+        if grid is not None and grid.depth != depth:
+            raise PreconditionError(f"grid has depth {grid.depth}, not {depth}")
         self.model = model
         self.depth = depth
         self.grid = FactorGrid(depth) if grid is None else grid

@@ -1,7 +1,9 @@
 """Scalar oracles: the cell-pair maps, read one row of FifModel.cell_table
 at a time by word pair, the sequential descent and truncated unrolling
-that `gasket.descend` and `evaluator.eval_approx` replace, and the
-dict-keyed vertex index that `grids.FactorGrid` builds with array ops."""
+that `gasket.descend` and `evaluator.eval_approx` replace, the dict-keyed
+vertex index that `grids.FactorGrid` builds with array ops, and the level
+step one cell-pair at a time that the grouped `grids.step_blocks`
+replaces."""
 
 import numpy as np
 
@@ -16,7 +18,7 @@ from gasketfif.gasket import (
     _window_start,
     bary_f,
 )
-from gasketfif.model import _bilinear9
+from gasketfif.model import _bilinear9, words_of_length
 
 
 def row(model, omega: str, eta: str) -> int:
@@ -164,3 +166,93 @@ def factor_grid_oracle(depth: int) -> tuple:
         keys = new_keys
         finish_level(keys)
     return lam, child, emb, cells
+
+
+#: rows of an image block that image_block_oracle computes at a time
+ORACLE_ROWS = 64
+
+
+def image_block_oracle(model, lam: np.ndarray, f: np.ndarray, c: int) -> np.ndarray:
+    """The image block alpha_w f + h_w of cell_table row c on the level-k
+    values f, lam the level-k barycentrics: the shift's corners through
+    lam, then chunks of ORACLE_ROWS rows, none of a single row (numpy
+    hands a one-row product to gemv), each a gemm with lam.T, the scaled
+    values and their sum."""
+    table = model.cell_table
+    shift = lam @ np.ascontiguousarray(table.shift[:, :, c])
+    scale = None
+    if table.is_tensor[c]:
+        scale = lam @ np.ascontiguousarray(table.alpha_tensor[:, :, c])
+    rows = len(f)
+    starts = list(range(0, rows, ORACLE_ROWS))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    block = np.empty_like(f)
+    for lo, hi in zip(starts, starts[1:] + [rows]):
+        h = shift[lo:hi] @ lam.T
+        if scale is None:
+            part = f[lo:hi] * table.alpha[c]
+        else:
+            part = scale[lo:hi] @ lam.T
+            part *= f[lo:hi]
+        part += h
+        block[lo:hi] = part
+    return block
+
+
+def owner_runs_oracle(fg, k: int, n: int) -> list:
+    """For each length-n word, in order, the runs (start, stop, first) of
+    compose(k, w) that w owns, compose(k, w)[start:stop] == range(first,
+    first + stop - start): a level-(k+n) vertex belongs to the smallest
+    word whose image holds it, the images marked one word at a time."""
+    maps = [fg.compose(k, w) for w in words_of_length(n)]
+    owner = np.full(len(fg.lam[k + n]), -1)
+    for i, idx in enumerate(maps):
+        fresh = idx[owner[idx] == -1]
+        owner[fresh] = i
+    out = []
+    for i, idx in enumerate(maps):
+        runs = []
+        for a in range(len(idx)):
+            if owner[idx[a]] != i:
+                continue
+            if runs and runs[-1][1] == a and idx[a] == runs[-1][2] + a - runs[-1][0]:
+                runs[-1] = (runs[-1][0], a + 1, runs[-1][2])
+            else:
+                runs.append((a, a + 1, int(idx[a])))
+        out.append(runs)
+    return out
+
+
+def level_step_oracle(model, fg, k: int, f: np.ndarray) -> np.ndarray:
+    """The level-(k+N) values from the level-k values f, one cell-pair at a
+    time: each owned run pair of cell-pair (i, j) copied out of its
+    image_block_oracle."""
+    n = model.n
+    nw = 3**n
+    runs = owner_runs_oracle(fg, k, n)
+    out = np.full((len(fg.lam[k + n]),) * 2, np.nan)
+    for i in range(nw):
+        for j in range(nw):
+            block = image_block_oracle(model, fg.lam[k], f, i * nw + j)
+            for a0, a1, r0 in runs[i]:
+                for b0, b1, c0 in runs[j]:
+                    out[r0 : r0 + a1 - a0, c0 : c0 + b1 - b0] = block[a0:a1, b0:b1]
+    return out
+
+
+def fixed_point_oracle(model, fg, depth: int, tol: float) -> tuple:
+    """(values, iterations) of the plain iteration g -> T g from zeros on
+    the depth-`depth` grid, T the level step from the restriction to level
+    depth-N, until the sup change is <= tol."""
+    k = depth - model.n
+    idx = fg.restriction(k, depth)
+    g = np.zeros((len(fg.lam[depth]),) * 2)
+    iterations = 0
+    while True:
+        nxt = level_step_oracle(model, fg, k, g[np.ix_(idx, idx)])
+        iterations += 1
+        change = np.max(np.abs(nxt - g))
+        g = nxt
+        if change <= tol:
+            return g, iterations

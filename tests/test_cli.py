@@ -13,7 +13,7 @@ import pytest
 from conftest import config_dict, write_config
 
 import gasketfif as gf
-from gasketfif import evaluator
+from gasketfif import cli, evaluator, grids
 from gasketfif.cli import _random_word, build_from_config, main
 from gasketfif.evaluator import eval_exact
 
@@ -491,6 +491,23 @@ class TestCheck:
         ):
             assert f"PASS {name}" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_contraction_test_builds_one_grid(self, tmp_path, capsys, monkeypatch, n):
+        # its ten grid functions share one FactorGrid(N)
+        built = []
+
+        class Spy(grids.FactorGrid):
+            def __init__(self, depth):
+                built.append(depth)
+                super().__init__(depth)
+
+        monkeypatch.setattr(cli, "FactorGrid", Spy)
+        monkeypatch.setattr(evaluator, "FactorGrid", Spy)
+        cfg = write_config(tmp_path, config_dict(n=n))
+        assert main(["check", "-c", cfg]) == 0
+        assert "PASS contraction" in capsys.readouterr().out
+        assert built == [n]
 
     def test_corrupted_model_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, config_dict())

@@ -450,6 +450,16 @@ class TestGridFunction:
         with pytest.raises(PreconditionError):
             GridFunction(m, 3)
 
+    def test_grid_of_another_depth_refused(self):
+        # a deeper grid would read wrong values, a shallower one raise
+        # IndexError, through `at`
+        model = gf.random_model(1, 1)
+        for depth in (1, 3):
+            with pytest.raises(PreconditionError):
+                GridFunction(model, 2, grid=grids.FactorGrid(depth))
+        g = GridFunction(model, 2, grid=grids.FactorGrid(2))
+        assert g.grid.depth == 2
+
     def test_refused_over_the_byte_budget(self, ref03):
         tracemalloc.start()
         try:

@@ -1,30 +1,42 @@
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gasketfif as gf
+from gasketfif import grids
 from gasketfif.errors import CapacityError
-from gasketfif.evaluator import eval_exact
+from gasketfif.evaluator import GridFunction, eval_exact, rb_apply, solve_fixed_point
 from gasketfif.gasket import Address, GasketSpec, canonicalize, vertex_count
 from gasketfif.grids import (
     _STEP_ROWS,
     GRID_BYTES,
     FactorGrid,
+    _owned_runs,
     _row_chunks,
-    _runs,
     image_blocks,
     level_step,
     product_values,
 )
 from gasketfif.model import ProductVertex, ScalingField, build_model, words_of_length
-from oracles import factor_grid_oracle
+from oracles import (
+    factor_grid_oracle,
+    fixed_point_oracle,
+    image_block_oracle,
+    level_step_oracle,
+    owner_runs_oracle,
+)
 
 
-def test_runs_cover_any_index_map():
-    idx = np.array([5, 6, 7, 2, 3, 9, 9])
-    assert _runs(idx) == [(0, 3, 5), (3, 5, 2), (5, 6, 9), (6, 7, 9)]
-    assert _runs(np.array([4])) == [(0, 1, 4)]
+def test_owned_runs_cover_each_words_positions():
+    # word 0 owns positions 5, 6, 7 and 2, 3; word 2 owns 9, then 9 again
+    o = np.array([0, 0, 0, 0, 0, 2, 2])
+    p = np.array([5, 6, 7, 2, 3, 9, 9])
+    assert _owned_runs(o, p, 3) == [[(0, 3, 5), (3, 5, 2)], [], [(5, 6, 9), (6, 7, 9)]]
+    assert _owned_runs(np.array([1]), np.array([4]), 2) == [[], [(0, 1, 4)]]
 
 
 @pytest.mark.parametrize("depth", range(9))
@@ -61,15 +73,22 @@ def test_row_chunks_never_hold_a_single_row():
 OFF_ORIGIN = GasketSpec(((10.0, 5.0), (11.0, 5.2), (10.1, 6.3)))
 
 
+@functools.cache
 def any_depth_model(n, kind):
-    """A random N=n model with constant or corner-tensor scaling, or on a
-    gasket far from the origin."""
+    """A random N=n model with constant or corner-tensor scaling, tensors
+    on the cell-pairs whose words start alike and constants elsewhere
+    ("mixed"), or on a gasket far from the origin."""
     scaling = ScalingField.constant(0.3, n)
-    if kind == "tensor":
+    if kind in ("tensor", "mixed"):
         rng = np.random.default_rng(n)
         words = words_of_length(n)
         scaling = ScalingField.from_cells(
-            {(a, b): rng.uniform(-0.2, 0.2, (3, 3)) for a in words for b in words}, n
+            {
+                (a, b): rng.uniform(-0.2, 0.2, (3, 3)) if kind == "tensor" or a[0] == b[0] else 0.2
+                for a in words
+                for b in words
+            },
+            n,
         )
     g1 = OFF_ORIGIN if kind == "gasket" else None
     return build_model(gf.random_dataset(n, 4), scaling, g1, None)
@@ -136,11 +155,11 @@ def test_budget_refuses_depth_8_before_allocating():
     assert peak < 2**20
 
 
-def test_runs_keep_only_the_masked_positions():
-    idx = np.array([5, 6, 7, 8, 2, 3])
-    keep = np.array([True, True, False, True, True, True])
-    assert _runs(idx, keep) == [(0, 2, 5), (3, 4, 8), (4, 6, 2)]
-    assert _runs(idx, np.zeros(6, dtype=bool)) == []
+def test_owned_runs_split_where_the_word_changes():
+    # consecutive positions that cross from one word to the next split
+    o = np.array([0, 0, 1, 1, 1])
+    p = np.array([0, 1, 2, 3, 5])
+    assert _owned_runs(o, p, 2) == [[(0, 2, 0)], [(2, 4, 2), (4, 5, 5)]]
 
 
 @pytest.mark.parametrize("n, depth", [(1, 5), (2, 5)])
@@ -153,16 +172,17 @@ def test_ownership_table_names_the_smallest_containing_block(n, depth):
         for i, idx in enumerate(images):
             fresh = idx[want[idx] == -1]
             want[fresh] = i
-        owners = np.zeros(vertex_count(k + n), dtype=int)
-        got = np.full(vertex_count(k + n), -1)
-        for i, runs in enumerate(fg.owned_runs(k, n)):
-            for start, stop, first in runs:
-                block = np.arange(first, first + stop - start)
-                assert np.array_equal(images[i][start:stop], block)
-                owners[block] += 1
-                got[block] = i
-        assert np.all(owners == 1)
-        assert np.array_equal(got, want)
+        o, p = fg.owners(k, n)
+        assert np.array_equal(o, want)
+        for x in range(vertex_count(k + n)):
+            assert images[o[x]][p[x]] == x
+        # the runs of the owner maps are the runs of the one-word-at-a-time
+        # ownership table, moved from positions to vertices
+        runs = _owned_runs(o, p, len(words))
+        assert runs == [
+            [(first, first + stop - start, start) for start, stop, first in word]
+            for word in owner_runs_oracle(fg, k, n)
+        ]
 
 
 @pytest.mark.parametrize("kind", ["constant", "tensor", "gasket"])
@@ -181,10 +201,8 @@ def test_image_blocks_are_the_next_level_at_every_entry(n, kind):
         rows, cols = fg1.compose(k, words[i]), fg2.compose(k, words[j])
         want = full[np.ix_(rows, cols)]
         assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
-        owned = sum(b - a for a, b, _ in fg1.owned_runs(k, n)[i]) * sum(
-            b - a for a, b, _ in fg2.owned_runs(k, n)[j]
-        )
-        unowned += block.size - owned
+        o = fg1.owners(k, n)[0]
+        unowned += block.size - np.count_nonzero(o == i) * np.count_nonzero(o == j)
     assert unowned == 9**n * vertex_count(k) ** 2 - vertex_count(k + n) ** 2 > 0
 
 
@@ -199,3 +217,128 @@ def test_both_gaskets_share_one_factor_grid():
         for k in range(4):
             want = level_step(model, fg, k, want, np.empty((vertex_count(k + 1),) * 2))
         assert np.array_equal(f.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.data())
+def test_owner_maps_name_the_smallest_word_holding_each_vertex(n, k, data):
+    fg = FactorGrid(k + n)
+    o, p = fg.owners(k, n)
+    words = words_of_length(n)
+    x = data.draw(st.integers(0, vertex_count(k + n) - 1))
+    assert fg.compose(k, words[o[x]])[p[x]] == x
+    # no smaller word's image holds x
+    assert all(x not in fg.compose(k, w) for w in words[: o[x]])
+    # and o is sorted: each word owns one range of indices
+    assert np.all(np.diff(o) >= 0)
+
+
+def bits(a):
+    return a.view(np.uint64)
+
+
+#: the deepest step level k, per N, that the cell-pair loop runs in test time
+ORACLE_LEVELS = {1: 6, 2: 4, 3: 2, 4: 1, 5: 0}
+KINDS = ["constant", "tensor", "mixed", "gasket"]
+
+
+def oracle_cases(deepest=5):
+    for n, top in ORACLE_LEVELS.items():
+        # the loop runs 6561 cell-pairs a step at N=4 and 59049 at N=5:
+        # there the mixed model stands for both scalings
+        kinds = KINDS if n < 4 else ["mixed", "gasket"] if n == 4 else ["mixed"]
+        for kind in kinds if n <= deepest else []:
+            yield n, top, kind
+
+
+@pytest.mark.parametrize("n, top, kind", list(oracle_cases()))
+def test_level_step_equals_the_cell_pair_loop(n, top, kind):
+    # random level-k values: every entry of a block, owned or not, is the
+    # loop's bit for bit, whatever the values at the junctions
+    model = any_depth_model(n, kind)
+    fg = FactorGrid(top + n)
+    rng = np.random.default_rng(top)
+    nw = 3**n
+    for k in range(top + 1):
+        f = rng.standard_normal((vertex_count(k),) * 2)
+        want = level_step_oracle(model, fg, k, f)
+        got = level_step(model, fg, k, f, np.full_like(want, np.nan))
+        assert np.array_equal(bits(got), bits(want))
+        seen = np.zeros(want.shape, dtype=int)
+        for rows, cols, _ in grids.step_blocks(model, fg, k, f):
+            seen[rows, cols] += 1
+        assert np.all(seen == 1)
+        if nw**2 * vertex_count(k) ** 2 > 2**19:
+            continue
+        cells = []
+        for i, j, block in image_blocks(model, fg, k, f):
+            cells.append((i, j))
+            want = image_block_oracle(model, fg.lam[k], f, i * nw + j)
+            assert np.array_equal(bits(block), bits(want))
+        assert cells == [(i, j) for i in range(nw) for j in range(nw)]
+
+
+@pytest.mark.parametrize("n, top, kind", list(oracle_cases(deepest=4)))
+def test_product_values_and_rb_apply_equal_the_cell_pair_loop(n, top, kind):
+    model = any_depth_model(n, kind)
+    depth = top + n
+    fg = FactorGrid(depth)
+    start = depth % n
+    want = product_values(model, start)[2] if start else np.zeros((3, 3))
+    for k in range(start, depth, n):
+        want = level_step_oracle(model, fg, k, want)
+    assert np.array_equal(bits(product_values(model, depth)[2]), bits(want))
+    # a grid function's depth is a multiple of N
+    depth -= start
+    fg = FactorGrid(depth)
+    g = GridFunction(model, depth, grid=fg)
+    g.values = np.random.default_rng(depth).standard_normal(g.values.shape)
+    idx = fg.restriction(depth - n, depth)
+    want = level_step_oracle(model, fg, depth - n, g.values[np.ix_(idx, idx)])
+    assert np.array_equal(bits(rb_apply(model, g).values), bits(want))
+
+
+@pytest.mark.parametrize(
+    "n, depth, kind",
+    [(1, 3, "tensor"), (1, 6, "constant"), (1, 6, "mixed"), (2, 4, "gasket"), (2, 6, "tensor"),
+     (3, 3, "tensor"), (3, 6, "mixed"), (4, 4, "mixed"), (5, 5, "mixed")],
+)
+def test_fixed_point_equals_the_plain_cell_pair_iteration(n, depth, kind):
+    model = any_depth_model(n, kind)
+    values, iterations = fixed_point_oracle(model, FactorGrid(depth), depth, 1e-12)
+    got = solve_fixed_point(model, depth, 1e-12)
+    assert got.iterations == iterations
+    assert np.array_equal(bits(got.values), bits(values))
+@pytest.mark.parametrize("entries, rows", [(1, 64), (200, 64), (15, 7), (900, 41), (30, 14)])
+def test_one_cell_pair_groups_and_row_chunks_equal_the_loop(monkeypatch, entries, rows):
+    # groups of one cell-pair, whole or in row chunks, among them chunks
+    # that would leave a single row of a 15-row or 42-row block (numpy's
+    # one-row products go to gemv), and groups of a few cell-pairs
+    monkeypatch.setattr(grids, "_GROUP_ENTRIES", entries)
+    monkeypatch.setattr(grids, "_STEP_ROWS", rows)
+    for n, kind in ((1, "mixed"), (2, "tensor")):
+        model = any_depth_model(n, kind)
+        fg = FactorGrid(3 + n)
+        rng = np.random.default_rng(n)
+        for k in (2, 3):
+            f = rng.standard_normal((vertex_count(k),) * 2)
+            want = level_step_oracle(model, fg, k, f)
+            got = level_step(model, fg, k, f, np.empty_like(want))
+            assert np.array_equal(bits(got), bits(want))
+            nw = 3**n
+            for i, j, block in image_blocks(model, fg, k, f):
+                want = image_block_oracle(model, fg.lam[k], f, i * nw + j)
+                assert np.array_equal(bits(block), bits(want))
+
+
+def test_product_values_peak_is_output_level_and_group_budget():
+    model = gf.random_model(5, 1)
+    product_values(model, 5)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        product_values(model, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output, level_k = 8 * vertex_count(5) ** 2, 8 * vertex_count(0) ** 2
+    assert peak < output + level_k + grids._GROUP_BYTES + 2**20
