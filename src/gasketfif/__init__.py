@@ -32,6 +32,7 @@ from .evaluator import (
     GraphSample,
     GraphSamples,
     GridFunction,
+    address_letters,
     chaos_game,
     eval_approx,
     eval_exact,

@@ -8,6 +8,7 @@ pairs as "w@i|w@j".  Exit codes are documented in --help.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -25,12 +26,11 @@ from .errors import (
     ValidationError,
 )
 from .fileio import atomic_open
-from .gasket import MAX_ENUM_DEPTH, Address, GasketSpec, address_bary, enumerate_vertices
+from .gasket import MAX_ENUM_DEPTH, Address, GasketSpec, enumerate_vertices
 from .grids import FactorGrid, product_values
 from .model import (
     DataSet,
     ScalingField,
-    _bilinear9,
     build_model,
     check_compatibility,
     perturb_shift,
@@ -94,7 +94,7 @@ def _parse_gasket(raw, field):
     try:
         corners = tuple((float(p[0]), float(p[1])) for p in raw)
         return GasketSpec(corners)
-    except (TypeError, ValueError, IndexError) as e:
+    except (TypeError, ValueError, IndexError, OverflowError) as e:
         raise _ConfigError(f"{field}: bad corner list: {e}") from None
 
 
@@ -104,7 +104,7 @@ def _parse_scaling(raw, n):
     if "constant" in raw:
         try:
             return ScalingField.constant(float(raw["constant"]), n)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise _ConfigError(f"scaling.constant: {e}") from None
     if "cells" in raw:
         if not isinstance(raw["cells"], dict):
@@ -119,7 +119,7 @@ def _parse_scaling(raw, n):
             return ScalingField.from_cells(mapping, n)
         except ValidationError:
             raise
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise _ConfigError(f"scaling.cells: {e}") from None
     raise _ConfigError("scaling: need either 'constant' or 'cells'")
 
@@ -127,12 +127,11 @@ def _parse_scaling(raw, n):
 def build_from_config(path):
     """Parse and assemble the model described by a config file."""
     raw = _load_config(path)
-    try:
-        n = int(raw["n"])
-    except KeyError:
-        raise _ConfigError("missing field 'n'") from None
-    except (TypeError, ValueError):
-        raise _ConfigError("'n' must be an integer") from None
+    if "n" not in raw:
+        raise _ConfigError("missing field 'n'")
+    n = raw["n"]
+    if type(n) is not int:  # 1.0, 1.5, true and "1" are refused
+        raise _ConfigError("'n' must be an integer")
     if n < 1:
         raise ValidationError("depth N must be >= 1")
     # the scaling field and the data set both grow as 9^n
@@ -156,7 +155,7 @@ def build_from_config(path):
     for idx, item in enumerate(data_raw):
         try:
             first, second, z = item["first"], item["second"], float(item["z"])
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise _ConfigError(f"data[{idx}]: {e}") from None
         if not isinstance(first, str) or not isinstance(second, str):
             raise _ConfigError(f"data[{idx}]: addresses must be 'word@corner' strings")
@@ -213,7 +212,7 @@ def cmd_grid(args):
     nv = len(verts)
     rows = nv**2
     # rows and columns in enumerate_vertices order, with no reordered copy
-    order = np.array([fg.index_of(a) for a in verts])
+    order = fg.indices_of(verts)
     pts1 = (fg.lam[-1] @ model.gasket1.corner_array)[order]
     pts2 = (fg.lam[-1] @ model.gasket2.corner_array)[order]
 
@@ -311,10 +310,11 @@ def cmd_check(args):
     return EXIT_OK if not failures else EXIT_CHECK_FAILED
 
 
-def _random_word(rng, size) -> str:
-    """A word of `size` random letters: the draws of rng.choice(list("123"),
-    size=size), from the same stream, with no array of strings."""
-    return "".join(["123"[i] for i in rng.integers(0, 3, size=size).tolist()])
+def _random_word(rng, size) -> np.ndarray:
+    """A word of `size` random letters 1, 2, 3: the draws of
+    rng.choice(list("123"), size=size), from the same stream, with no
+    array of strings."""
+    return rng.integers(0, 3, size=size) + 1
 
 
 def _run_checks(model) -> list:
@@ -336,45 +336,53 @@ def _run_checks(model) -> list:
         detail += f" worst {rep.worst}"
     check("compatibility", not rep.violations, detail)
 
-    bad = 0
-    for key, z in model.data.entries.items():
-        v = evaluator.eval_exact(model, key.first, key.second)
-        if not abs(v - z) <= 1e-12 * (1.0 + abs(z)):  # NaN is off too
-            bad += 1
+    # every data vertex pair, in one array call
+    grid = FactorGrid(model.n)
+    verts = enumerate_vertices(model.n)
+    letters, corners = evaluator.address_letters(verts)
+    a, b = np.divmod(np.arange(len(verts) ** 2), len(verts))
+    v = evaluator.eval_exact(model, (letters[a], corners[a]), (letters[b], corners[b]))
+    idx = grid.indices_of(verts)
+    z = model.data.values[idx[a], idx[b]]
+    bad = int(np.count_nonzero(~(np.abs(v - z) <= 1e-12 * (1.0 + np.abs(z)))))  # NaN is off too
     check("interpolation", bad == 0, f"{bad} vertices off" if bad else "")
 
-    # the maps take exact barycentrics, so the residual is the recursion's
-    # own, not a round trip through plane points
+    # f(L_w1 t, L_w2 s) against alpha_w f(t, s) + h_w at 200 random vertex
+    # pairs (t, s) and cell-pairs w; the maps take exact barycentrics, so
+    # the residual is the recursion's own, not a round trip through plane
+    # points
     rng = np.random.default_rng(7)
-    words = words_of_length(model.n)
     table = model.cell_table
+    nw = len(table.index)
+    at, bs = np.zeros((2, 200, 3), dtype=np.int8)
+    draws = np.empty((200, 4), dtype=np.intp)  # corners of t and s, then w1, w2
+    for p in range(200):
+        w = _random_word(rng, rng.integers(0, 4))
+        at[p, : len(w)] = w
+        w = _random_word(rng, rng.integers(0, 4))
+        bs[p, : len(w)] = w
+        draws[p] = rng.integers(1, 4), rng.integers(1, 4), rng.integers(0, nw), rng.integers(0, nw)
+    ct, cs, i, j = draws.T
+    prefix = evaluator.address_letters([Address(w) for w in words_of_length(model.n)])[0]
+    lhs = evaluator.eval_exact(
+        model, (np.hstack((prefix[i], at)), ct), (np.hstack((prefix[j], bs)), cs)
+    )
+    f, lam, mu = evaluator._exact(model, (at, ct), (bs, cs))
+    rhs = evaluator._exact_step(table, i * nw + j, f, lam, mu)
     tol = 1e-9 * (1.0 + model.f_sup_bound)
-    worst = 0.0
-    for _ in range(200):
-        wt = _random_word(rng, rng.integers(0, 4))
-        ws = _random_word(rng, rng.integers(0, 4))
-        at = Address(wt, int(rng.integers(1, 4)))
-        bs = Address(ws, int(rng.integers(1, 4)))
-        i, j = rng.integers(0, len(words)), rng.integers(0, len(words))
-        c = i * len(words) + j
-        lam, mu = address_bary(at), address_bary(bs)
-        lhs = evaluator.eval_exact(model, Address(words[i] + at.word, at.corner),
-                                   Address(words[j] + bs.word, bs.corner))
-        alpha = table.alpha_rows[c]
-        if type(alpha) is not float:
-            alpha = _bilinear9(alpha, lam, mu)
-        rhs = alpha * evaluator.eval_exact(model, at, bs) + _bilinear9(table.shift_rows[c], lam, mu)
-        worst = np.maximum(worst, abs(lhs - rhs))  # max() would drop a NaN
+    worst = np.max(np.abs(lhs - rhs), initial=0.0)  # NaN propagates
     check("functional-equation", worst <= tol, f"residual {worst:.3e}")
 
-    worst = 0.0
-    for _ in range(100):
-        w = _random_word(rng, 4)
-        c = int(rng.integers(1, 4))
-        corner = int(rng.integers(1, 4))
-        v1 = evaluator.eval_exact(model, Address("", corner), Address(w, c))
-        v2 = evaluator.eval_exact(model, Address(w, c), Address("", corner))
-        worst = np.max([worst, abs(v1), abs(v2)])
+    # f at (corner, random vertex) and (random vertex, corner)
+    words = np.empty((100, 4), dtype=np.int8)
+    draws = np.empty((100, 2), dtype=np.intp)  # the vertex's corner, then the corner
+    for p in range(100):
+        words[p] = _random_word(rng, 4)
+        draws[p] = rng.integers(1, 4), rng.integers(1, 4)
+    vertex, corner = (words, draws[:, 0]), (np.zeros((100, 0), dtype=np.int8), draws[:, 1])
+    v = np.concatenate((evaluator.eval_exact(model, corner, vertex),
+                        evaluator.eval_exact(model, vertex, corner)))
+    worst = np.max(np.abs(v), initial=0.0)
     check("boundary-vanishing", worst <= tol, f"max |f| {worst:.3e}")
 
     ok = True
@@ -384,7 +392,6 @@ def _run_checks(model) -> list:
     check("vertex-count", ok)
 
     depth = model.n
-    grid = FactorGrid(depth)
     sup_ratio = 0.0
     for _ in range(5):
         ga = evaluator.GridFunction(model, depth, grid=grid)
@@ -418,7 +425,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _make_parser():
+    """The parser of every verb, built once per process: a verb runs as
+    the module's cmd_<verb> of the moment, looked up by name."""
     parser = _Parser(
         prog="gasketfif",
         description="Fractal interpolation on the product of two Sierpinski gaskets",
@@ -432,21 +442,18 @@ def _make_parser():
 
     p = sub.add_parser("build", help="validate a config and print derived constants")
     common(p)
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("eval", help="evaluate f at an address or a point")
     common(p)
     p.add_argument("--address", nargs=2, metavar=("W@I", "W@J"))
     p.add_argument("--point", nargs=4, type=float, metavar=("TX", "TY", "SX", "SY"))
     p.add_argument("--depth", type=int, default=12, help="truncation depth k")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grid", help="exact values on a product vertex grid (CSV)")
     common(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--ppm", help="also write a PPM heatmap of the value matrix")
-    p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("chaos", help="chaos-game samples of the graph (CSV)")
     common(p)
@@ -454,35 +461,30 @@ def _make_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burn-in", type=int, default=100)
     p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser("dim", help="box counts, dimension slope and bounds")
     common(p)
     p.add_argument("--min-level", type=int, required=True)
     p.add_argument("--max-level", type=int, required=True)
     p.add_argument("--samples-per-cell", type=int, default=9)
-    p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("holder", help="predicted and empirical Holder exponents")
     common(p)
     p.add_argument("--min-level", type=int, default=3)
     p.add_argument("--max-level", type=int, default=6)
-    p.set_defaults(func=cmd_holder)
 
     p = sub.add_parser("check", help="run the full invariant suite")
     common(p)
     p.add_argument("--corrupt", help=argparse.SUPPRESS)  # test hook: w|w|i|j|delta
-    p.set_defaults(func=cmd_check)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        code = args.func(args)
+        code = globals()[f"cmd_{args.command}"](args)
     except tuple(kind for kind, _ in _EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         code = next(c for kind, c in _EXIT_CODES if isinstance(e, kind))

@@ -20,39 +20,84 @@ from .grids import FactorGrid, check_grid_bytes, level_step, level_steps, step_b
 from .model import FifModel, _bilinear9, _bilinear_form
 
 
-def eval_exact(model: FifModel, addr_t: Address, addr_s: Address) -> float:
-    """f at an exact product vertex, by peeling N letters per step.
+def address_letters(addresses) -> tuple:
+    """Addresses in the letter form of `eval_exact`: (letters, corners),
+    letters a (P, L) int8 array of each word's letters 1, 2, 3 followed by
+    0s, and corners a (P,) array."""
+    letters = np.zeros((len(addresses), max((len(a.word) for a in addresses), default=0)), np.int8)
+    for row, a in zip(letters, addresses):
+        row[: len(a.word)] = np.frombuffer(a.word.encode("ascii"), np.int8) - ord("0")
+    return letters, np.array([a.corner for a in addresses])
 
-    Reads neither gasket: alpha and h are bilinear in barycentric
-    coordinates, and the coordinates of each block's tail are built from
-    the innermost one as 2^-N lam + the block's offset, exact dyadics for
-    words of up to 52 letters.  The recursion bottoms out at a corner
-    pair, where f vanishes; the result carries no truncation error, only
-    the rounding of the bilinear forms.
-    """
+
+def _exact_step(table, c, x, lam, mu):
+    """One step of eval_exact's recursion on the cell-pair rows c of the
+    cell table: alpha_c(lam, mu) x + h_c(lam, mu), for (3, P) barycentric
+    triples lam, mu; each entry as `_bilinear9` rounds it."""
+    alpha = table.alpha.take(c)
+    if table.any_tensor:
+        tensor = table.alpha_tensor.reshape(9, -1).take(c, axis=1).reshape(3, 3, -1)
+        alpha = np.where(table.is_tensor.take(c), _bilinear_form(tensor, lam, mu), alpha)
+    shift = table.shift.reshape(9, -1).take(c, axis=1).reshape(3, 3, -1)
+    return alpha * x + _bilinear_form(shift, lam, mu)
+
+
+def _exact(model: FifModel, t, s) -> tuple:
+    """eval_exact on letter-form addresses, with the barycentrics of t and
+    s that the recursion ends on: (values, lam, mu), each lam[:, p] and
+    mu[:, p] the exact `address_bary` of point p's address."""
     n = model.n
-    # (w, c) and (w.c^r, c) name the same point: pad both words with their
-    # corner to one length, a multiple of N
-    m = n * -(-max(len(addr_t.word), len(addr_s.word), 1) // n)
-    wt = addr_t.word + str(addr_t.corner) * (m - len(addr_t.word))
-    ws = addr_s.word + str(addr_s.corner) * (m - len(addr_s.word))
+    (lt, ct), (ls, cs) = t, s
+    # (w, c) and (w.c^r, c) name the same point: pad the two words of each
+    # pair with their corners to one length, a multiple of N, in `blocks`
+    # blocks of N letters
+    blocks = np.maximum(np.count_nonzero(lt, axis=1), np.count_nonzero(ls, axis=1))
+    blocks = -(-np.maximum(blocks, 1) // n)
+    width = n * int(blocks.max(initial=0))
+    it, js = (_block_indices(w, np.asarray(c), width, n) for w, c in ((lt, ct), (ls, cs)))
     table = model.cell_table
-    index, nw, offsets = table.index, len(table.index), table.offset_rows
-    scale = 0.5**n
-    lam = tuple(float(c == addr_t.corner) for c in (1, 2, 3))
-    mu = tuple(float(c == addr_s.corner) for c in (1, 2, 3))
-    x = 0.0
-    for lo in range(m - n, -1, -n):
-        i, j = index[wt[lo : lo + n]], index[ws[lo : lo + n]]
-        c = i * nw + j
-        alpha = table.alpha_rows[c]
-        if type(alpha) is not float:
-            alpha = _bilinear9(alpha, lam, mu)
-        x = alpha * x + _bilinear9(table.shift_rows[c], lam, mu)
-        o, p = offsets[i], offsets[j]
-        lam = (o[0] + scale * lam[0], o[1] + scale * lam[1], o[2] + scale * lam[2])
-        mu = (p[0] + scale * mu[0], p[1] + scale * mu[1], p[2] + scale * mu[2])
-    return x
+    lam = (np.arange(1, 4)[:, None] == ct).astype(float)
+    mu = (np.arange(1, 4)[:, None] == cs).astype(float)
+    x = np.zeros(len(lam[0]))
+    for k in range(1, width // n + 1):  # the k-th block from the inside
+        p = np.flatnonzero(blocks >= k)
+        i, j = it[p, blocks[p] - k], js[p, blocks[p] - k]
+        x[p] = _exact_step(table, i * len(table.index) + j, x[p], lam[:, p], mu[:, p])
+        lam[:, p] = table.offset.take(i, axis=1) + 0.5**n * lam[:, p]
+        mu[:, p] = table.offset.take(j, axis=1) + 0.5**n * mu[:, p]
+    return x, lam, mu
+
+
+def _block_indices(letters, corners, width: int, n: int) -> np.ndarray:
+    """The words of `letters` padded with their corners to `width` letters,
+    as (P, width / n) indices of their n-letter blocks in words_of_length
+    order."""
+    padded = np.zeros((len(corners), width), dtype=np.intp)
+    padded[:, : letters.shape[1]] = letters[:, :width]
+    padded = np.where(padded == 0, corners[:, None], padded) - 1
+    index = np.zeros((len(corners), width // n), dtype=np.intp)
+    for k in range(n):
+        index = 3 * index + padded[:, k::n]
+    return index
+
+
+def eval_exact(model: FifModel, addr_t, addr_s):
+    """f at exact product vertices, by peeling N letters per step.
+
+    addr_t and addr_s are two Addresses, for one value (a float), or two
+    arrays of P addresses in the letter form of `address_letters`, for
+    an array of P values.  Each pair's words are padded with their corners
+    to one length, a multiple of N.  Reads neither gasket: alpha and h are
+    bilinear in barycentric coordinates, and the coordinates of each
+    block's tail are built from the innermost one as 2^-N lam + the
+    block's offset, exact dyadics for words of up to 52 letters.  The
+    recursion bottoms out at a corner pair, where f vanishes; the result
+    carries no truncation error, only the rounding of the bilinear forms,
+    each rounded as `_bilinear9` rounds it.
+    """
+    if isinstance(addr_t, Address):
+        return float(_exact(model, address_letters([addr_t]), address_letters([addr_s]))[0][0])
+    return _exact(model, addr_t, addr_s)[0]
 
 
 def eval_approx(model: FifModel, t, s, k: int) -> tuple:

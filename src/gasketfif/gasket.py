@@ -169,16 +169,28 @@ def bary_f(spec: GasketSpec, x: float, y: float) -> tuple:
     )
 
 
-def address_bary(a: Address) -> np.ndarray:
-    """Barycentric coordinates of L_w(p_c) for the address a = (w, c):
-    sum_k 2^-k e_{w_k} + 2^-|w| e_c, the same on every gasket.  Summed in
-    integers and rounded once, so exact for words of up to 52 letters."""
-    m = len(a.word)
+def address_numerators(a: Address, depth: int):
+    """The barycentric coordinates of L_w(p_c), a = (w, c), as integer
+    numerators over 2^depth: sum_k 2^(depth-k) e_{w_k} + 2^(depth-|w|) e_c.
+    None when they are not integers: L_wc(p_c) = L_w(p_c), and once w
+    ends in another letter L_w(p_c) is a vertex of level |w| and of no
+    coarser one."""
+    w = a.word.rstrip(str(a.corner))
+    if len(w) > depth:
+        return None
     nums = [0, 0, 0]
-    for k, ch in enumerate(a.word, start=1):
-        nums[int(ch) - 1] += 2 ** (m - k)
-    nums[a.corner - 1] += 1
-    return np.array([v / 2**m for v in nums])
+    for k, ch in enumerate(w, start=1):
+        nums[int(ch) - 1] += 1 << (depth - k)
+    nums[a.corner - 1] += 1 << (depth - len(w))
+    return nums
+
+
+def address_bary(a: Address) -> np.ndarray:
+    """Barycentric coordinates of L_w(p_c) for the address a = (w, c), the
+    same on every gasket: `address_numerators` over 2^|w|, rounded once,
+    so exact for words of up to 52 letters."""
+    m = len(a.word)
+    return np.array([v / 2**m for v in address_numerators(a, m)])
 
 
 def address_point(spec: GasketSpec, a: Address) -> np.ndarray:

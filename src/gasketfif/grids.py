@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CapacityError, PreconditionError
-from .gasket import Address, vertex_count
+from .gasket import Address, address_numerators, vertex_count
 
 if TYPE_CHECKING:
     from .model import FifModel
@@ -60,7 +60,9 @@ class FactorGrid:
     child[k][a-1][v] is the index at level k+1 of L_a(vertex v of level k);
     emb[k][v] re-indexes a level-k vertex inside level k+1; cells[k] holds
     the three corner indices of each length-k word cell in lexicographic
-    word order.
+    word order.  A level-k vertex is keyed by its first two numerators
+    over 2^k, n_1 (2^k + 1) + n_2; `indices_of` looks the keys of the
+    deepest level up in their sorted order.
     """
 
     def __init__(self, depth: int):
@@ -73,6 +75,9 @@ class FactorGrid:
         self.child = []
         self.emb = []
         self.cells = [np.array([[0, 1, 2]])]
+        # the sorted keys of the deepest level, and the index of each: at
+        # level 0, e_3, e_2, e_1 have the keys 0, 1, 2
+        self._keys, self._rank = np.arange(3), np.array([2, 1, 0])
         for k in range(depth):
             images = nums[None] + 2**k * np.eye(3, dtype=np.int64)[:, None]  # (a, v, 3)
             base = 2 ** (k + 1) + 1  # two numerators fix the third
@@ -85,6 +90,7 @@ class FactorGrid:
             child_k = rank[inverse].reshape(3, -1)
             self.child.append(child_k)
             self.emb.append(rank[np.searchsorted(uniq, 2 * (nums[:, 0] * base + nums[:, 1]))])
+            self._keys, self._rank = uniq, rank
             self.cells.append(child_k[:, self.cells[k]].reshape(-1, 3))
             nums = images.reshape(-1, 3)[first[order]]
             self.lam.append(np.ldexp(nums.astype(float), -(k + 1)))  # exact: nums / 2^(k+1)
@@ -124,15 +130,25 @@ class FactorGrid:
         """Indices at level `depth` of the level-k vertices."""
         return self.lift(np.arange(vertex_count(k)), k, depth)
 
+    def indices_of(self, addresses) -> np.ndarray:
+        """Index at level `depth` of the vertex named by each address, -1
+        where it names no vertex of that level (`address_numerators`)."""
+        base = 2**self.depth + 1
+        keys = []
+        for a in addresses:
+            nums = address_numerators(a, self.depth)
+            keys.append(-1 if nums is None else nums[0] * base + nums[1])
+        keys = np.array(keys, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return np.where(self._keys[pos] == keys, self._rank[pos], -1)
+
     def index_of(self, a: Address) -> int:
-        """Index at level `depth` of the vertex named by the address a;
-        KeyError when it is not a vertex of that level.  L_wc(p_c) =
-        L_w(p_c), and once w ends in another letter L_w(p_c) is a vertex
-        of level |w| and of no coarser one."""
-        w = a.word.rstrip(str(a.corner))
-        if len(w) > self.depth:
+        """`indices_of` one address; KeyError when it names no vertex of
+        level `depth`."""
+        i = int(self.indices_of([a])[0])
+        if i < 0:
             raise KeyError(str(a))
-        return int(self.lift(self.compose(0, w)[a.corner - 1], len(w), self.depth))
+        return i
 
 
 #: rows of an image block that a group computes at a time when the block

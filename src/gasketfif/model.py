@@ -10,9 +10,9 @@ compatibility identity hold by construction.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cached_property
 
 import numpy as np
 
@@ -43,91 +43,128 @@ class ProductVertex:
 
 @dataclass(frozen=True)
 class DataSet:
-    """Interpolation values z on the depth-N product vertex set, keyed by
-    canonical vertex pairs.
+    """Interpolation values z on the depth-N product vertex set V_N x V_N.
 
-    build_model checks the rest for every data set, however it was made:
-    that it is complete, lies in V_N x V_N, is finite and is zero on the
-    boundary.
+    values[i, j] is z at vertex i of the first gasket and vertex j of the
+    second, both in FactorGrid(N) order.  build_model checks the rest for
+    every data set, however it was made: the shape, and that the values
+    are finite and zero on the boundary.
     """
 
     n: int
-    entries: dict = field(compare=False)
+    values: np.ndarray = field(compare=False)
 
     @classmethod
     def build(cls, n: int, triples) -> "DataSet":
         """Parse raw (first, second, z) triples into a DataSet.
 
         Addresses may be Address objects or "word@corner" strings and need
-        not be canonical.  Two representations of the same vertex with
-        different z are refused, never last-writer-wins.
+        not be canonical; each distinct one is parsed once and found by its
+        barycentric numerators (FactorGrid.indices_of).  A malformed address
+        raises ValueError.  Refused with ValidationError: a vertex outside
+        V_N, two spellings of one vertex pair with different z (never
+        last-writer-wins; equal ones collapse), a missing pair.
         """
         if n < 1:
             raise ValidationError("depth N must be >= 1")
-        entries = {}
-        canonical = {}  # each distinct address is parsed and canonicalized once
-
-        def vertex(a):
-            c = canonical.get(a)
-            if c is None:
-                c = canonical[a] = canonicalize(
-                    a if isinstance(a, Address) else Address.parse(a)
-                )
-            return c
-
-        for first, second, z in triples:
-            key = ProductVertex(vertex(first), vertex(second))
-            z = float(z)
-            if key in entries and entries[key] != z:
-                raise ValidationError(
-                    f"conflicting values {entries[key]} and {z} for vertex {key}"
-                )
-            entries[key] = z
-        return cls(n, entries)
+        triples = list(triples)
+        firsts, seconds, zs = zip(*triples) if triples else ((), (), ())
+        z = np.fromiter(map(float, zs), dtype=float, count=len(zs))
+        # distinct addresses in order of first use, so a bad one is met in
+        # input order
+        named = dict.fromkeys(itertools.chain.from_iterable(zip(firsts, seconds)))
+        parsed = {a: a if isinstance(a, Address) else Address.parse(a) for a in named}
+        fg = FactorGrid(n)
+        index = dict(zip(named, fg.indices_of(parsed.values()).tolist()))
+        i = np.fromiter(map(index.__getitem__, firsts), dtype=np.intp, count=len(z))
+        j = np.fromiter(map(index.__getitem__, seconds), dtype=np.intp, count=len(z))
+        outside = np.flatnonzero((i < 0) | (j < 0))
+        if len(outside):
+            a, b = (canonicalize(parsed[x[outside[0]]]) for x in (firsts, seconds))
+            raise ValidationError(f"data vertex {a}|{b} lies outside V_{n} x V_{n}")
+        nv = vertex_count(n)
+        pair = i * nv + j
+        # each pair's entries in input order: one that differs from the
+        # value before it clashes (a NaN always does)
+        order = np.argsort(pair, kind="stable")
+        pair, z = pair[order], z[order]
+        same = pair[1:] == pair[:-1]
+        clash = np.flatnonzero(same & (z[1:] != z[:-1]))
+        if len(clash):
+            k = clash[np.argmin(order[clash + 1])]  # the first clash in input order
+            raise ValidationError(
+                f"conflicting values {float(z[k])} and {float(z[k + 1])} for vertex "
+                f"{_pair_name(fg, pair[k])}"
+            )
+        written = np.zeros(nv * nv, dtype=bool)
+        written[pair] = True
+        if not written.all():
+            raise ValidationError(f"missing data for vertex {_pair_name(fg, np.argmin(written))}")
+        # every pair, in order: of its equal values, the one given last
+        # (0.0 or -0.0)
+        return cls(n, z[np.append(~same, True)].reshape(nv, nv))
 
     @classmethod
     def zeros(cls, n: int) -> "DataSet":
-        verts = enumerate_vertices(n)
-        return cls(n, {ProductVertex(a, b): 0.0 for a in verts for b in verts})
+        return cls(n, np.zeros((vertex_count(n),) * 2))
+
+    @cached_property
+    def entries(self) -> dict:
+        """The values by canonical vertex pair, {ProductVertex: float}, in
+        `enumerate_vertices` order; built on first use."""
+        verts = enumerate_vertices(self.n)
+        idx = FactorGrid(self.n).indices_of(verts)
+        rows = self.values[np.ix_(idx, idx)].tolist()
+        return {
+            ProductVertex(a, b): z for a, row in zip(verts, rows) for b, z in zip(verts, row)
+        }
 
 
 @dataclass(frozen=True)
 class ScalingField:
     """Vertical scaling alpha per cell-pair: a constant or a 3x3 corner
-    tensor extended bilinearly in barycentric coordinates."""
+    tensor extended bilinearly in barycentric coordinates.
+
+    corners[:, :, c] holds the cell-pair c = i * 3**N + j of the words i
+    and j in words_of_length order, a constant filling its 3x3;
+    is_tensor[c] tells the tensors apart.
+    """
 
     n: int
-    cells: dict = field(compare=False)  # (omega, eta) -> float | 3x3 ndarray
+    corners: np.ndarray = field(compare=False)  # (3, 3, 9**N)
+    is_tensor: np.ndarray = field(compare=False)  # (9**N,) bool
 
     @classmethod
     def constant(cls, value: float, n: int) -> "ScalingField":
-        value = float(value)
-        words = words_of_length(n)
-        return cls(n, {(w1, w2): value for w1 in words for w2 in words})
+        return cls(n, np.full((3, 3, 9**n), float(value)), np.zeros(9**n, dtype=bool))
 
     @classmethod
     def from_cells(cls, mapping: dict, n: int) -> "ScalingField":
+        """The field of {(omega, eta): a number or a 3x3 corner tensor},
+        one entry for every cell-pair of length n and no other."""
         words = words_of_length(n)
-        cells = {}
-        for w1 in words:
-            for w2 in words:
-                if (w1, w2) not in mapping:
-                    raise ValidationError(f"scaling field misses cell-pair {w1}|{w2}")
-                v = mapping[(w1, w2)]
-                if np.isscalar(v):
-                    cells[(w1, w2)] = float(v)
-                else:
-                    arr = np.asarray(v, dtype=float)
-                    if arr.shape != (3, 3):
-                        raise ValidationError(
-                            f"corner tensor for {w1}|{w2} must be 3x3, got {arr.shape}"
-                        )
-                    cells[(w1, w2)] = arr
+        corners = np.empty((3, 3, len(words) ** 2))
+        is_tensor = np.zeros(len(words) ** 2, dtype=bool)
+        for c, key in enumerate(itertools.product(words, repeat=2)):
+            if key not in mapping:
+                raise ValidationError(f"scaling field misses cell-pair {key[0]}|{key[1]}")
+            v = mapping[key]
+            if np.isscalar(v):
+                corners[:, :, c] = float(v)
+                continue
+            arr = np.asarray(v, dtype=float)
+            if arr.shape != (3, 3):
+                raise ValidationError(
+                    f"corner tensor for {key[0]}|{key[1]} must be 3x3, got {arr.shape}"
+                )
+            corners[:, :, c] = arr
+            is_tensor[c] = True
+        pairs = set(itertools.product(words, repeat=2))
         for key in mapping:
-            if key not in cells:
+            if key not in pairs:
                 name = "|".join(map(str, key)) if isinstance(key, tuple) else key
                 raise ValidationError(f"scaling key {name} is not a cell-pair of length {n}")
-        return cls(n, cells)
+        return cls(n, corners, is_tensor)
 
 
 @dataclass(frozen=True)
@@ -157,20 +194,17 @@ class CellTable:
     with words in `words_of_length` order and `index` mapping a word to
     its i.  On the barycentrics of either gasket, L_w of the i-th word
     maps lam to 2^-N lam + offset[:, i], exactly.  The arrays serve
-    vectorised code; `offset_rows`, `shift_rows` and `alpha_rows` hold the
-    same numbers as tuples of Python floats for scalar loops.
+    vectorised code; `shift_rows` and `alpha_rows`, built on first use,
+    hold the same numbers as tuples of Python floats for scalar loops.
     """
 
     index: dict  # block word -> i
     offset: np.ndarray  # (3, 3**N) barycentric offsets of the maps L_w
-    offset_rows: tuple  # 3**N triples, offset[:, i] for each word
     shift: np.ndarray  # (3, 3, C) corner values
     alpha: np.ndarray  # (C,) constant scaling, 0 on tensor cells
     alpha_tensor: np.ndarray  # (3, 3, C) corner tensors, 0 on constant cells
     is_tensor: np.ndarray  # (C,) bool
     any_tensor: bool  # is_tensor.any()
-    shift_rows: tuple  # C tuples of 9 corner values, row-major
-    alpha_rows: tuple  # C entries: a float, or a tuple of 9 corner values
 
     @classmethod
     def build(
@@ -182,26 +216,43 @@ class CellTable:
         # L_w(p_1) less its 2^-N e_1 term: a dyadic difference, so exact
         offset = np.array([address_bary(Address(w, 1)) for w in words]).T
         offset[0] -= 0.5**n
-        alpha_rows = alpha.reshape(9, -1).T.tolist()
         return cls(
             index={w: i for i, w in enumerate(words)},
             offset=offset,
-            offset_rows=tuple(map(tuple, offset.T.tolist())),
             shift=shift,
             alpha=np.where(is_tensor, 0.0, alpha[0, 0]),
             alpha_tensor=np.where(is_tensor, alpha, 0.0),
             is_tensor=is_tensor,
             any_tensor=bool(is_tensor.any()),
-            shift_rows=tuple(map(tuple, shift.reshape(9, -1).T.tolist())),
-            alpha_rows=tuple(
-                tuple(v) if t else v[0] for v, t in zip(alpha_rows, is_tensor.tolist())
-            ),
+        )
+
+    @cached_property
+    def shift_rows(self) -> tuple:
+        """C tuples of 9 corner values, row-major."""
+        return tuple(map(tuple, self.shift.reshape(9, -1).T.tolist()))
+
+    @cached_property
+    def alpha_rows(self) -> tuple:
+        """C entries: the constant as a float, or a tuple of 9 corner values."""
+        tensors = self.alpha_tensor.reshape(9, -1).T.tolist()
+        return tuple(
+            tuple(v) if t else a
+            for v, t, a in zip(tensors, self.is_tensor.tolist(), self.alpha.tolist())
         )
 
 
 def _vertex_names(fg: FactorGrid) -> dict:
     """The canonical address of each vertex of FactorGrid's deepest level, by index."""
-    return {fg.index_of(a): a for a in enumerate_vertices(fg.depth)}
+    verts = enumerate_vertices(fg.depth)
+    return dict(zip(fg.indices_of(verts).tolist(), verts))
+
+
+def _pair_name(fg: FactorGrid, pair: int) -> str:
+    """The canonical addresses "a|b" of the vertex pair i * V + j of
+    FactorGrid's deepest level."""
+    i, j = divmod(int(pair), len(fg.lam[fg.depth]))
+    name = _vertex_names(fg)
+    return f"{name[i]}|{name[j]}"
 
 
 def build_model(
@@ -211,9 +262,8 @@ def build_model(
     g2: GasketSpec = None,
 ) -> FifModel:
     """Assemble a FifModel from a data set and a scaling field, however
-    they were made.  The data are read once into the level-N value matrix
-    z, in FactorGrid order.  Refused with ValidationError: a pair outside
-    V_N, missing or given twice; a data value that is not finite or, on a
+    they were made.  Refused with ValidationError: a data matrix of another
+    shape than V_N x V_N; a data value that is not finite or, on a
     boundary pair, not zero; a scaling value that is not finite."""
     g1 = g1 if g1 is not None else standard_gasket()
     g2 = g2 if g2 is not None else standard_gasket()
@@ -222,41 +272,35 @@ def build_model(
             f"scaling field depth {scaling.n} does not match data depth {data.n}"
         )
     n = data.n
-    words = words_of_length(n)
-    pairs = [(w1, w2) for w1 in words for w2 in words]
-    stacked = np.empty((3, 3, len(pairs)))
-    for c, p in enumerate(pairs):
-        stacked[:, :, c] = scaling.cells[p]  # a constant fills its 3x3
-    is_tensor = np.array([not np.isscalar(scaling.cells[p]) for p in pairs])
+    stacked, is_tensor = scaling.corners, scaling.is_tensor
     bad = ~np.isfinite(stacked).all(axis=(0, 1))
     if bad.any():
-        w1, w2 = pairs[int(np.argmax(bad))]
-        raise ValidationError(f"scaling on cell-pair {w1}|{w2} is not finite")
+        w1, w2 = divmod(int(np.argmax(bad)), 3**n)
+        words = words_of_length(n)
+        raise ValidationError(f"scaling on cell-pair {words[w1]}|{words[w2]} is not finite")
     alpha_sup = float(abs(stacked).max())  # a bilinear form's sup is at a corner pair
     if alpha_sup >= 1.0:
         raise ContractionError(f"scaling sup norm {alpha_sup} must be < 1")
     fg = FactorGrid(n)
-    z = np.empty((vertex_count(n),) * 2)
-    written = np.zeros(z.shape, dtype=bool)
-    edge = set(fg.restriction(0, n).tolist())  # the corners p_c, where f vanishes
-    index_of = cache(fg.index_of)  # once per distinct address
-    for key, value in data.entries.items():
-        try:
-            i, j = index_of(key.first), index_of(key.second)
-        except KeyError:
-            raise ValidationError(f"data vertex {key} lies outside V_{n} x V_{n}") from None
-        if not math.isfinite(value):
-            raise ValidationError(f"data value {value} at vertex {key} is not finite")
-        if value != 0.0 and (i in edge or j in edge):
-            raise ValidationError(f"boundary vertex {key} must carry z = 0, got {value}")
-        if written[i, j] and z[i, j] != value:
-            raise ValidationError(f"conflicting values {z[i, j]} and {value} for vertex {key}")
-        z[i, j] = value
-        written[i, j] = True
-    if not written.all():
-        i, j = np.argwhere(~written)[0]
-        name = _vertex_names(fg)
-        raise ValidationError(f"missing data for vertex {name[i]}|{name[j]}")
+    z = data.values
+    nv = vertex_count(n)
+    if z.shape != (nv, nv):
+        raise ValidationError(f"data values must have shape {(nv, nv)}, not {z.shape}")
+    bad = ~np.isfinite(z)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValidationError(
+            f"data value {float(z.flat[k])} at vertex {_pair_name(fg, k)} is not finite"
+        )
+    # f vanishes at the corners p_c: on their rows and columns
+    corner = fg.restriction(0, n)
+    bad[corner] = z[corner] != 0.0
+    bad[:, corner] |= z[:, corner] != 0.0
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValidationError(
+            f"boundary vertex {_pair_name(fg, k)} must carry z = 0, got {float(z.flat[k])}"
+        )
     cells = fg.cells[n].T
     # corners[a, b, i * 3**n + j] is z on corner a of the i-th cell and corner b of the j-th
     corners = z[cells[:, None, :, None], cells[None, :, None, :]].reshape(3, 3, -1)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gasket import enumerate_vertices
-from .model import DataSet, FifModel, ProductVertex, ScalingField, build_model
+from .gasket import Address, enumerate_vertices
+from .grids import FactorGrid
+from .model import DataSet, FifModel, ScalingField, build_model
 
 
 def zero_dataset(n: int = 1) -> DataSet:
@@ -13,31 +14,22 @@ def zero_dataset(n: int = 1) -> DataSet:
 
 
 def bump_dataset(n: int = 1, height: float = 0.5) -> DataSet:
-    """Zero everywhere except a single interior vertex pair.
-
-    For n = 1 the nonzero vertex is (1@2, 1@2), the midpoint pair of the
-    first cells."""
-    entries = dict(DataSet.zeros(n).entries)
-    verts = enumerate_vertices(n)
-    interior = [a for a in verts if a.word]
-    key = ProductVertex(interior[0], interior[0])
-    entries[key] = float(height)
-    return DataSet(n, entries)
+    """Zero everywhere except at the vertex pair (1@2, 1@2), the first
+    interior vertex of enumerate_vertices on both factors."""
+    data = DataSet.zeros(n)
+    i = FactorGrid(n).index_of(Address("1", 2))
+    data.values[i, i] = float(height)
+    return data
 
 
 def random_dataset(n: int, seed: int, scale: float = 1.0) -> DataSet:
-    """Zero on the boundary, uniform random values at interior vertices."""
+    """Zero on the boundary, uniform random values at interior vertex
+    pairs, drawn in enumerate_vertices order, the first factor outside."""
     rng = np.random.default_rng(seed)
-    entries = {}
-    verts = enumerate_vertices(n)
-    for a in verts:
-        for b in verts:
-            if a.word and b.word:
-                z = float(rng.uniform(-scale, scale))
-            else:
-                z = 0.0
-            entries[ProductVertex(a, b)] = z
-    return DataSet(n, entries)
+    inner = FactorGrid(n).indices_of([a for a in enumerate_vertices(n) if a.word])
+    data = DataSet.zeros(n)
+    data.values[np.ix_(inner, inner)] = rng.uniform(-scale, scale, (len(inner),) * 2)
+    return data
 
 
 def reference_model(alpha: float = 0.3, n: int = 1, height: float = 0.5) -> FifModel:

@@ -1,24 +1,29 @@
 """Scalar oracles: the cell-pair maps, read one row of FifModel.cell_table
 at a time by word pair, the sequential descent and truncated unrolling
-that `gasket.descend` and `evaluator.eval_approx` replace, the dict-keyed
-vertex index that `grids.FactorGrid` builds with array ops, and the level
-step one cell-pair at a time that the grouped `grids.step_blocks`
-replaces."""
+that `gasket.descend` and `evaluator.eval_approx` replace, the scalar
+recursion that the array `evaluator.eval_exact` replaces, the data set
+keyed by canonical vertex pairs that `model.DataSet` holds as a matrix,
+the dict-keyed vertex index that `grids.FactorGrid` builds with array
+ops, and the level step one cell-pair at a time that the grouped
+`grids.step_blocks` replaces."""
 
 import numpy as np
 
-from gasketfif.errors import DomainError, PreconditionError
+from gasketfif.errors import DomainError, PreconditionError, ValidationError
 from gasketfif.evaluator import _input_rounding_bound
 from gasketfif.gasket import (
+    Address,
     MAX_DESCENT_DEPTH,
     MAX_WINDOW,
     SNAP_TOL,
     _check_depth,
     _window_error,
     _window_start,
+    address_bary,
     bary_f,
+    canonicalize,
 )
-from gasketfif.model import _bilinear9, words_of_length
+from gasketfif.model import ProductVertex, _bilinear9, words_of_length
 
 
 def row(model, omega: str, eta: str) -> int:
@@ -120,6 +125,99 @@ def eval_approx_oracle(model, t, s, k: int) -> tuple:
         coeff *= alpha if type(alpha) is float else _bilinear9(alpha, lam, mu)
     bound = abs(coeff) * model.f_sup_bound
     return value, bound + _input_rounding_bound(model, k)
+
+
+def eval_exact_oracle(model, addr_t, addr_s) -> float:
+    """`evaluator.eval_exact` at one vertex pair by its scalar loop: pad
+    both words with their corners to one length, a multiple of N, and peel
+    N letters per step from the innermost block out."""
+    n = model.n
+    m = n * -(-max(len(addr_t.word), len(addr_s.word), 1) // n)
+    wt = addr_t.word + str(addr_t.corner) * (m - len(addr_t.word))
+    ws = addr_s.word + str(addr_s.corner) * (m - len(addr_s.word))
+    table = model.cell_table
+    index, nw = table.index, len(table.index)
+    offsets = table.offset.T.tolist()
+    scale = 0.5**n
+    lam = tuple(float(c == addr_t.corner) for c in (1, 2, 3))
+    mu = tuple(float(c == addr_s.corner) for c in (1, 2, 3))
+    x = 0.0
+    for lo in range(m - n, -1, -n):
+        i, j = index[wt[lo : lo + n]], index[ws[lo : lo + n]]
+        c = i * nw + j
+        alpha = table.alpha_rows[c]
+        if type(alpha) is not float:
+            alpha = _bilinear9(alpha, lam, mu)
+        x = alpha * x + _bilinear9(table.shift_rows[c], lam, mu)
+        o, p = offsets[i], offsets[j]
+        lam = (o[0] + scale * lam[0], o[1] + scale * lam[1], o[2] + scale * lam[2])
+        mu = (p[0] + scale * mu[0], p[1] + scale * mu[1], p[2] + scale * mu[2])
+    return x
+
+
+def check_lines_oracle(model) -> list:
+    """The interpolation, functional-equation and boundary-vanishing lines
+    of `cli check`, by the scalar loops that its array calls replace: one
+    `eval_exact_oracle` call per point, on words drawn from
+    default_rng(7) one at a time."""
+
+    def line(name, ok, detail):
+        return f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else "")
+
+    def word(rng, size):
+        return "".join("123"[i] for i in rng.integers(0, 3, size=size).tolist())
+
+    bad = 0
+    for key, z in model.data.entries.items():
+        v = eval_exact_oracle(model, key.first, key.second)
+        if not abs(v - z) <= 1e-12 * (1.0 + abs(z)):
+            bad += 1
+    lines = [line("interpolation", bad == 0, f"{bad} vertices off" if bad else "")]
+    rng = np.random.default_rng(7)
+    words = words_of_length(model.n)
+    tol = 1e-9 * (1.0 + model.f_sup_bound)
+    worst = 0.0
+    for _ in range(200):
+        wt = word(rng, rng.integers(0, 4))
+        ws = word(rng, rng.integers(0, 4))
+        at = Address(wt, int(rng.integers(1, 4)))
+        bs = Address(ws, int(rng.integers(1, 4)))
+        i, j = rng.integers(0, len(words)), rng.integers(0, len(words))
+        lam, mu = address_bary(at), address_bary(bs)
+        lhs = eval_exact_oracle(
+            model, Address(words[i] + at.word, at.corner), Address(words[j] + bs.word, bs.corner)
+        )
+        rhs = scaling_at(model, words[i], words[j], lam, mu) * eval_exact_oracle(
+            model, at, bs
+        ) + shift_at(model, words[i], words[j], lam, mu)
+        worst = np.maximum(worst, abs(lhs - rhs))
+    lines.append(line("functional-equation", worst <= tol, f"residual {worst:.3e}"))
+    worst = 0.0
+    for _ in range(100):
+        w = word(rng, 4)
+        c = int(rng.integers(1, 4))
+        corner = int(rng.integers(1, 4))
+        v1 = eval_exact_oracle(model, Address("", corner), Address(w, c))
+        v2 = eval_exact_oracle(model, Address(w, c), Address("", corner))
+        worst = np.max([worst, abs(v1), abs(v2)])
+    lines.append(line("boundary-vanishing", worst <= tol, f"max |f| {worst:.3e}"))
+    return lines
+
+
+def dataset_entries_oracle(triples) -> dict:
+    """The {ProductVertex: z} dict of raw (first, second, z) triples, keyed
+    by canonical addresses, as `model.DataSet.build` read them before the
+    value matrix; two spellings of one pair with different z are refused."""
+    entries = {}
+    for first, second, z in triples:
+        key = ProductVertex(
+            *(canonicalize(Address.parse(a) if isinstance(a, str) else a) for a in (first, second))
+        )
+        z = float(z)
+        if key in entries and entries[key] != z:
+            raise ValidationError(f"conflicting values {entries[key]} and {z} for vertex {key}")
+        entries[key] = z
+    return entries
 
 
 def reduce_dyadic(nums: tuple, level: int) -> tuple:

@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import config_dict, write_config
+from oracles import check_lines_oracle
 
 import gasketfif as gf
 from gasketfif import cli, evaluator, grids
 from gasketfif.cli import _random_word, build_from_config, main
-from gasketfif.evaluator import eval_exact
+from gasketfif.evaluator import address_letters, eval_exact
 
 
 def zero_data(n=1):
@@ -113,6 +114,34 @@ class TestBuild:
         raw["gasket1"] = [[-1e308, 0.0], corner, [0.0, 1.0]]
         assert main(["build", "-c", write_config(tmp_path, raw)]) == 7
         assert "gasket1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("site", ["z", "constant", "cell", "tensor", "corner"])
+    def test_integer_too_large_for_a_float_exit_code(self, tmp_path, capsys, site):
+        # json reads a 401-digit literal as an int, and float() of it
+        # raises OverflowError
+        big = 10**400
+        raw = config_dict()
+        cells = {f"{a}|{b}": 0.3 for a in "123" for b in "123"}
+        if site == "z":
+            raw["data"][3]["z"] = big
+        elif site == "constant":
+            raw["scaling"]["constant"] = big
+        elif site in ("cell", "tensor"):
+            cells["2|3"] = big if site == "cell" else [[0.1, 0.1, 0.1], [0.1, big, 0.1], [0.1] * 3]
+            raw["scaling"] = {"cells": cells}
+        else:
+            raw["gasket1"] = [[0, 0], [big, 0], [0, 1]]
+        assert main(["build", "-c", write_config(tmp_path, raw)]) == 7
+        out = capsys.readouterr()
+        assert out.out == "" and "Traceback" not in out.err
+        assert len([line for line in out.err.splitlines() if line.startswith("error:")]) == 1
+
+    @pytest.mark.parametrize("n", [1.5, 1.0, True, "1", None, [1]])
+    def test_n_that_is_no_json_integer_exit_code(self, tmp_path, capsys, n):
+        raw = config_dict()
+        raw["n"] = n
+        assert main(["build", "-c", write_config(tmp_path, raw)]) == 7
+        assert "error: 'n' must be an integer" in capsys.readouterr().err
 
     def test_malformed_json_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -334,7 +363,8 @@ class TestGrid:
         verts = gf.enumerate_vertices(4)
         nv = len(verts)
         assert rows.shape == (nv * nv, 5)
-        exact = np.array([eval_exact(model, a, b) for a in verts for b in verts])
+        (lt, ct), (a, b) = address_letters(verts), np.divmod(np.arange(nv * nv), nv)
+        exact = eval_exact(model, (lt[a], ct[a]), (lt[b], ct[b]))
         assert np.all(np.abs(rows[:, 4] - exact) <= 1e-14 * (1.0 + np.abs(exact)))
         pts1 = np.array([gf.address_point(model.gasket1, a) for a in verts])
         pts2 = np.array([gf.address_point(model.gasket2, b) for b in verts])
@@ -550,6 +580,53 @@ class TestCheck:
         assert float(re.search(r"residual (\S+)\)", line).group(1)) <= 1e-14
 
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_evaluates_in_five_array_calls(self, tmp_path, capsys, monkeypatch, n):
+        # interpolation on every vertex pair; both sides of the functional
+        # equation at 200 pairs; f next to a corner, on either side, at 100
+        sizes = []
+        exact = evaluator._exact
+        monkeypatch.setattr(
+            evaluator, "_exact", lambda m, t, s: sizes.append(len(t[1])) or exact(m, t, s)
+        )
+        assert main(["check", "-c", write_config(tmp_path, random_config(n, 0, 0.3))]) == 0
+        nv = gf.gasket.vertex_count(n)
+        assert sizes == [nv * nv, 200, 200, 100, 100]
+
+    @pytest.mark.parametrize(
+        "n, scaling, corrupt",
+        [
+            (1, 0.3, None),
+            (2, -0.3, None),
+            (3, 0.05, None),
+            (2, "mixed", None),
+            (1, 0.3, "1|2|2|1|0.1"),
+            (2, 0.2, "11|23|2|1|nan"),
+            (1, "mixed", "1|2|2|1|inf"),
+            (2, "mixed", "22|13|1|3|-1e-3"),
+        ],
+    )
+    def test_lines_equal_the_scalar_loops(self, tmp_path, capsys, n, scaling, corrupt):
+        raw = random_config(n, 3, 0.3)
+        if scaling == "mixed":
+            rng = np.random.default_rng(n)
+            words = gf.gasket.words_of_length(n)
+            raw["scaling"] = {"cells": {
+                f"{a}|{b}": rng.uniform(-0.3, 0.3, (3, 3)).tolist() if a[0] == b[0] else -0.2
+                for a in words for b in words
+            }}
+        else:
+            raw["scaling"]["constant"] = scaling
+        cfg = write_config(tmp_path, raw)
+        main(["check", "-c", cfg] + (["--corrupt", corrupt] if corrupt else []))
+        lines = capsys.readouterr().out.splitlines()
+        model = build_from_config(cfg)
+        if corrupt:
+            omega, eta, i, j, delta = corrupt.split("|")
+            model = gf.perturb_shift(model, omega, eta, int(i), int(j), float(delta))
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert lines[1:4] == check_lines_oracle(model)
+
     @pytest.mark.parametrize("seed", [0, 7, 11, 2024])
     def test_check_words_follow_the_choice_stream(self, seed):
         # the check draws its words as integers; rng.choice over the
@@ -558,8 +635,34 @@ class TestCheck:
         for _ in range(40):
             size = int(by_choice.integers(0, 5))
             assert size == int(by_index.integers(0, 5))
-            assert _random_word(by_index, size) == "".join(by_choice.choice(list("123"), size=size))
+            word = "".join(map(str, _random_word(by_index, size).tolist()))
+            assert word == "".join(by_choice.choice(list("123"), size=size))
         assert by_index.integers(0, 2**62) == by_choice.integers(0, 2**62)
+
+
+class TestParser:
+    def test_built_once_per_process(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, config_dict())
+        assert main(["build", "-c", cfg]) == 0
+        made = []
+        init = cli._Parser.__init__
+        monkeypatch.setattr(
+            cli._Parser, "__init__", lambda self, *a, **k: made.append(1) or init(self, *a, **k)
+        )
+        for argv in (["build", "-c", cfg], ["check", "-c", cfg], ["eval", "--help"]):
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+        assert made == []
+
+    def test_dispatch_reaches_a_patched_verb(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, config_dict())
+        assert main(["build", "-c", cfg]) == 0  # the parser exists before the patch
+        seen = []
+        monkeypatch.setattr(cli, "cmd_build", lambda args: seen.append(args.config) or 3)
+        assert main(["build", "-c", cfg]) == 3
+        assert seen == [cfg]
 
 
 class TestColdStart:

@@ -17,6 +17,7 @@ from gasketfif.evaluator import (
     GraphSample,
     GraphSamples,
     GridFunction,
+    address_letters,
     chaos_game,
     eval_approx,
     eval_exact,
@@ -42,7 +43,14 @@ from gasketfif.model import (
     perturb_shift,
     words_of_length,
 )
-from oracles import eval_approx_oracle, eval_scaling, eval_shift, scaling_at, shift_at
+from oracles import (
+    eval_approx_oracle,
+    eval_exact_oracle,
+    eval_scaling,
+    eval_shift,
+    scaling_at,
+    shift_at,
+)
 
 SPEC = standard_gasket()
 SKEWED = GasketSpec(((0.1, 0.2), (1.3, -0.1), (0.4, 1.1)))
@@ -120,15 +128,92 @@ class TestEvalExact:
         model = constant_model(n, 7, 0.6, far, far)
         fg, _, f = product_values(model, depth)
         verts = enumerate_vertices(depth)
-        idx = [fg.index_of(a) for a in verts]
+        idx = fg.indices_of(verts)
         got = f[np.ix_(idx, idx)]
-        want = np.array([[eval_exact(model, a, b) for b in verts] for a in verts])
+        (lt, ct), nv = address_letters(verts), len(verts)
+        a, b = np.divmod(np.arange(nv * nv), nv)
+        want = eval_exact(model, (lt[a], ct[a]), (lt[b], ct[b])).reshape(nv, nv)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(f))
 
     def test_deeper_model_interpolates(self):
         m = gf.random_model(2, seed=7)
         for key, z in m.data.entries.items():
             assert eval_exact(m, key.first, key.second) == pytest.approx(z, abs=1e-12)
+
+
+@lru_cache(maxsize=None)
+def signed_zero_model(n, kind, far):
+    """Random data whose boundary values are -0.0, with constant (-0.3),
+    corner-tensor or mixed scaling, on the unit gasket or one far from
+    the origin: f is -0.0 at some vertex pairs."""
+    data = gf.random_dataset(n, 7)
+    data.values[data.values == 0.0] = -0.0
+    rng = np.random.default_rng(n)
+    words = words_of_length(n)
+    cells = {
+        (a, b): -0.3
+        if kind == "constant" or (kind == "mixed" and rng.random() < 0.5)
+        else rng.uniform(-0.3, 0.3, (3, 3))
+        for a in words
+        for b in words
+    }
+    g1 = moved(SPEC, OFFSETS[1]) if far else None
+    return build_model(data, ScalingField.from_cells(cells, n), g1)
+
+
+def exact_bits(model, pairs) -> list:
+    """eval_exact_oracle at each pair, as uint64 bits."""
+    return np.array([eval_exact_oracle(model, a, b) for a, b in pairs]).view(np.uint64).tolist()
+
+
+addresses = st.builds(Address, st.text("123", max_size=52), st.sampled_from(LETTERS))
+
+
+class TestArrayEvalExact:
+    """The array eval_exact against `eval_exact_oracle`, the scalar loop
+    it replaces, as uint64 bits: each pair padded to its own length."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        kind=st.sampled_from(("constant", "tensor", "mixed")),
+        far=st.booleans(),
+        pairs=st.lists(st.tuples(addresses, addresses), min_size=1, max_size=12),
+    )
+    def test_equals_the_scalar_loop(self, n, kind, far, pairs):
+        model = signed_zero_model(n, kind, far)
+        ts, ss = zip(*pairs)
+        got = eval_exact(model, address_letters(ts), address_letters(ss))
+        assert got.view(np.uint64).tolist() == exact_bits(model, pairs)
+        one = np.array([eval_exact(model, a, b) for a, b in pairs])
+        assert one.view(np.uint64).tolist() == exact_bits(model, pairs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_vertex_pair_with_its_signed_zeros(self, n):
+        model = signed_zero_model(n, "constant", False)
+        verts = enumerate_vertices(n + 1)
+        pairs = [(a, b) for a in verts for b in verts]
+        want = exact_bits(model, pairs)
+        assert 1 << 63 in want  # -0.0, the case that comparing bits is for
+        ts, ss = zip(*pairs)
+        got = eval_exact(model, address_letters(ts), address_letters(ss))
+        assert got.view(np.uint64).tolist() == want
+
+    def test_letters_past_the_longest_word_change_nothing(self, ref03):
+        ts = [Address("12", 3), Address("", 2), Address("3121", 1)]
+        ss = [Address("2", 1), Address("33", 3), Address("", 1)]
+        (lt, ct), (ls, cs) = address_letters(ts), address_letters(ss)
+        wide = np.zeros((3, 9), dtype=np.int8)
+        wide[:, : lt.shape[1]] = lt
+        got = eval_exact(ref03, (wide, ct), (ls, cs))
+        assert got.view(np.uint64).tolist() == exact_bits(ref03, list(zip(ts, ss)))
+
+    def test_no_points(self, ref03):
+        empty = (np.zeros((0, 0), dtype=np.int8), np.zeros(0, dtype=int))
+        assert eval_exact(ref03, empty, empty).shape == (0,)
+
+    def test_one_pair_is_a_float(self, ref03):
+        assert type(eval_exact(ref03, Address("1", 2), Address("1", 2))) is float
 
 
 class TestEvalApprox:

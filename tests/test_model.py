@@ -23,11 +23,16 @@ from gasketfif.model import (
     perturb_shift,
     words_of_length,
 )
-from oracles import eval_scaling, eval_shift, shift_corners
+from oracles import dataset_entries_oracle, eval_scaling, eval_shift, shift_corners
 
 SPEC = standard_gasket()
 P = SPEC.corner_array
 Q = SPEC.corner_array
+
+
+def data_triples(data) -> list:
+    """The (first, second, z) triples of a DataSet, addresses as strings."""
+    return [(str(k.first), str(k.second), z) for k, z in data.entries.items()]
 
 
 class TestDataSet:
@@ -35,11 +40,20 @@ class TestDataSet:
         ds = DataSet.zeros(1)
         assert len(ds.entries) == 36
 
-    def test_parses_without_checking_completeness(self):
-        # completeness and boundary values are build_model's to check
-        ds = DataSet.zeros(1)
-        triples = [(str(k.first), str(k.second), z) for k, z in ds.entries.items()]
-        assert len(DataSet.build(1, triples[:-1]).entries) == 35
+    def test_build_refuses_incomplete_data(self):
+        # a value matrix has no gaps: completeness is DataSet.build's to
+        # check, boundary values build_model's
+        triples = data_triples(DataSet.zeros(1))
+        name = "|".join(triples[-1][:2])
+        with pytest.raises(ValidationError, match=re.escape(f"missing data for vertex {name}")):
+            DataSet.build(1, triples[:-1])
+        assert len(DataSet.build(1, triples).entries) == 36
+
+    def test_values_in_factor_grid_order(self):
+        data = gf.random_dataset(2, 3)
+        fg = FactorGrid(2)
+        for key, z in data.entries.items():
+            assert data.values[fg.index_of(key.first), fg.index_of(key.second)] == z
 
     def test_conflicting_duplicate_representations_rejected(self):
         ds = DataSet.zeros(1)
@@ -56,6 +70,54 @@ class TestDataSet:
         triples.append(("2@1", "1@2", 0.0))
         built = DataSet.build(1, triples)
         assert len(built.entries) == 36
+
+
+def spellings(a: Address) -> list:
+    """Addresses of the point of a: itself, its corner letter appended,
+    and at a touching point the other cell's name, L_ul(p_c) = L_uc(p_l)."""
+    out = [a, Address(a.word + str(a.corner), a.corner)]
+    if a.word and a.word[-1] != str(a.corner):
+        out.append(Address(a.word[:-1] + str(a.corner), int(a.word[-1])))
+    return out
+
+
+def respelled(data, seed: int) -> list:
+    """The triples of a DataSet, each given one to three times in random
+    spellings, zeros as 0.0 or -0.0, in random order."""
+    rng = np.random.default_rng(seed)
+    triples = []
+    for key, z in data.entries.items():
+        for _ in range(rng.integers(1, 4)):
+            a, b = (str(rng.choice(spellings(x))) for x in (key.first, key.second))
+            triples.append((a, b, -z if z == 0.0 and rng.random() < 0.5 else z))
+    return [triples[i] for i in rng.permutation(len(triples))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_matrix_matches_the_dict_built_data(n):
+    triples = respelled(gf.random_dataset(n, n), n)
+    got, want = DataSet.build(n, triples).entries, dataset_entries_oracle(triples)
+    assert set(got) == set(want)
+    assert all(bits(got[key]) == bits(want[key]) for key in want)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("clash", [0.25, float("nan")])
+def test_conflicts_refused_as_by_the_dict(n, clash):
+    # two conflicts: the one met first in input order is named, with the
+    # value written before it
+    triples = respelled(gf.random_dataset(n, 0), 10 + n)
+    for pos in (len(triples) // 2, len(triples) // 3):
+        first, second, z = triples[pos]
+        if math.isnan(clash):  # a NaN clashes with itself
+            triples[pos] = (first, second, clash)
+        triples.insert(pos + 7, (first, second, clash))
+    with pytest.raises(ValidationError) as want:
+        dataset_entries_oracle(triples)
+    with pytest.raises(ValidationError) as got:
+        DataSet.build(n, triples)
+    assert "conflicting" in str(want.value)
+    assert str(got.value) == str(want.value)
 
 
 class TestBuildModel:
@@ -109,39 +171,43 @@ class TestBuildModel:
             build_model(DataSet.build(1, triples), ScalingField.constant(0.3, 1))
 
     def test_missing_pair_refused(self):
-        entries = dict(DataSet.zeros(1).entries)
-        del entries[ProductVertex(Address("1", 2), Address("2", 3))]
+        triples = [t for t in data_triples(DataSet.zeros(1)) if t[:2] != ("1@2", "2@3")]
         with pytest.raises(ValidationError, match=re.escape("missing data for vertex 1@2|2@3")):
-            build_model(DataSet(1, entries), ScalingField.constant(0.3, 1))
+            build_model(DataSet.build(1, triples), ScalingField.constant(0.3, 1))
 
     def test_pair_outside_v_n_refused(self):
-        entries = dict(DataSet.zeros(1).entries)
-        entries[ProductVertex(Address("11", 2), Address("", 1))] = 0.0
-        with pytest.raises(ValidationError, match="outside V_1"):
-            build_model(DataSet(1, entries), ScalingField.constant(0.3, 1))
+        triples = data_triples(DataSet.zeros(1)) + [("11@2", "@1", 0.0)]
+        message = "data vertex 11@2|@1 lies outside V_1 x V_1"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build_model(DataSet.build(1, triples), ScalingField.constant(0.3, 1))
 
     def test_two_values_for_one_pair_refused(self):
-        # 2@1 names the vertex 1@2; DataSet.build would canonicalize it
-        entries = dict(DataSet.zeros(1).entries)
-        entries[ProductVertex(Address("2", 1), Address("1", 2))] = 0.25
+        # 2@1 names the vertex 1@2
+        triples = data_triples(DataSet.zeros(1)) + [("2@1", "1@2", 0.25)]
         with pytest.raises(ValidationError, match="conflicting"):
-            build_model(DataSet(1, entries), ScalingField.constant(0.3, 1))
+            build_model(DataSet.build(1, triples), ScalingField.constant(0.3, 1))
 
     @pytest.mark.parametrize("z", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_value_refused(self, z):
         # a NaN would give shift_sup = nan and no certified bound at all
-        entries = dict(DataSet.zeros(1).entries)
-        entries[ProductVertex(Address("1", 2), Address("2", 3))] = z
+        data = DataSet.zeros(1)
+        fg = FactorGrid(1)
+        data.values[fg.index_of(Address("1", 2)), fg.index_of(Address("2", 3))] = z
         with pytest.raises(ValidationError, match=re.escape("at vertex 1@2|2@3 is not finite")):
-            build_model(DataSet(1, entries), ScalingField.constant(0.3, 1))
+            build_model(data, ScalingField.constant(0.3, 1))
 
     @pytest.mark.parametrize("first, second", [("1@2", "@1"), ("@3", "2@3"), ("@2", "@1")])
     def test_boundary_value_refused(self, first, second):
         # f vanishes on the corners of either factor
-        entries = dict(DataSet.zeros(1).entries)
-        entries[ProductVertex(Address.parse(first), Address.parse(second))] = 0.7
+        data = DataSet.zeros(1)
+        fg = FactorGrid(1)
+        data.values[fg.index_of(Address.parse(first)), fg.index_of(Address.parse(second))] = 0.7
         with pytest.raises(ValidationError, match=re.escape(f"boundary vertex {first}|{second}")):
-            build_model(DataSet(1, entries), ScalingField.constant(0.3, 1))
+            build_model(data, ScalingField.constant(0.3, 1))
+
+    def test_data_of_another_shape_refused(self):
+        with pytest.raises(ValidationError, match="shape"):
+            build_model(DataSet(1, np.zeros((6, 5))), ScalingField.constant(0.3, 1))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("tensor", [False, True])
@@ -174,17 +240,14 @@ class TestBuildModel:
         with pytest.raises(ValidationError, match=re.escape(msg)):
             ScalingField.from_cells(cells, 1)
 
-    def test_index_of_once_per_distinct_address(self, monkeypatch):
-        # an address occurs in 2 V(N) pairs, but is looked up once
+    def test_address_parsed_once_per_distinct_string(self, monkeypatch):
+        # an address occurs in 2 V(N) pairs, but is parsed once
         calls = []
-        index_of = FactorGrid.index_of
-        monkeypatch.setattr(
-            FactorGrid, "index_of", lambda fg, a: calls.append(a) or index_of(fg, a)
-        )
-        data = gf.random_dataset(2, 0)
-        build_model(data, ScalingField.constant(0.3, 2))
-        distinct = {a for key in data.entries for a in (key.first, key.second)}
-        assert len(calls) == len(set(calls)) == len(distinct)
+        parse = Address.parse
+        monkeypatch.setattr(Address, "parse", lambda text: calls.append(text) or parse(text))
+        triples = data_triples(gf.random_dataset(2, 0))
+        DataSet.build(2, triples)
+        assert len(calls) == len(set(calls)) == len({a for t in triples for a in t[:2]})
 
 
 def canonical_read(data, g1, g2):
@@ -268,11 +331,11 @@ class TestEvalShift:
         assert eval_shift(ref03, "1", "1", P[1], Q[1]) == pytest.approx(0.5, abs=1e-15)
 
     def test_constant_tensor_partition_of_unity(self):
-        entries = {
-            k: (0.0 if (not k.first.word or not k.second.word) else 0.25)
+        triples = [
+            (str(k.first), str(k.second), 0.0 if (not k.first.word or not k.second.word) else 0.25)
             for k in DataSet.zeros(1).entries
-        }
-        m = build_model(DataSet(1, entries), ScalingField.constant(0.1, 1))
+        ]
+        m = build_model(DataSet.build(1, triples), ScalingField.constant(0.1, 1))
         # cell (2,2) has all nine corners interior-valued? no: corners of
         # cell 2 include the bare corner p2 -> mixed; use centroid of the
         # interior-heavy evaluation instead via direct bilinear identity
