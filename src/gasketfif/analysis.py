@@ -198,28 +198,50 @@ def _block_tables(model: FifModel, fg, k: int, f: np.ndarray, levels, r: int) ->
     return tables
 
 
+#: most entries in each of _cell_oscillation's six chunk buffers (512 kB of floats)
+_CHUNK_ENTRIES = 64_000
+
+
 def _cell_oscillation(f: np.ndarray, cells, out: np.ndarray) -> np.ndarray:
     """max - min of f over cells[i] x cells[j] for every pair of rows i, j,
-    written to out[i, j]; returns out."""
-    # max and min over cells[i] x cells[j] separate: reduce f's rows over
-    # cells[i], then those columns over cells[j].  Chunks of cells keep
-    # each temporary near 2.5e5 elements (2 MB), in cache.
-    chunk = max(1, int(2.5e5 // f.shape[1]))
-    for lo in range(0, len(cells), chunk):
-        rows = cells[lo : lo + chunk]
-        top = f[rows[:, 0]]
-        bot = top.copy()
-        for t in range(1, rows.shape[1]):
-            part = f[rows[:, t]]
-            np.maximum(top, part, out=top)
-            np.minimum(bot, part, out=bot)
-        # np.take gathers columns faster than fancy indexing does
-        vmax = np.take(top, cells[:, 0], axis=1)
-        vmin = np.take(bot, cells[:, 0], axis=1)
-        for t in range(1, cells.shape[1]):
-            np.maximum(vmax, np.take(top, cells[:, t], axis=1), out=vmax)
-            np.minimum(vmin, np.take(bot, cells[:, t], axis=1), out=vmin)
-        np.subtract(vmax, vmin, out=out[lo : lo + chunk])
+    written to out[i, j]; returns out.
+
+    max and min over cells[i] x cells[j] separate: a chunk of rows i
+    reduces f's rows over cells[i] into top and bot, then their columns
+    over cells[j].  Each chunk gathers into the same six buffers, three
+    of at most _CHUNK_ENTRIES entries for rows of f and three for rows of
+    out, allocated once per call.  That size keeps the six, about 2.5 MB
+    at a level-7 table, inside a 4 MiB L2 cache: at 2.5e5 entries the
+    `grids` benchmark pass ran about 10% slower.  4.8e4 and 3.2e4 entries
+    ran it as fast or faster, but at times left glibc a larger free heap
+    top after `holder` in the `cli` benchmark, whose peak RSS then rose
+    from 52 to 58 MB.  The gathers use mode="clip" (every index is in
+    range): with out=, numpy's default mode="raise" gathers into a
+    temporary and copies it, up to three times as slow.
+    """
+    n, width = cells.shape
+    rows = max(1, min(n, _CHUNK_ENTRIES // f.shape[1]))
+    top, bot, part = (np.empty((rows, f.shape[1])) for _ in range(3))
+    vmax, vmin, col = (np.empty((rows, n)) for _ in range(3))
+    for lo in range(0, n, rows):
+        chunk = cells[lo : lo + rows]
+        k = len(chunk)
+        t, b, p = top[:k], bot[:k], part[:k]
+        np.take(f, chunk[:, 0], axis=0, out=t, mode="clip")
+        np.copyto(b, t)
+        for c in range(1, width):
+            np.take(f, chunk[:, c], axis=0, out=p, mode="clip")
+            np.maximum(t, p, out=t)
+            np.minimum(b, p, out=b)
+        hi, lw, q = vmax[:k], vmin[:k], col[:k]
+        np.take(t, cells[:, 0], axis=1, out=hi, mode="clip")
+        np.take(b, cells[:, 0], axis=1, out=lw, mode="clip")
+        for c in range(1, width):
+            np.take(t, cells[:, c], axis=1, out=q, mode="clip")
+            np.maximum(hi, q, out=hi)
+            np.take(b, cells[:, c], axis=1, out=q, mode="clip")
+            np.minimum(lw, q, out=lw)
+        np.subtract(hi, lw, out=out[lo : lo + k])
     return out
 
 

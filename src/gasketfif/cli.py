@@ -190,8 +190,10 @@ def cmd_build(args):
 def cmd_eval(args):
     model = build_from_config(args.config)
     if args.address:
-        a = Address.parse(args.address[0])
-        b = Address.parse(args.address[1])
+        try:
+            a, b = (Address.parse(text) for text in args.address)
+        except ValueError as e:
+            raise PreconditionError(str(e)) from None
         value = evaluator.eval_exact(model, a, b)
         print(f"f({a}|{b}) = {value:.17g}")
     elif args.point:

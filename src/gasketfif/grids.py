@@ -31,8 +31,10 @@ if TYPE_CHECKING:
 #: restriction; beside a level m-N iterate it rebuilds, the level m-2N one it
 #: steps from), 97 MB for both at depth 7, N=1, oscillation 2 * 9^-N (the level
 #: m-N values and one image block of the last step) plus its 9^n-entry
-#: table; box_count holds 2^16 table entries at a time beside the table
-#: (1.0 MB at level 7).
+#: table and its kernel's buffers, 3 x rows x (V + cells) floats for a
+#: chunk of rows = analysis._CHUNK_ENTRIES // V of the cells of a V-vertex
+#: block (2.5 MB at level 7); box_count holds 2^16 table entries at a time
+#: beside the table (1.0 MB at level 7).
 GRID_BYTES = 2**28
 
 
@@ -95,26 +97,17 @@ class FactorGrid:
             nums = images.reshape(-1, 3)[first[order]]
             self.lam.append(np.ldexp(nums.astype(float), -(k + 1)))  # exact: nums / 2^(k+1)
 
-    def compose(self, k: int, w: str) -> np.ndarray:
-        """Index map of L_w from level-k vertices into level k+|w|."""
-        idx = np.arange(len(self.lam[k]), dtype=np.intp)
-        lvl = k
-        for ch in reversed(w):
-            idx = self.child[lvl][int(ch) - 1][idx]
-            lvl += 1
-        return idx
-
     def owners(self, k: int, n: int) -> tuple:
         """Owner maps of the step from level k to level k+n: (o, p) with
         o[x] the lexicographically smallest length-n word (by its index in
         words_of_length order) whose image L_w(level k) holds the
-        level-(k+n) vertex x, and p[x] its position in compose(k, w), so
-        compose(k, words[o[x]])[p[x]] == x.  o is non-decreasing: the
+        level-(k+n) vertex x, and p[x] the level-k vertex that L_w maps
+        to x, for w = words[o[x]].  o is non-decreasing: the
         vertices of L_1's image are numbered first, then the new ones of
         L_2 and L_3, at every level."""
         maps = np.arange(len(self.lam[k]))[None]
         for lvl in range(k, k + n):
-            # row i becomes compose(k, words[i]): the new letter leads
+            # row i maps level k by L_words[i]: the new letter leads
             maps = self.child[lvl][:, maps].reshape(-1, maps.shape[1])
         # the first occurrence of each index, in word order, is its owner
         _, first = np.unique(maps, return_index=True)

@@ -4,8 +4,10 @@ that `gasket.descend` and `evaluator.eval_approx` replace, the scalar
 recursion that the array `evaluator.eval_exact` replaces, the data set
 keyed by canonical vertex pairs that `model.DataSet` holds as a matrix,
 the dict-keyed vertex index that `grids.FactorGrid` builds with array
-ops, and the level step one cell-pair at a time that the grouped
-`grids.step_blocks` replaces."""
+ops, the level step one cell-pair at a time that the grouped
+`grids.step_blocks` replaces, `FactorGrid`'s index maps one letter at a
+time, and the cell oscillation kernel with fresh temporaries per chunk
+that `analysis._cell_oscillation` replaces."""
 
 import numpy as np
 
@@ -298,12 +300,24 @@ def image_block_oracle(model, lam: np.ndarray, f: np.ndarray, c: int) -> np.ndar
     return block
 
 
+def compose(fg, k: int, w: str) -> np.ndarray:
+    """Index map of L_w from the level-k vertices of the FactorGrid fg into
+    level k+|w|, one letter at a time."""
+    idx = np.arange(len(fg.lam[k]), dtype=np.intp)
+    lvl = k
+    for ch in reversed(w):
+        idx = fg.child[lvl][int(ch) - 1][idx]
+        lvl += 1
+    return idx
+
+
 def owner_runs_oracle(fg, k: int, n: int) -> list:
     """For each length-n word, in order, the runs (start, stop, first) of
-    compose(k, w) that w owns, compose(k, w)[start:stop] == range(first,
-    first + stop - start): a level-(k+n) vertex belongs to the smallest
-    word whose image holds it, the images marked one word at a time."""
-    maps = [fg.compose(k, w) for w in words_of_length(n)]
+    compose(fg, k, w) that w owns, compose(fg, k, w)[start:stop] ==
+    range(first, first + stop - start): a level-(k+n) vertex belongs to the
+    smallest word whose image holds it, the images marked one word at a
+    time."""
+    maps = [compose(fg, k, w) for w in words_of_length(n)]
     owner = np.full(len(fg.lam[k + n]), -1)
     for i, idx in enumerate(maps):
         fresh = idx[owner[idx] == -1]
@@ -354,3 +368,29 @@ def fixed_point_oracle(model, fg, depth: int, tol: float) -> tuple:
         g = nxt
         if change <= tol:
             return g, iterations
+
+
+def cell_oscillation_oracle(f: np.ndarray, cells, out: np.ndarray) -> np.ndarray:
+    """max - min of f over cells[i] x cells[j] for every pair of rows i, j,
+    written to out[i, j]; returns out.  Fresh temporaries for every chunk
+    of 2.5e5 entries, in the operation order of analysis._cell_oscillation."""
+    # max and min over cells[i] x cells[j] separate: reduce f's rows over
+    # cells[i], then those columns over cells[j].  Chunks of cells keep
+    # each temporary near 2.5e5 elements (2 MB), in cache.
+    chunk = max(1, int(2.5e5 // f.shape[1]))
+    for lo in range(0, len(cells), chunk):
+        rows = cells[lo : lo + chunk]
+        top = f[rows[:, 0]]
+        bot = top.copy()
+        for t in range(1, rows.shape[1]):
+            part = f[rows[:, t]]
+            np.maximum(top, part, out=top)
+            np.minimum(bot, part, out=bot)
+        # np.take gathers columns faster than fancy indexing does
+        vmax = np.take(top, cells[:, 0], axis=1)
+        vmin = np.take(bot, cells[:, 0], axis=1)
+        for t in range(1, cells.shape[1]):
+            np.maximum(vmax, np.take(top, cells[:, t], axis=1), out=vmax)
+            np.minimum(vmin, np.take(bot, cells[:, t], axis=1), out=vmin)
+        np.subtract(vmax, vmin, out=out[lo : lo + chunk])
+    return out

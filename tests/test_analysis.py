@@ -1,12 +1,14 @@
 import math
 import tracemalloc
+import unittest.mock
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_grids import any_depth_model
+from oracles import cell_oscillation_oracle
+from test_grids import any_depth_model, bits
 
 import gasketfif as gf
 from gasketfif import analysis
@@ -215,6 +217,103 @@ class TestOscillation:
             oscillation(ref03, 0)
         with pytest.raises(PreconditionError):
             oscillation(ref03, 2, samples_per_cell=4)
+
+
+def _awkward_values(rng, shape) -> np.ndarray:
+    """Normal values with signed zeros, infinities and NaNs sprinkled in."""
+    f = rng.standard_normal(shape)
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])
+    mask = rng.random(shape) < 0.2
+    f[mask] = rng.choice(special, np.count_nonzero(mask))
+    return f
+
+
+class TestCellOscillationKernel:
+    """analysis._cell_oscillation against the kernel with fresh temporaries
+    per chunk: max and min are exact, and both take the corners in one
+    order, so every entry agrees as uint64, signed zeros and NaNs too."""
+
+    @staticmethod
+    def both(f, cells):
+        # the kernel writes into a strided view, as _block_tables has it do
+        n = len(cells)
+        got = np.full((n + 2, 2 * n + 1), 7.0)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            analysis._cell_oscillation(f, cells, got[1 : n + 1, 1::2])
+            want = cell_oscillation_oracle(f, cells, np.empty((n, n)))
+        assert np.array_equal(bits(got[1 : n + 1, 1::2]), bits(want))
+        # nothing outside the view is written
+        got[1 : n + 1, 1::2] = 7.0
+        assert np.all(got == 7.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["corners", "refined"]),
+        st.sampled_from(["one", "chunk", "chunk+1", "any"]),
+        st.data(),
+    )
+    def test_equals_the_oracle(self, seed, kind, length, data):
+        rng = np.random.default_rng(seed)
+        if kind == "corners":
+            v = data.draw(st.integers(3, 40), label="vertices")
+            cells = rng.integers(0, v, (data.draw(st.integers(2, 30), label="cells"), 3))
+        else:
+            # each level-n cell read at the corners of its level-m subcells
+            m = data.draw(st.integers(1, 4), label="m")
+            n = data.draw(st.integers(0, m - 1), label="n")
+            v = vertex_count(m)
+            cells = FactorGrid(m).cells[m].reshape(3**n, -1)
+        f = _awkward_values(rng, (v, v))
+        if length == "one":
+            cells, rows = cells[:1], data.draw(st.integers(1, 4), label="rows")
+        elif length == "chunk":
+            rows = len(cells)
+        elif length == "chunk+1":
+            rows = max(1, len(cells) - 1)
+        else:
+            rows = data.draw(st.integers(1, len(cells)), label="rows")
+        # a chunk of `rows` rows of f, and less than one row more
+        entries = rows * v + data.draw(st.integers(0, v - 1), label="spare")
+        with unittest.mock.patch.object(analysis, "_CHUNK_ENTRIES", entries):
+            self.both(f, cells)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_equals_the_oracle_at_the_module_chunk(self, extra):
+        # a level-6 image block's size: one chunk of this many rows, one
+        # chunk and one row, and the single-cell table
+        rng = np.random.default_rng(extra + 1)
+        v = vertex_count(6)
+        rows = analysis._CHUNK_ENTRIES // v
+        f = _awkward_values(rng, (v, v))
+        n = 1 if extra < 0 else rows + extra
+        self.both(f, rng.integers(0, v, (n, 3)))
+
+    @pytest.mark.parametrize(
+        "n_model, seed, levels, samples",
+        [
+            (1, 0, range(1, 8), 9),
+            (1, 1, range(1, 8), 9),
+            (1, 0, range(1, 6), 100),
+            (2, 3, range(1, 5), 9),
+            (2, 3, range(1, 5), 100),
+            (3, 3, range(1, 5), 9),
+            (3, 3, range(1, 5), 100),
+            (1, "tensor", range(1, 7), 9),
+            (2, "tensor", range(1, 5), 100),
+        ],
+    )
+    def test_tables_equal_the_oracle_built_ones(self, monkeypatch, n_model, seed, levels, samples):
+        if seed == "tensor":
+            model = any_depth_model(n_model, "tensor")
+        else:
+            model = gf.random_model(n_model, seed)
+        got = [t.values for t in oscillations(model, levels, samples)]
+        monkeypatch.setattr(analysis, "_cell_oscillation", cell_oscillation_oracle)
+        want = [t.values for t in oscillations(model, levels, samples)]
+        assert len(got) == len(want) == len(levels)
+        for a, b in zip(got, want):
+            assert np.array_equal(bits(a), bits(b))
 
 
 class TestBoxCount:

@@ -244,6 +244,24 @@ class TestEval:
         cfg = write_config(tmp_path, config_dict())
         assert main(["eval", "-c", cfg]) == 6
 
+    @pytest.mark.parametrize(
+        "address",
+        [
+            ["14@3", "1@2"],  # a letter outside 1..3
+            ["1@x", "1@2"],  # a corner that is no integer
+            ["1@2", "1@4"],  # a corner outside 1..3
+            ["1@2", "12"],  # no corner at all
+            ["1@2", "1@"],
+        ],
+    )
+    def test_malformed_address_exit_code(self, tmp_path, capsys, address):
+        cfg = write_config(tmp_path, config_dict())
+        assert main(["eval", "-c", cfg, "--address", *address]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if not line.startswith("# run")]
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+
     def test_negative_exponent_form_reaches_the_evaluator(self, tmp_path, capsys):
         # just below the base edge: the same refusal as the plain decimal form
         cfg = write_config(tmp_path, config_dict())

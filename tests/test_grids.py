@@ -23,6 +23,7 @@ from gasketfif.grids import (
 )
 from gasketfif.model import ProductVertex, ScalingField, build_model, words_of_length
 from oracles import (
+    compose,
     factor_grid_oracle,
     fixed_point_oracle,
     image_block_oracle,
@@ -167,7 +168,7 @@ def test_ownership_table_names_the_smallest_containing_block(n, depth):
     fg = FactorGrid(depth)
     words = words_of_length(n)
     for k in range(depth - n + 1):
-        images = [fg.compose(k, w) for w in words]
+        images = [compose(fg, k, w) for w in words]
         want = np.full(vertex_count(k + n), -1)
         for i, idx in enumerate(images):
             fresh = idx[want[idx] == -1]
@@ -198,7 +199,7 @@ def test_image_blocks_are_the_next_level_at_every_entry(n, kind):
     words = words_of_length(n)
     unowned = 0
     for i, j, block in image_blocks(model, fg1, k, f):
-        rows, cols = fg1.compose(k, words[i]), fg2.compose(k, words[j])
+        rows, cols = compose(fg1, k, words[i]), compose(fg2, k, words[j])
         want = full[np.ix_(rows, cols)]
         assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
         o = fg1.owners(k, n)[0]
@@ -226,9 +227,9 @@ def test_owner_maps_name_the_smallest_word_holding_each_vertex(n, k, data):
     o, p = fg.owners(k, n)
     words = words_of_length(n)
     x = data.draw(st.integers(0, vertex_count(k + n) - 1))
-    assert fg.compose(k, words[o[x]])[p[x]] == x
+    assert compose(fg, k, words[o[x]])[p[x]] == x
     # no smaller word's image holds x
-    assert all(x not in fg.compose(k, w) for w in words[: o[x]])
+    assert all(x not in compose(fg, k, w) for w in words[: o[x]])
     # and o is sorted: each word owns one range of indices
     assert np.all(np.diff(o) >= 0)
 
