@@ -390,7 +390,11 @@ def box_count_cloud(model: FifModel, samples: GraphSamples, n: int) -> int:
     Bins samples by their containing cell-pair (cell-adapted horizontal
     boxes, since gasket cells are not axis aligned) and applies the same
     vertical-stack rule to the empirical value range per bin.  Cross-check
-    oracle only; under-counts slightly when a bin is under-sampled.
+    oracle only; under-counts slightly when a bin is under-sampled.  The
+    bins are a dense table of all 9^n cell-pairs when it has no more
+    entries than there are samples (level 4 from 6561 samples on), else
+    the distinct codes that np.unique sorts; either way the occupied bins
+    come in code order, so the counts are the same.
     Samples whose t, s and value differ in length, or with a value that
     is not finite, raise PreconditionError; a count beyond int64 raises
     CapacityError."""
@@ -407,19 +411,25 @@ def box_count_cloud(model: FifModel, samples: GraphSamples, n: int) -> int:
         raise PreconditionError("sample values must be finite")
     cell1 = _cell_codes(locate_many(model.gasket1, samples.t, n))
     cell2 = _cell_codes(locate_many(model.gasket2, samples.s, n))
-    keys, inv = np.unique(cell1 * 3**n + cell2, return_inverse=True)
-    lo = np.full(len(keys), np.inf)
-    hi = np.full(len(keys), -np.inf)
-    np.minimum.at(lo, inv, samples.value)
-    np.maximum.at(hi, inv, samples.value)
+    key = cell1 * 3**n + cell2
+    bins = 9**n
+    if bins > p:  # a table of every cell-pair would outgrow the samples
+        keys, key = np.unique(key, return_inverse=True)
+        bins = len(keys)
+    lo = np.full(bins, np.inf)
+    hi = np.full(bins, -np.inf)
+    np.minimum.at(lo, key, samples.value)
+    np.maximum.at(hi, key, samples.value)
+    occupied = lo <= hi  # the bins that hold a sample, in code order on either path
+    lo, hi = lo[occupied], hi[occupied]
     factor = 2.0**n / _common_side(model)
     with np.errstate(over="ignore"):  # a range that overflows is refused below
         stacks = np.ceil((hi - lo) * factor)
     total = float(stacks.sum())
     if total < 2.0**62:  # far from int64's end: every stack and the sum are exact
-        return len(keys) + int(stacks.astype(np.int64).sum())
+        return len(lo) + int(stacks.astype(np.int64).sum())
     if math.isfinite(total):
         total = sum(map(int, stacks.tolist()))  # exact, in Python integers
-    if not total + len(keys) <= int64_max:
+    if not total + len(lo) <= int64_max:
         raise CapacityError(f"the level {n} cloud count does not fit in 64 bits")
-    return len(keys) + total
+    return len(lo) + total

@@ -34,6 +34,7 @@ from .model import (
     build_model,
     check_compatibility,
     perturb_shift,
+    real_number,
     words_of_length,
 )
 
@@ -92,9 +93,8 @@ def _parse_gasket(raw, field):
     if raw is None:
         return None
     try:
-        corners = tuple((float(p[0]), float(p[1])) for p in raw)
-        return GasketSpec(corners)
-    except (TypeError, ValueError, IndexError, OverflowError) as e:
+        return GasketSpec(tuple(tuple(real_number(v, "a coordinate") for v in p) for p in raw))
+    except (TypeError, ValueError, OverflowError) as e:
         raise _ConfigError(f"{field}: bad corner list: {e}") from None
 
 
@@ -103,7 +103,7 @@ def _parse_scaling(raw, n):
         raise _ConfigError("scaling: must be an object")
     if "constant" in raw:
         try:
-            return ScalingField.constant(float(raw["constant"]), n)
+            return ScalingField.constant(raw["constant"], n)
         except (TypeError, ValueError, OverflowError) as e:
             raise _ConfigError(f"scaling.constant: {e}") from None
     if "cells" in raw:
@@ -154,7 +154,7 @@ def build_from_config(path):
     triples = []
     for idx, item in enumerate(data_raw):
         try:
-            first, second, z = item["first"], item["second"], float(item["z"])
+            first, second, z = item["first"], item["second"], real_number(item["z"], "z")
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise _ConfigError(f"data[{idx}]: {e}") from None
         if not isinstance(first, str) or not isinstance(second, str):

@@ -116,9 +116,9 @@ def eval_approx(model: FifModel, t, s, k: int) -> tuple:
     PreconditionError; a point that `descend` refuses raises its error,
     t's before s's.
     """
+    n, g1, g2, nw, shift_rows, alpha_rows, f_sup_bound, rounding = _approx_constants(model)
     if k < 1:
         raise PreconditionError("truncation depth k must be >= 1")
-    n = model.n
     d = k * n
     if d > MAX_DESCENT_DEPTH:
         raise PreconditionError(
@@ -126,14 +126,12 @@ def eval_approx(model: FifModel, t, s, k: int) -> tuple:
             f"resolves at most {MAX_DESCENT_DEPTH} (k <= {MAX_DESCENT_DEPTH // n} "
             f"for N={n})"
         )
-    l0, l1, l2, neg1 = _descent_start(model.gasket1, t, d)
+    l0, l1, l2, neg1 = _descent_start(g1, t, d)
     try:
-        m0, m1, m2, neg2 = _descent_start(model.gasket2, s, d)
+        m0, m1, m2, neg2 = _descent_start(g2, s, d)
     except Exception:
         descend(model.gasket1, t, d)  # an error of t at any depth comes first
         raise
-    table = model.cell_table
-    nw, shift_rows, alpha_rows = len(table.index), table.shift_rows, table.alpha_rows
     value = 0.0
     coeff = 1.0
     i = j = 0
@@ -180,8 +178,36 @@ def eval_approx(model: FifModel, t, s, k: int) -> tuple:
         alpha = alpha_rows[c]
         coeff *= alpha if type(alpha) is float else _bilinear9(alpha, (l0, l1, l2), (m0, m1, m2))
         i = j = 0
-    bound = abs(coeff) * model.f_sup_bound
-    return value, bound + _input_rounding_bound(model, k)
+    bound = abs(coeff) * f_sup_bound
+    return value, bound + rounding[k - 1]
+
+
+def _approx_constants(model: FifModel) -> tuple:
+    """What eval_approx reads of a model, built on its first call and
+    kept in the model's __dict__, as a cached_property keeps its value:
+    (n, both gaskets' `_descent_coeffs`, the number of block words,
+    `CellTable.shift_rows` and `alpha_rows`, f_sup_bound, and
+    `_input_rounding_bound` for every k the depth limit admits, k - 1 its
+    index).  One dict lookup per call instead of the attribute reads and
+    the rounding bound's arithmetic."""
+    consts = model.__dict__.get("_approx_constants")
+    if consts is None:
+        table = model.cell_table
+        rounding = tuple(
+            _input_rounding_bound(model, k) for k in range(1, MAX_DESCENT_DEPTH // model.n + 1)
+        )
+        consts = (
+            model.n,
+            model.gasket1._descent_coeffs,
+            model.gasket2._descent_coeffs,
+            len(table.index),
+            table.shift_rows,
+            table.alpha_rows,
+            model.f_sup_bound,
+            rounding,
+        )
+        object.__setattr__(model, "_approx_constants", consts)
+    return consts
 
 
 def _descent_error(model: FifModel, t, s, d: int):

@@ -153,6 +153,12 @@ class GasketSpec:
         )
         return float(max(rows))
 
+    @cached_property
+    def _descent_coeffs(self) -> tuple:
+        """What `_descent_start` reads: bary_f's nine coefficients and
+        twice the residual, ten Python floats."""
+        return (*self._bary_inv, 2.0 * self._bary_residual)
+
 
 def standard_gasket() -> GasketSpec:
     """Unit equilateral triangle with base on the x-axis."""
@@ -294,21 +300,41 @@ def _window_error(t, depth: int) -> PreconditionError:
     )
 
 
-def _descent_start(spec: GasketSpec, t, depth: int) -> tuple:
-    """The gates of a descent of t to `depth`, before its first letter.
+def _descent_start(coeffs: tuple, t, depth: int) -> tuple:
+    """The gates of a descent of t to `depth`, before its first letter, on
+    the gasket of `coeffs`, its `GasketSpec._descent_coeffs`.
 
     Returns (l0, l1, l2, neg): lam = bary_f(t) and neg = -eff, the
-    negated starting window.  Raises as `descend` does: DomainError
-    outside the hull, PreconditionError for a window that would exceed
-    MAX_WINDOW, and DomainError at depth 1 when a coordinate lies below
-    -eff: the hull gate admits coordinates down to -SNAP_TOL, far below
-    the window, and no letter accepts them.
+    negated starting window (`_window_start`).  Both are written out here
+    on the unpacked coefficients, with the float operations of `bary_f`
+    and `_window_start` in their order and the comparisons of `min` and
+    `max`, so they are the same bits, NaN included, at no call's cost.
+    Raises as `descend` does: DomainError outside the hull,
+    PreconditionError for a window that would exceed MAX_WINDOW, and
+    DomainError at depth 1 when a coordinate lies below -eff: the hull
+    gate admits coordinates down to -SNAP_TOL, far below the window, and
+    no letter accepts them.
     """
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, residual2 = coeffs
     x, y = float(t[0]), float(t[1])
-    l0, l1, l2 = bary_f(spec, x, y)
-    if min(l0, l1, l2) < -SNAP_TOL:
+    l0 = a0 * x + a1 * y + a2
+    l1 = a3 * x + a4 * y + a5
+    l2 = a6 * x + a7 * y + a8
+    low = l0
+    if l1 < low:
+        low = l1
+    if l2 < low:
+        low = l2
+    if low < -SNAP_TOL:
         raise DomainError(f"point {tuple(t)} lies outside the gasket hull")
-    eff = _window_start(spec, x, y)
+    peak = abs(a0 * x) + abs(a1 * y) + abs(a2)
+    row = abs(a3 * x) + abs(a4 * y) + abs(a5)
+    if row > peak:
+        peak = row
+    row = abs(a6 * x) + abs(a7 * y) + abs(a8)
+    if row > peak:
+        peak = row
+    eff = _WINDOW_ULPS * peak + residual2
     if eff * 2.0**depth > MAX_WINDOW:
         raise _window_error(t, depth)
     neg = -eff
@@ -347,7 +373,7 @@ def descend(spec: GasketSpec, t, depth: int) -> tuple:
     PreconditionError.
     """
     _check_depth(depth)
-    l0, l1, l2, neg = _descent_start(spec, t, depth)
+    l0, l1, l2, neg = _descent_start(spec._descent_coeffs, t, depth)
     letters = []
     lams = []
     for level in range(1, depth + 1):

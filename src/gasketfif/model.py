@@ -11,6 +11,7 @@ compatibility identity hold by construction.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -39,6 +40,15 @@ class ProductVertex:
 
     def __str__(self):
         return f"{self.first}|{self.second}"
+
+
+def real_number(v, what: str) -> float:
+    """float(v) for a real number v: an int or a float, Python's or
+    numpy's, not a bool.  Anything else, a string among them, raises
+    TypeError naming `what`: float() alone would read "0.5" and True."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"{what} must be a number, not {v!r}")
+    return float(v)
 
 
 @dataclass(frozen=True)
@@ -136,7 +146,8 @@ class ScalingField:
 
     @classmethod
     def constant(cls, value: float, n: int) -> "ScalingField":
-        return cls(n, np.full((3, 3, 9**n), float(value)), np.zeros(9**n, dtype=bool))
+        value = real_number(value, "the constant")
+        return cls(n, np.full((3, 3, 9**n), value), np.zeros(9**n, dtype=bool))
 
     @classmethod
     def from_cells(cls, mapping: dict, n: int) -> "ScalingField":
@@ -150,13 +161,15 @@ class ScalingField:
                 raise ValidationError(f"scaling field misses cell-pair {key[0]}|{key[1]}")
             v = mapping[key]
             if np.isscalar(v):
-                corners[:, :, c] = float(v)
+                corners[:, :, c] = real_number(v, f"scaling of {key[0]}|{key[1]}")
                 continue
             arr = np.asarray(v, dtype=float)
             if arr.shape != (3, 3):
                 raise ValidationError(
                     f"corner tensor for {key[0]}|{key[1]} must be 3x3, got {arr.shape}"
                 )
+            for x in np.asarray(v, dtype=object).flat:  # np.asarray parses "0.5" and True too
+                real_number(x, f"an entry of the corner tensor for {key[0]}|{key[1]}")
             corners[:, :, c] = arr
             is_tensor[c] = True
         pairs = set(itertools.product(words, repeat=2))

@@ -6,12 +6,18 @@ keyed by canonical vertex pairs that `model.DataSet` holds as a matrix,
 the dict-keyed vertex index that `grids.FactorGrid` builds with array
 ops, the level step one cell-pair at a time that the grouped
 `grids.step_blocks` replaces, `FactorGrid`'s index maps one letter at a
-time, and the cell oscillation kernel with fresh temporaries per chunk
-that `analysis._cell_oscillation` replaces."""
+time, the cell oscillation kernel with fresh temporaries per chunk
+that `analysis._cell_oscillation` replaces, the descent gates through
+`bary_f` and `_window_start` that `gasket._descent_start` writes out,
+and the cloud count that bins by `np.unique` at every level, where
+`analysis.box_count_cloud` bins into a dense table at low levels."""
+
+import math
 
 import numpy as np
 
-from gasketfif.errors import DomainError, PreconditionError, ValidationError
+from gasketfif.analysis import _cell_codes, _common_side
+from gasketfif.errors import CapacityError, DomainError, PreconditionError, ValidationError
 from gasketfif.evaluator import _input_rounding_bound
 from gasketfif.gasket import (
     Address,
@@ -19,11 +25,13 @@ from gasketfif.gasket import (
     MAX_WINDOW,
     SNAP_TOL,
     _check_depth,
+    _hole_error,
     _window_error,
     _window_start,
     address_bary,
     bary_f,
     canonicalize,
+    locate_many,
 )
 from gasketfif.model import ProductVertex, _bilinear9, words_of_length
 
@@ -394,3 +402,53 @@ def cell_oscillation_oracle(f: np.ndarray, cells, out: np.ndarray) -> np.ndarray
             np.minimum(vmin, np.take(bot, cells[:, t], axis=1), out=vmin)
         np.subtract(vmax, vmin, out=out[lo : lo + chunk])
     return out
+
+
+def descent_start_oracle(spec, t, depth: int) -> tuple:
+    """`gasket._descent_start` through the helpers it writes out: lam =
+    bary_f(t) and neg = -_window_start(t), the gates in the same order."""
+    x, y = float(t[0]), float(t[1])
+    l0, l1, l2 = bary_f(spec, x, y)
+    if min(l0, l1, l2) < -SNAP_TOL:
+        raise DomainError(f"point {tuple(t)} lies outside the gasket hull")
+    eff = _window_start(spec, x, y)
+    if eff * 2.0**depth > MAX_WINDOW:
+        raise _window_error(t, depth)
+    neg = -eff
+    if not (l0 >= neg and l1 >= neg and l2 >= neg):
+        raise _hole_error(t, 1)
+    return l0, l1, l2, neg
+
+
+def box_count_cloud_oracle(model, samples, n: int) -> int:
+    """`analysis.box_count_cloud` with its bins the distinct cell-pair
+    codes that np.unique sorts, at every level."""
+    int64_max = np.iinfo(np.int64).max
+    if 9**n > int64_max:
+        raise CapacityError(f"level {n} cell-pair codes do not fit in 64 bits")
+    shapes = tuple(np.shape(a) for a in (samples.t, samples.s, samples.value))
+    p = len(samples.value)
+    if shapes != ((p, 2), (p, 2), (p,)):
+        raise PreconditionError(
+            f"samples need t and s of shape ({p}, 2) beside {p} values, got shapes {shapes}"
+        )
+    if not np.isfinite(samples.value).all():
+        raise PreconditionError("sample values must be finite")
+    cell1 = _cell_codes(locate_many(model.gasket1, samples.t, n))
+    cell2 = _cell_codes(locate_many(model.gasket2, samples.s, n))
+    keys, inv = np.unique(cell1 * 3**n + cell2, return_inverse=True)
+    lo = np.full(len(keys), np.inf)
+    hi = np.full(len(keys), -np.inf)
+    np.minimum.at(lo, inv, samples.value)
+    np.maximum.at(hi, inv, samples.value)
+    factor = 2.0**n / _common_side(model)
+    with np.errstate(over="ignore"):
+        stacks = np.ceil((hi - lo) * factor)
+    total = float(stacks.sum())
+    if total < 2.0**62:
+        return len(keys) + int(stacks.astype(np.int64).sum())
+    if math.isfinite(total):
+        total = sum(map(int, stacks.tolist()))
+    if not total + len(keys) <= int64_max:
+        raise CapacityError(f"the level {n} cloud count does not fit in 64 bits")
+    return len(keys) + total

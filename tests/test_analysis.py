@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import unittest.mock
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cell_oscillation_oracle
+from oracles import box_count_cloud_oracle, cell_oscillation_oracle
 from test_grids import any_depth_model, bits
 
 import gasketfif as gf
@@ -440,6 +441,73 @@ class TestBoxCount:
             warnings.simplefilter("error")
             with pytest.raises(CapacityError):
                 box_count_cloud(ref03, samples, 1)
+
+
+class TestCloudBins:
+    """box_count_cloud bins into a dense table of all 9^n cell-pairs when
+    it has no more entries than there are samples, else into the codes
+    that np.unique sorts; either way its count is the parent's
+    (`box_count_cloud_oracle`, np.unique at every level) and the scalar
+    reference's."""
+
+    @pytest.mark.parametrize(
+        "count, levels",
+        [
+            (80, (1, 2, 3)),  # the switch between levels 1 and 2: 81 > 80
+            (81, (1, 2, 3)),  # at level 2: a table of 81 for 81 samples
+            (6561, (3, 4, 5)),  # at level 4, the benchmark's level
+            (7000, (3, 4, 5, 19)),
+        ],
+    )
+    def test_both_paths_count_as_the_parent(self, count, levels, monkeypatch):
+        samples = chaos_game(ref_skewed(), count, count)
+        sorts = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+        for level in levels:
+            sorts.clear()
+            got = box_count_cloud(ref_skewed(), samples, level)
+            assert bool(sorts) == (9**level > count)  # the dense table sorts nothing
+            assert got == box_count_cloud_oracle(ref_skewed(), samples, level)
+            assert got == scalar_cloud_count(ref_skewed(), samples, level)
+
+    def test_refusals_on_the_dense_table(self, ref03):
+        # test_cloud_count_beyond_int64's samples, each twice: 12 samples
+        # bin into the table of 9 level-1 cell-pairs, and count the same
+        top = ref03.gasket1.corners[2]
+        pts = np.array([(0.0, 0.0), (0.25, 0.0), (1.0, 0.0), (0.75, 0.0), top, (0.5, 0.7)] * 2)
+
+        def counts(*v):
+            value = np.array([0.0, v[0], 0.0, v[1], 0.0, v[2]] * 2)
+            samples = GraphSamples(pts, pts, value)
+            return [outcome(f, ref03, samples, 1) for f in (box_count_cloud, box_count_cloud_oracle)]
+
+        assert counts(2.0**61, 2.0**60, 0.0) == [3 + 2**62 + 2**61] * 2
+        assert counts(2.0**61, 2.0**61 - 2.0**10, 511.5) == [3 + 2**62 + 2**62 - 2**11 + 1023] * 2
+        for v in ((2.0**61, 2.0**61 - 2.0**9, 511.5), (2.0**63, 0.0, 0.0), (1.7e308, 1.0, 0.0)):
+            got, want = counts(*v)
+            assert got == want
+            assert want[0] is CapacityError
+        value = np.tile([np.nan, 0.0, 1.0], 4)
+        samples = GraphSamples(pts, pts, value)
+        want = outcome(box_count_cloud_oracle, ref03, samples, 1)
+        assert want[0] is PreconditionError
+        assert outcome(box_count_cloud, ref03, samples, 1) == want
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the error it raised."""
+    try:
+        return f(*args)
+    except (CapacityError, PreconditionError) as e:
+        return type(e), str(e)
+
+
+@functools.cache
+def ref_skewed():
+    """A random N=1 model on a skewed second gasket far from the origin."""
+    g2 = GasketSpec(((250.1, -399.8), (251.3, -400.1), (250.4, -398.9)))
+    return build_model(gf.random_dataset(1, 4), ScalingField.constant(0.45, 1), None, g2)
 
 
 class TestEstimateBoxDimension:

@@ -1,4 +1,6 @@
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import config_dict, write_config
 from oracles import check_lines_oracle
 
@@ -135,6 +139,53 @@ class TestBuild:
         out = capsys.readouterr()
         assert out.out == "" and "Traceback" not in out.err
         assert len([line for line in out.err.splitlines() if line.startswith("error:")]) == 1
+
+    @pytest.mark.parametrize(
+        "site, value",
+        [
+            ("z", "0.5"),
+            ("z", True),
+            ("constant", "0.3"),
+            ("constant", True),
+            ("cell", "0.2"),
+            ("cell", False),
+            ("tensor", "0.1"),
+            ("tensor", True),
+            ("corner", "1"),
+            ("corner", True),
+        ],
+    )
+    def test_string_or_bool_for_a_number_exit_code(self, tmp_path, capsys, site, value):
+        # float() reads "0.5" and True: JSON numbers only
+        raw = config_dict()
+        cells = {f"{a}|{b}": 0.3 for a in "123" for b in "123"}
+        if site == "z":
+            raw["data"][3]["z"] = value
+        elif site == "constant":
+            raw["scaling"]["constant"] = value
+        elif site in ("cell", "tensor"):
+            cells["2|3"] = value if site == "cell" else [[0.1] * 3, [0.1, value, 0.1], [0.1] * 3]
+            raw["scaling"] = {"cells": cells}
+        else:
+            raw["gasket1"] = [[0, 0], [value, 0], [0, 1]]
+        assert main(["build", "-c", write_config(tmp_path, raw)]) == 7
+        out = capsys.readouterr()
+        assert out.out == "" and "Traceback" not in out.err
+        errors = [line for line in out.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].endswith(f"must be a number, not {value!r}")
+
+    @pytest.mark.parametrize("corner", [{}, {"x": 0}, "10", 5, None, [1.0, 0.0, 0.0], [1.0]])
+    def test_corner_that_is_no_pair_exit_code(self, tmp_path, capsys, corner):
+        # an object as a corner raised KeyError through to a traceback, and
+        # a third coordinate was dropped unread
+        raw = config_dict()
+        raw["gasket1"] = [[0, 0], corner, [0, 1]]
+        assert main(["build", "-c", write_config(tmp_path, raw)]) == 7
+        out = capsys.readouterr()
+        assert out.out == "" and "Traceback" not in out.err
+        errors = [line for line in out.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: gasket1: ")
 
     @pytest.mark.parametrize("n", [1.5, 1.0, True, "1", None, [1]])
     def test_n_that_is_no_json_integer_exit_code(self, tmp_path, capsys, n):
@@ -702,3 +753,80 @@ class TestColdStart:
         # _sysconfigdata_<platform> is the standard library's, unlisted
         extra = loaded - set(sys.stdlib_module_names) - {"gasketfif", "numpy"}
         assert not {m for m in extra if not m.startswith("_sysconfigdata")}
+
+
+#: arbitrary JSON, as a malformed config may hold it: nested lists and
+#: objects, strings, bools, null, huge integers, +-1e308 and the NaN and
+#: Infinity literals that Python's json reads and writes
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from([10**400, -(10**400), 1e308, -1e308, "0.5", "1@2", "@1", 0, -0.0, 0.99]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _config_fields(raw):
+    """The paths of a config's fields, the root's keys and every nested
+    list entry and object value below them, data entries only as far as
+    the first three."""
+    paths = []
+
+    def walk(node, path):
+        paths.append(path)
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, path + (key,))
+        elif isinstance(node, list):
+            for i, value in enumerate(node[:3]):
+                walk(value, path + (i,))
+
+    for key, value in raw.items():
+        walk(value, (key,))
+    return paths + [("scaling", "constant"), ("unknown",)]
+
+
+def _fuzz_bases():
+    corners = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8660254037844386]]
+    constant = random_config(1, 0, 0.3)
+    constant["gasket2"] = corners
+    cells = random_config(1, 1, 0.3)
+    cells["gasket1"] = corners
+    tensor = [[0.1, -0.2, 0.3], [0.2, 0.1, -0.1], [0.0, 0.25, 0.15]]
+    cells["scaling"] = {"cells": {f"{a}|{b}": tensor if a == b else 0.2 for a in "123" for b in "123"}}
+    return constant, cells
+
+
+FUZZ_BASES = _fuzz_bases()
+
+
+class TestConfigFuzz:
+    """One field of a valid N=1 config replaced with arbitrary JSON: build,
+    grid and check exit with a documented code and never a traceback; a
+    refusal prints one error line, and a refused build nothing on stdout."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(base=st.sampled_from(FUZZ_BASES), data=st.data(), value=json_values)
+    def test_any_field_any_json(self, tmp_path_factory, base, data, value):
+        raw = json.loads(json.dumps(base))
+        path = data.draw(st.sampled_from(_config_fields(raw)), label="path")
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        folder = tmp_path_factory.mktemp("fuzz")
+        cfg = write_config(folder, raw)
+        for verb in (["build"], ["grid", "--depth", "2", "-o", str(folder / "g.csv")], ["check"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*verb, "-c", cfg])
+            assert 0 <= code <= 7
+            assert "Traceback" not in err.getvalue()
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+            assert len(errors) == (code >= 2)
+            if verb == ["build"] and code >= 2:
+                assert out.getvalue() == ""

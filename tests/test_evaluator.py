@@ -487,6 +487,95 @@ class TestEvalApproxOracle:
         assert approx_bits(eval_approx, ref03, t, None, 30) == want
 
 
+#: SKEWED far from the origin: at N=1 a descent deeper than about 35
+#: letters is refused by its window
+FAR = moved(SKEWED, (1e3, -1e3))
+
+
+def cell_centre(spec, word):
+    """The centre of the cell of `word`: in a hole one level deeper."""
+    return tuple(np.mean([address_point(spec, Address(word, c)) for c in LETTERS], axis=0).tolist())
+
+
+class TestEvalApproxParent:
+    """eval_approx reads its constants from one tuple built on a model's
+    first call, and opens each descent with `_descent_start` on unpacked
+    coefficients: (value, bound) stay the oracle's as uint64, and each
+    gate raises the oracle's error, t's before s's."""
+
+    @pytest.mark.parametrize("kind", ["constant", "tensor", "mixed"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_corners_and_touching_points_at_every_depth(self, n, kind):
+        moved_skewed = moved(SKEWED, (-250.0, 4e2))
+        model = scaled_model(n, kind, SPEC, moved_skewed)
+        # hull corners, touching points of level-1 and level-3 cells, and
+        # a generic point, on both gaskets
+        addresses = [Address("", c) for c in LETTERS]
+        addresses += [Address("2", 1), Address("13", 2), Address("231", 3)]
+        addresses += [Address("3121" * 13, 2)]
+        pts1 = [tuple(address_point(SPEC, a).tolist()) for a in addresses]
+        pts2 = [tuple(address_point(moved_skewed, a).tolist()) for a in addresses]
+        pairs = list(zip(pts1, pts2)) + list(zip(pts1, pts2[::-1]))
+        for k in range(1, MAX_DESCENT_DEPTH // n + 1):
+            for t, s in pairs:
+                want = approx_bits(eval_approx_oracle, model, t, s, k)
+                assert approx_bits(eval_approx, model, t, s, k) == want
+
+    @pytest.mark.parametrize("bad", ["t", "s", "both"])
+    @pytest.mark.parametrize(
+        "gate, kind",
+        [
+            ("hull", DomainError),
+            ("window", PreconditionError),
+            ("hole", DomainError),
+            ("deep hole", DomainError),
+            ("below the window", DomainError),
+        ],
+    )
+    def test_gate_errors(self, gate, kind, bad):
+        good = Address("1232", 3)
+        points = {
+            "hull": (-1.0, -1.0),
+            "hole": cell_centre(SPEC, ""),
+            "deep hole": cell_centre(SPEC, "12312"),
+            "below the window": (0.25, -2e-10),
+        }
+        k = 12
+        if gate == "window":  # every point of FAR, at 40 letters
+            k = 40
+            g1, g2 = (FAR if bad in (f, "both") else SPEC for f in ("t", "s"))
+            t, s = (tuple(address_point(g, good).tolist()) for g in (g1, g2))
+        else:
+            g1 = g2 = SPEC
+            ok = tuple(address_point(SPEC, good).tolist())
+            t = points[gate] if bad in ("t", "both") else ok
+            s = points[gate] if bad in ("s", "both") else ok
+        model = scaled_model(1, "mixed", g1, g2)
+        want = approx_bits(eval_approx_oracle, model, t, s, k)
+        assert want[0] is kind
+        assert str((s if bad == "s" else t)) in want[1]
+        assert approx_bits(eval_approx, model, t, s, k) == want
+
+    def test_constants_built_once_per_model(self, monkeypatch):
+        model = build_model(gf.random_dataset(1, 11), ScalingField.constant(0.4, 1))
+        calls = []
+        bound = evaluator._input_rounding_bound
+        monkeypatch.setattr(
+            evaluator, "_input_rounding_bound", lambda m, k: calls.append(k) or bound(m, k)
+        )
+        t, s = address_point(SPEC, Address("12", 3)), address_point(SPEC, Address("3", 1))
+        for k in (3, 1, MAX_DESCENT_DEPTH, 7):
+            want = approx_bits(eval_approx_oracle, model, t, s, k)
+            assert approx_bits(eval_approx, model, t, s, k) == want
+        # every admitted k at the first call, then none
+        assert calls == list(range(1, MAX_DESCENT_DEPTH + 1))
+        # a model made from this one by `replace` builds its own
+        bumped = perturb_shift(model, "1", "2", 2, 2, 0.25)
+        want = approx_bits(eval_approx_oracle, bumped, t, s, 5)
+        assert approx_bits(eval_approx, bumped, t, s, 5) == want
+        assert len(calls) == 2 * MAX_DESCENT_DEPTH
+
+
 def tensor_model(n, seed):
     """Random data with a random 3x3 corner tensor on every cell-pair."""
     rng = np.random.default_rng(seed)

@@ -13,6 +13,7 @@ from gasketfif.gasket import (
     Address,
     GasketSpec,
     address_bary,
+    _descent_start,
     _window_start,
     address_point,
     bary_f,
@@ -25,7 +26,7 @@ from gasketfif.gasket import (
     vertex_count,
     word_map_inverse,
 )
-from oracles import descend_oracle, reduce_dyadic
+from oracles import descend_oracle, descent_start_oracle, reduce_dyadic
 
 SPEC = standard_gasket()
 P1, P2, P3 = (np.array(p) for p in SPEC.corners)
@@ -528,6 +529,72 @@ class TestDescendOracle:
             assert want == (DomainError, f"point {t} is not on the gasket at depth 1")
             assert outcome(descend, SPEC, t, depth) == want
             assert outcome(locate_many, SPEC, [t], depth) == want
+
+
+#: legs along the axes: bary_f's coefficients hold zeros, so an infinite
+#: coordinate can give a NaN beside an infinity
+AXIS = GasketSpec(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+
+#: bary_f(inf, -inf) is (NaN, -inf, NaN) here: lam_1 = x + y, lam_2 =
+#: 1 - x + y, lam_3 = -2 y
+TILTED = GasketSpec(((1.0, 0.0), (0.0, 0.0), (0.5, -0.5)))
+
+
+def descent_start(spec, t, depth):
+    return _descent_start(spec._descent_coeffs, t, depth)
+
+
+def start_bits(f, spec, t, depth):
+    """f's (l0, l1, l2, neg) as uint64 bits, or the error."""
+    got = outcome(f, spec, t, depth)
+    return got if isinstance(got[0], type) else np.array(got).view(np.uint64).tolist()
+
+
+class TestDescentStart:
+    """`_descent_start` on the unpacked coefficients against
+    `descent_start_oracle`, the parent's gates through bary_f and
+    _window_start: the same bits and the same error, also where NaN
+    decides what min and max return."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec=st.one_of(placed_gaskets, st.sampled_from((AXIS, TILTED))),
+        addresses=nudged_addresses,
+        hull=hull_pairs,
+        odd=st.lists(st.tuples(st.floats(), st.floats()), max_size=4),
+        depth=st.integers(1, MAX_DESCENT_DEPTH + 1),
+    )
+    def test_equals_oracle(self, spec, addresses, hull, odd, depth):
+        pts = [tuple(p) for p in probe_points(spec, addresses, hull).tolist()] + odd
+        for t in pts:
+            want = start_bits(descent_start_oracle, spec, t, depth)
+            assert start_bits(descent_start, spec, t, depth) == want
+
+    @pytest.mark.parametrize(
+        "spec, t, kind",
+        [
+            # min(NaN, -inf, NaN) is the NaN, which passes the hull gate,
+            # and the window is infinite
+            (TILTED, (np.inf, -np.inf), PreconditionError),
+            (AXIS, (np.inf, 0.0), DomainError),  # lam_1 = 1 - x - y = -inf
+            (AXIS, (np.inf, -np.inf), PreconditionError),  # NaN everywhere
+            (AXIS, (np.nan, 0.5), DomainError),  # and a NaN window: a hole at depth 1
+            (AXIS, (0.25, -2e-10), DomainError),  # below the window, inside the hull gate
+        ],
+    )
+    def test_non_finite_and_near_misses(self, spec, t, kind):
+        want = start_bits(descent_start_oracle, spec, t, 12)
+        assert want[0] is kind
+        assert start_bits(descent_start, spec, t, 12) == want
+
+    def test_window_equals_window_start(self):
+        rng = np.random.default_rng(3)
+        for spec in (SPEC, AXIS, moved(SPEC, (1e3, -1e3))):
+            for u, v in rng.random((50, 2)) / 2:
+                t = tuple(hull_point(spec, u, v).tolist())
+                neg = descent_start(spec, t, 1)[3]
+                assert neg == -_window_start(spec, *t)
+                assert descent_start(spec, t, 1)[:3] == bary_f(spec, *t)
 
 
 def test_degenerate_gasket_rejected():

@@ -321,6 +321,34 @@ class TestEvalScaling:
         with pytest.raises(ValidationError):
             ScalingField.from_cells({("1", "1"): 0.3}, 1)
 
+    @pytest.mark.parametrize(
+        "value", ["0.2", True, np.True_, None, [[0.1] * 3, [0.1, "0.1", 0.1], [0.1] * 3],
+                  [[0.1] * 3, [0.1, 0.1, False], [0.1] * 3], np.full((3, 3), "0.1")]
+    )
+    def test_string_or_bool_refused(self, value):
+        # np.asarray(v, dtype=float) and float() read "0.1" and True
+        cells = {(w1, w2): 0.3 for w1 in "123" for w2 in "123"}
+        cells["2", "3"] = value
+        kind = ValidationError if value is None else TypeError  # None: no 3x3 tensor
+        with pytest.raises(kind, match="must be a number|must be 3x3"):
+            ScalingField.from_cells(cells, 1)
+
+    @pytest.mark.parametrize("value", ["0.3", True, np.True_, None])
+    def test_constant_string_or_bool_refused(self, value):
+        with pytest.raises(TypeError, match="the constant must be a number"):
+            ScalingField.constant(value, 1)
+
+    def test_numbers_of_numpy_accepted(self):
+        cells = {(w1, w2): 0.3 for w1 in "123" for w2 in "123"}
+        cells["1", "1"] = np.float32(0.25)
+        cells["1", "2"] = np.int64(0)
+        cells["1", "3"] = np.full((3, 3), 0.5, dtype=np.float32)
+        cells["2", "1"] = [[0, 1e-3, 0.5]] * 3
+        sf = ScalingField.from_cells(cells, 1)
+        assert sf.corners[0, 0, 0] == 0.25 and sf.corners[1, 2, 2] == 0.5
+        assert ScalingField.constant(np.float32(0.25), 1).corners[2, 1, 8] == 0.25
+        assert sf.is_tensor.tolist() == [False, False, True, True] + [False] * 5
+
 
 class TestEvalShift:
     def test_zero_data_everywhere_zero(self):
