@@ -46,7 +46,6 @@ from .gasket import (
     address_bary,
     address_point,
     canonicalize,
-    descend,
     enumerate_vertices,
     locate,
     locate_many,

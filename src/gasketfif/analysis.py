@@ -275,20 +275,44 @@ def box_count(model: FifModel, n: int, table: OscillationTable) -> BoxCountRecor
 
     One vertical stack of boxes per cell-pair: 1 + ceil(R / delta) boxes,
     matching the covering that drives the upper dimension bound; summed
-    over 2^16 table entries at a time.
+    exactly over 2^16 entries at a time, or refused, by `_stack_count`.
     """
     if table.level != n:
         raise PreconditionError(
             f"table level {table.level} does not match requested level {n}"
         )
     side = _common_side(model)
-    delta = 2.0**-n * side
     values, rows = table.values, max(1, 2**16 // table.values.shape[1])
-    count = values.size  # the 1 of every stack
-    for lo in range(0, len(values), rows):
-        part = values[lo : lo + rows] * (2.0**n / side)
-        count += int(np.ceil(part, out=part).astype(np.int64).sum())
-    return BoxCountRecord(level=n, delta=delta, count=count)
+    chunks = (values[lo : lo + rows] for lo in range(0, len(values), rows))
+    count = _stack_count(chunks, 2.0**n / side, f"the level {n} box count")
+    return BoxCountRecord(level=n, delta=2.0**-n * side, count=count)
+
+
+def _stack_count(ranges, factor: float, what: str) -> int:
+    """1 + ceil(R * factor) boxes per value range R of the arrays that
+    `ranges` yields, summed exactly: an array's stacks, whole and
+    non-negative, in float below 2^53 (every partial sum is then exact),
+    in int64 below 2^62, else in Python integers.  A non-finite sum (a
+    range that overflows, a NaN) or a count past int64 raises
+    CapacityError naming `what`."""
+    count = 0
+    for r in ranges:
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            stacks = np.multiply(r, factor)
+        np.ceil(stacks, out=stacks)
+        total = float(stacks.sum())
+        if not math.isfinite(total):
+            raise CapacityError(f"{what} does not fit in 64 bits")
+        count += stacks.size
+        if total >= 2.0**62 or stacks.min(initial=0.0) < 0.0:
+            count += sum(map(int, stacks.ravel().tolist()))
+        elif total >= 2.0**53:
+            count += int(stacks.astype(np.int64).sum())
+        else:
+            count += int(total)
+    if count > np.iinfo(np.int64).max:
+        raise CapacityError(f"{what} does not fit in 64 bits")
+    return count
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -396,10 +420,9 @@ def box_count_cloud(model: FifModel, samples: GraphSamples, n: int) -> int:
     the distinct codes that np.unique sorts; either way the occupied bins
     come in code order, so the counts are the same.
     Samples whose t, s and value differ in length, or with a value that
-    is not finite, raise PreconditionError; a count beyond int64 raises
-    CapacityError."""
-    int64_max = np.iinfo(np.int64).max
-    if 9**n > int64_max:
+    is not finite, raise PreconditionError; the count is exact, and one
+    beyond int64 raises CapacityError (`_stack_count`)."""
+    if 9**n > np.iinfo(np.int64).max:
         raise CapacityError(f"level {n} cell-pair codes do not fit in 64 bits")
     shapes = tuple(np.shape(a) for a in (samples.t, samples.s, samples.value))
     p = len(samples.value)
@@ -421,15 +444,6 @@ def box_count_cloud(model: FifModel, samples: GraphSamples, n: int) -> int:
     np.minimum.at(lo, key, samples.value)
     np.maximum.at(hi, key, samples.value)
     occupied = lo <= hi  # the bins that hold a sample, in code order on either path
-    lo, hi = lo[occupied], hi[occupied]
-    factor = 2.0**n / _common_side(model)
-    with np.errstate(over="ignore"):  # a range that overflows is refused below
-        stacks = np.ceil((hi - lo) * factor)
-    total = float(stacks.sum())
-    if total < 2.0**62:  # far from int64's end: every stack and the sum are exact
-        return len(lo) + int(stacks.astype(np.int64).sum())
-    if math.isfinite(total):
-        total = sum(map(int, stacks.tolist()))  # exact, in Python integers
-    if not total + len(lo) <= int64_max:
-        raise CapacityError(f"the level {n} cloud count does not fit in 64 bits")
-    return len(lo) + total
+    with np.errstate(over="ignore"):  # a range that overflows is refused by _stack_count
+        ranges = hi[occupied] - lo[occupied]
+    return _stack_count([ranges], 2.0**n / _common_side(model), f"the level {n} cloud count")

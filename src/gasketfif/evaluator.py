@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import CapacityError, PreconditionError
 from .fileio import atomic_open, format_17g
-from .gasket import MAX_DESCENT_DEPTH, Address, _descent_start, descend, vertex_count
-from .grids import FactorGrid, check_grid_bytes, level_step, level_steps, step_blocks, word_index
+from .gasket import MAX_DESCENT_DEPTH, Address, _descend, _descent_start, locate_many, vertex_count
+from .grids import GRID_BYTES, FactorGrid, check_grid_bytes, level_step, level_steps, step_blocks
 from .model import FifModel, _bilinear9, _bilinear_form
 
 
@@ -104,7 +104,7 @@ def eval_approx(model: FifModel, t, s, k: int) -> tuple:
     """Truncated unrolling of f at an arbitrary point of the product.
 
     Descends k*N letters into the nested cell chain of (t, s), both
-    factors in one loop, letter by letter, by the rule of `descend`; the
+    factors in one loop, letter by letter, by the rule of `locate_many`; the
     block indices i, j build up as base-3 integers.  At the end of each
     block it adds coeff * h_(i, j)(lam, mu), the shift at the block's
     barycentrics, and multiplies coeff, the product of the scaling
@@ -113,8 +113,8 @@ def eval_approx(model: FifModel, t, s, k: int) -> tuple:
     a-posteriori |coeff| * f_sup_bound, never above alpha_sup^k *
     f_sup_bound, plus `_input_rounding_bound`, what the rounding of t and
     s can move the sum by.  k*N beyond MAX_DESCENT_DEPTH raises
-    PreconditionError; a point that `descend` refuses raises its error,
-    t's before s's.
+    PreconditionError; a point that `locate_many` refuses raises its
+    error, t's before s's.
     """
     n, g1, g2, nw, shift_rows, alpha_rows, f_sup_bound, rounding = _approx_constants(model)
     if k < 1:
@@ -130,7 +130,7 @@ def eval_approx(model: FifModel, t, s, k: int) -> tuple:
     try:
         m0, m1, m2, neg2 = _descent_start(g2, s, d)
     except Exception:
-        descend(model.gasket1, t, d)  # an error of t at any depth comes first
+        locate_many(model.gasket1, (t,), d)  # an error of t at any depth comes first
         raise
     value = 0.0
     coeff = 1.0
@@ -211,11 +211,11 @@ def _approx_constants(model: FifModel) -> tuple:
 
 
 def _descent_error(model: FifModel, t, s, d: int):
-    """Raise the error of descending t, else that of descending s, to d
-    letters: what eval_approx's fused descent met, in `descend`'s order."""
-    descend(model.gasket1, t, d)
-    descend(model.gasket2, s, d)
-    raise RuntimeError(f"descend accepts the points {tuple(t)}, {tuple(s)}, eval_approx does not")
+    """Raise the error of locating t, else that of locating s, to d
+    letters: what eval_approx's fused descent met, t's first."""
+    locate_many(model.gasket1, (t,), d)
+    locate_many(model.gasket2, (s,), d)
+    raise RuntimeError(f"locate_many accepts {tuple(t)}, {tuple(s)}; eval_approx does not")
 
 
 def _input_rounding_bound(model: FifModel, k: int) -> float:
@@ -284,13 +284,13 @@ class GridFunction:
 
     def __call__(self, t, s) -> float:
         """Off-grid evaluation: bilinear in the barycentric coordinates of
-        the containing depth-m cell-pair, from its nine corner values."""
-        w1, lams = descend(self.model.gasket1, t, self.depth)
-        w2, mus = descend(self.model.gasket2, s, self.depth)
+        the containing depth-m cell-pair (`locate_many`), from its nine corner values."""
+        w1, lam = _descend(self.model.gasket1, (t,), self.depth)
+        w2, mu = _descend(self.model.gasket2, (s,), self.depth)
+        i, j = (np.ravel_multi_index(w - 1, (3,) * self.depth)[0] for w in (w1, w2))
         cells = self.grid.cells[self.depth]
-        rows, cols = cells[word_index(w1)], cells[word_index(w2)]
-        corner = self.values[np.ix_(rows, cols)]
-        return float(_bilinear_form(corner, lams[-1], mus[-1]))
+        corner = self.values[np.ix_(cells[i], cells[j])]
+        return float(_bilinear_form(corner, lam, mu)[0])
 
     def _on_grid(self, model: FifModel, values: np.ndarray) -> "GridFunction":
         """A grid function of `model` on this one's grids."""
@@ -506,17 +506,21 @@ def chaos_game(
     first `burn_in` points.  Orbits move in barycentric coordinates, the
     same on both gaskets; a kept point is lam @ corner_array.  Sample
     j*orbits + i is the j-th kept point of orbit i.  Cell-pairs are drawn
-    uniformly; the stream is deterministic for a fixed seed.
+    uniformly; the stream is deterministic for a fixed seed.  A count whose
+    sample arrays, steps x orbits x 5 floats, would pass GRID_BYTES raises
+    CapacityError before anything is allocated.
     """
     if count <= 0:
         raise PreconditionError("count must be positive")
     if burn_in < 0:
         raise PreconditionError("burn_in must be non-negative")
+    orbits = min(count, CHAOS_ORBITS)
+    steps = -(-count // orbits)
+    if (size := 5 * 8 * steps * orbits) > GRID_BYTES:
+        raise CapacityError(f"{count} chaos samples need {size} bytes, over {GRID_BYTES}")
     table = model.cell_table
     cells = len(table.alpha)
     scale = 0.5**model.n
-    orbits = min(count, CHAOS_ORBITS)
-    steps = -(-count // orbits)
     # per cell-pair rows, contiguous, so that each step gathers them with
     # `take`: a fancy index on the last axis of (3, 3, C) is 3x slower
     shift = np.ascontiguousarray(table.shift.reshape(9, cells))

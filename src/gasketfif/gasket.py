@@ -4,8 +4,8 @@ Words over the letters 1,2,3 select nested cells of the gasket; an address
 (word plus a terminal corner) names a vertex.  Vertex identity is decided
 with exact dyadic barycentric arithmetic so that touching points shared by
 two cells deduplicate reliably, independent of floating point noise.
-Arbitrary points are located by a barycentric descent (`descend`), exact
-in floating point after the first step.
+Arbitrary points are located by a barycentric descent (`locate_many`),
+exact in floating point after the first step.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ LETTERS = (1, 2, 3)
 #: hull gate: how far (in barycentric units) a point may lie outside the
 #: outer triangle, or outside the cell of `word_map_inverse`, and still be
 #: taken as inside it.  The descent below the hull does not use it; see
-#: `descend`.
+#: `locate_many`.
 SNAP_TOL = 1e-9
 
 #: starting snap window of a descent per unit of bary_f's rounding scale:
@@ -287,7 +287,8 @@ def _window_start(spec: GasketSpec, x, y):
         abs(a[6] * x) + abs(a[7] * y) + abs(a[8]),
     )
     if isinstance(x, np.ndarray):
-        peak = np.maximum(np.maximum(rows[0], rows[1]), rows[2])
+        # max(rows) as Python compares: NaN when rows[0] is, else the largest number
+        peak = np.maximum(rows[0], np.fmax(np.fmax(rows[1], rows[2]), rows[0]))
     else:
         peak = max(rows)
     return _WINDOW_ULPS * peak + 2.0 * spec._bary_residual
@@ -302,18 +303,18 @@ def _window_error(t, depth: int) -> PreconditionError:
 
 def _descent_start(coeffs: tuple, t, depth: int) -> tuple:
     """The gates of a descent of t to `depth`, before its first letter, on
-    the gasket of `coeffs`, its `GasketSpec._descent_coeffs`.
+    the gasket of `coeffs`, its `GasketSpec._descent_coeffs`: the gates of
+    `locate_many` for one point, for eval_approx's scalar loop.
 
     Returns (l0, l1, l2, neg): lam = bary_f(t) and neg = -eff, the
     negated starting window (`_window_start`).  Both are written out here
     on the unpacked coefficients, with the float operations of `bary_f`
     and `_window_start` in their order and the comparisons of `min` and
     `max`, so they are the same bits, NaN included, at no call's cost.
-    Raises as `descend` does: DomainError outside the hull,
-    PreconditionError for a window that would exceed MAX_WINDOW, and
-    DomainError at depth 1 when a coordinate lies below -eff: the hull
-    gate admits coordinates down to -SNAP_TOL, far below the window, and
-    no letter accepts them.
+    Raises DomainError outside the hull (by SNAP_TOL), PreconditionError
+    for a window that would exceed MAX_WINDOW, and DomainError at depth 1
+    when a coordinate lies below -eff: the hull gate admits coordinates
+    down to -SNAP_TOL, far below the window, and no letter accepts them.
     """
     a0, a1, a2, a3, a4, a5, a6, a7, a8, residual2 = coeffs
     x, y = float(t[0]), float(t[1])
@@ -326,7 +327,7 @@ def _descent_start(coeffs: tuple, t, depth: int) -> tuple:
     if l2 < low:
         low = l2
     if low < -SNAP_TOL:
-        raise DomainError(f"point {tuple(t)} lies outside the gasket hull")
+        raise _hull_error(t)
     peak = abs(a0 * x) + abs(a1 * y) + abs(a2)
     row = abs(a3 * x) + abs(a4 * y) + abs(a5)
     if row > peak:
@@ -347,89 +348,64 @@ def _hole_error(t, depth: int) -> DomainError:
     return DomainError(f"point {tuple(t)} is not on the gasket at depth {depth}")
 
 
-def descend(spec: GasketSpec, t, depth: int) -> tuple:
-    """Symbolic descent of the point t through `depth` nested cells.
-
-    Works on the barycentric coordinates lam = bary_f(t), computed once.
-    Each level takes the first letter a (1, 2, 3) for which every
-    coordinate of 2 lam - e_a is at least -eff, so ties at touching points
-    resolve to the lexicographically smallest word, and moves on to
-    lam = 2 lam - e_a, the coordinates of t in that cell.  The step is
-    exact in binary floating point (Sterbenz), so the only error is that
-    of lam itself; eff starts at twice a bound on it (`_window_start`,
-    MAX_DESCENT_DEPTH) and doubles per level along with it.
-
-    Every coordinate is >= -eff before the first letter
-    (`_descent_start` checks it) and after each accepted one; doubling is
-    exact, so 2 lam_i >= -2 eff holds at the next level already, and
-    the letter is the first a with 2 lam_a - 1 >= -2 eff: one test per
-    candidate letter.
-
-    Returns (word, lams): the word of length `depth` and lams[j], the
-    barycentric triple of t in its cell after j + 1 letters.  Points
-    outside the hull (by more than SNAP_TOL) or in a hole of the gasket
-    raise DomainError; depths beyond MAX_DESCENT_DEPTH, or beyond what the
-    point's float coordinates resolve (window above MAX_WINDOW), raise
-    PreconditionError.
-    """
-    _check_depth(depth)
-    l0, l1, l2, neg = _descent_start(spec._descent_coeffs, t, depth)
-    letters = []
-    lams = []
-    for level in range(1, depth + 1):
-        neg *= 2.0
-        l0, l1, l2 = 2.0 * l0, 2.0 * l1, 2.0 * l2
-        if l0 - 1.0 >= neg:
-            letters.append("1")
-            l0 -= 1.0
-        elif l1 - 1.0 >= neg:
-            letters.append("2")
-            l1 -= 1.0
-        elif l2 - 1.0 >= neg:
-            letters.append("3")
-            l2 -= 1.0
-        else:
-            raise _hole_error(t, level)
-        lams.append((l0, l1, l2))
-    return "".join(letters), lams
+def _hull_error(t) -> DomainError:
+    return DomainError(f"point {tuple(t)} lies outside the gasket hull")
 
 
 def locate(spec: GasketSpec, t, depth: int) -> str:
-    """Word of length `depth` whose cell contains t: the word of
-    `descend`, with its tie rule, window and errors."""
-    return descend(spec, t, depth)[0]
+    """Word of length `depth` whose cell contains the point t: the letters
+    of ``locate_many(spec, (t,), depth)``, with its errors."""
+    return "".join(map(str, locate_many(spec, (t,), depth)[0].tolist()))
 
 
 def locate_many(spec: GasketSpec, pts, depth: int) -> np.ndarray:
-    """Batched `locate`: the letters (1, 2 or 3) of the depth-`depth` cell
-    of every row of the (P, 2) array `pts`, as a (P, depth) int8 array:
-    the transpose of a C-ordered (depth, P) one, each level's letters in
-    one contiguous row.
+    """Letters (1, 2 or 3) of the depth-`depth` cell of every row of the
+    (P, 2) points `pts`, as a (P, depth) int8 array, each level's letters
+    contiguous.
 
-    Applies the rule of `descend` to arrays with the same float operations
-    in the same order, so row i spells exactly ``locate(spec, pts[i],
-    depth)`` and raises where it raises; the error names the first row
-    that fails at the shallowest failing level.  Each level steps the
-    coordinates in place and subtracts the hit masks: d - hit is d - 1.0
-    where hit is set and d - 0.0 = d elsewhere, the values of `descend`.
+    lam = bary_f(t) is computed once per point t.  Each level takes the
+    first letter a (1, 2, 3) for which every coordinate of 2 lam - e_a is
+    >= -eff, so ties at touching points go to the lexicographically
+    smallest word, and moves on to lam = 2 lam - e_a, exact in floating
+    point (Sterbenz); eff starts at twice a bound on lam's error
+    (`_window_start`) and doubles per level with it.  The gates compare
+    in `_descent_start`'s order, as Python's `min` and `max` do, NaN
+    included, and raise as it does.  After a letter every coordinate is
+    >= -eff and doubling is exact, so the letter is the first a with
+    2 lam_a - 1 >= -2 eff; a point no letter takes is in a hole
+    (DomainError).  Errors name the first row at the first failing gate or
+    the shallowest failing level.
     """
+    return _descend(spec, pts, depth)[0].T
+
+
+def _point(pts, rows: np.ndarray, i: int) -> tuple:
+    """Row i as errors name it: as given in a sequence of points, else as Python floats."""
+    given = not isinstance(pts, np.ndarray) and len(pts) == len(rows)
+    return tuple(pts[i]) if given else tuple(rows[i].tolist())
+
+
+def _descend(spec: GasketSpec, pts, depth: int) -> tuple:
+    """The descent of `locate_many`: the (depth, P) int8 letters and the
+    (l0, l1, l2) arrays of the barycentrics in the last cells.  Each level
+    steps the coordinates in place and subtracts the hit masks."""
     _check_depth(depth)
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    x, y = np.ascontiguousarray(pts.T)
-    l0, l1, l2 = bary_f(spec, x, y)
-    outside = np.flatnonzero(np.minimum(np.minimum(l0, l1), l2) < -SNAP_TOL)
+    rows = np.asarray(pts, dtype=float).reshape(-1, 2)
+    x, y = np.ascontiguousarray(rows.T)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows are refused
+        l0, l1, l2 = bary_f(spec, x, y)
+        low = np.minimum(l0, np.fmin(np.fmin(l1, l2), l0))  # min(l0, l1, l2), NaN as in Python
+        eff = _window_start(spec, x, y)
+    outside = np.flatnonzero(low < -SNAP_TOL)
     if len(outside):
-        raise DomainError(
-            f"point {tuple(pts[outside[0]].tolist())} lies outside the gasket hull"
-        )
-    eff = _window_start(spec, x, y)
+        raise _hull_error(_point(pts, rows, outside[0]))
     coarse = np.flatnonzero(eff * 2.0**depth > MAX_WINDOW)
     if len(coarse):
-        raise _window_error(pts[coarse[0]].tolist(), depth)
+        raise _window_error(_point(pts, rows, coarse[0]), depth)
     neg = -eff
     # rows with a coordinate below -eff: no letter takes them at level 1
     stray = ~((l0 >= neg) & (l1 >= neg) & (l2 >= neg))
-    letters = np.empty((depth, len(pts)), dtype=np.int8)
+    letters = np.empty((depth, len(rows)), dtype=np.int8)
     scratch = np.empty_like(l0)
     for level in range(depth):
         neg *= 2.0
@@ -444,7 +420,7 @@ def locate_many(spec: GasketSpec, pts, depth: int) -> np.ndarray:
         missed &= hit3
         missed |= stray
         if missed.any():
-            raise _hole_error(pts[np.argmax(missed)].tolist(), level + 1)
+            raise _hole_error(_point(pts, rows, np.argmax(missed)), level + 1)
         stray = False
         row = letters[level]  # 1 + hit2 + 2 hit3, in int8
         np.add(hit2.view(np.int8), 1, out=row)
@@ -453,4 +429,4 @@ def locate_many(spec: GasketSpec, pts, depth: int) -> np.ndarray:
         l0 -= hit1
         l1 -= hit2
         l2 -= hit3
-    return letters.T
+    return letters, (l0, l1, l2)

@@ -1,6 +1,8 @@
 """Scalar oracles: the cell-pair maps, read one row of FifModel.cell_table
-at a time by word pair, the sequential descent and truncated unrolling
-that `gasket.descend` and `evaluator.eval_approx` replace, the scalar
+at a time by word pair, the sequential descent of one point that
+`gasket.locate_many` runs on arrays (the scalar `descend` the library
+had), `GridFunction.__call__` and the truncated unrolling of
+`evaluator.eval_approx` on that descent, the scalar
 recursion that the array `evaluator.eval_exact` replaces, the data set
 keyed by canonical vertex pairs that `model.DataSet` holds as a matrix,
 the dict-keyed vertex index that `grids.FactorGrid` builds with array
@@ -9,8 +11,9 @@ ops, the level step one cell-pair at a time that the grouped
 time, the cell oscillation kernel with fresh temporaries per chunk
 that `analysis._cell_oscillation` replaces, the descent gates through
 `bary_f` and `_window_start` that `gasket._descent_start` writes out,
-and the cloud count that bins by `np.unique` at every level, where
-`analysis.box_count_cloud` bins into a dense table at low levels."""
+the cloud count that bins by `np.unique` at every level, where
+`analysis.box_count_cloud` bins into a dense table at low levels, and
+the box count of an oscillation table in Python integers."""
 
 import math
 
@@ -33,7 +36,8 @@ from gasketfif.gasket import (
     canonicalize,
     locate_many,
 )
-from gasketfif.model import ProductVertex, _bilinear9, words_of_length
+from gasketfif.grids import word_index
+from gasketfif.model import ProductVertex, _bilinear9, _bilinear_form, words_of_length
 
 
 def row(model, omega: str, eta: str) -> int:
@@ -73,8 +77,10 @@ def eval_shift(model, omega: str, eta: str, t, s) -> float:
 
 
 def descend_oracle(spec, t, depth: int) -> tuple:
-    """`gasket.descend` by its full rule: at every level, the first letter
-    a for which every coordinate of 2 lam - e_a is at least -eff."""
+    """The descent of `gasket.locate_many` for one point, by its full
+    rule: at every level, the first letter a for which every coordinate of
+    2 lam - e_a is at least -eff.  Returns the word and the barycentric
+    triple of t in its cell after each letter."""
     _check_depth(depth)
     x, y = float(t[0]), float(t[1])
     l0, l1, l2 = bary_f(spec, x, y)
@@ -135,6 +141,17 @@ def eval_approx_oracle(model, t, s, k: int) -> tuple:
         coeff *= alpha if type(alpha) is float else _bilinear9(alpha, lam, mu)
     bound = abs(coeff) * model.f_sup_bound
     return value, bound + _input_rounding_bound(model, k)
+
+
+def grid_call_oracle(g, t, s) -> float:
+    """`GridFunction.__call__` on `descend_oracle`: the cell-pair of the
+    two words, and its nine corner values' bilinear form at the last
+    barycentrics."""
+    w1, lams = descend_oracle(g.model.gasket1, t, g.depth)
+    w2, mus = descend_oracle(g.model.gasket2, s, g.depth)
+    cells = g.grid.cells[g.depth]
+    corner = g.values[np.ix_(cells[word_index(w1)], cells[word_index(w2)])]
+    return float(_bilinear_form(corner, lams[-1], mus[-1]))
 
 
 def eval_exact_oracle(model, addr_t, addr_s) -> float:
@@ -452,3 +469,20 @@ def box_count_cloud_oracle(model, samples, n: int) -> int:
     if not total + len(keys) <= int64_max:
         raise CapacityError(f"the level {n} cloud count does not fit in 64 bits")
     return len(keys) + total
+
+
+def box_count_oracle(model, n: int, table) -> int:
+    """`analysis.box_count` one table entry at a time in Python integers:
+    1 + ceil(R * 2^n / side) per entry, the product rounded as numpy
+    rounds it; CapacityError for a stack that is not finite or a count
+    past int64."""
+    factor = 2.0**n / _common_side(model)
+    count = 0
+    for r in table.values.ravel().tolist():
+        stack = r * factor
+        if not math.isfinite(stack):
+            raise CapacityError(f"the level {n} box count does not fit in 64 bits")
+        count += 1 + math.ceil(stack)
+    if count > np.iinfo(np.int64).max:
+        raise CapacityError(f"the level {n} box count does not fit in 64 bits")
+    return count

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import box_count_cloud_oracle, cell_oscillation_oracle
+from oracles import (
+    box_count_cloud_oracle,
+    box_count_oracle,
+    cell_oscillation_oracle,
+    descend_oracle,
+)
 from test_grids import any_depth_model, bits
 
 import gasketfif as gf
@@ -16,6 +21,8 @@ from gasketfif import analysis
 from gasketfif.analysis import (
     PRODUCT_DIMENSION,
     BoxCountRecord,
+    OscillationTable,
+    _common_side,
     _line_fit,
     box_count,
     box_count_cloud,
@@ -29,16 +36,17 @@ from gasketfif.analysis import (
 )
 from gasketfif.errors import CapacityError, HypothesisError, PreconditionError
 from gasketfif.evaluator import GraphSamples, chaos_game
-from gasketfif.gasket import Address, GasketSpec, locate, vertex_count
+from gasketfif.gasket import Address, GasketSpec, vertex_count
 from gasketfif.grids import FactorGrid, product_values
 from gasketfif.model import ScalingField, build_model, words_of_length
 
 
 def scalar_cloud_count(model, samples, n):
-    """Reference cloud count: one dict bin per cell-pair, scalar locate."""
+    """Reference cloud count: one dict bin per cell-pair, located by the
+    scalar `descend_oracle`."""
     bins = {}
     for sm in samples:
-        key = (locate(model.gasket1, sm.t, n), locate(model.gasket2, sm.s, n))
+        key = (descend_oracle(model.gasket1, sm.t, n)[0], descend_oracle(model.gasket2, sm.s, n)[0])
         lo, hi = bins.get(key, (sm.value, sm.value))
         bins[key] = (min(lo, sm.value), max(hi, sm.value))
     factor = 2.0**n / max(model.gasket1.side, model.gasket2.side)
@@ -324,6 +332,65 @@ class TestBoxCount:
             rec = box_count(zero03, n, oscillation(zero03, n))
             assert rec.count == 9**n
             assert rec.delta == pytest.approx(2.0**-n)
+
+    def test_exact_up_to_the_int64_edge(self, ref03):
+        # level 1 on the unit gasket: side 1, so a stack is ceil(2 R); the
+        # 9 bases and stacks of 2^62, 2^62 - 2^11 and 2^11 - 9 + d boxes
+        # count 2^63 + d, and int64's end is 2^63 - 1; from d = 9 on the
+        # stacks alone pass it
+        int64_max = 2**63 - 1
+        assert ref03.gasket1.side == ref03.gasket2.side == 1.0
+        for d, want in ((-2, int64_max - 1), (-1, int64_max), (0, None), (9, None)):
+            values = np.zeros((3, 3))
+            values[0, 0], values[1, 2], values[2, 1] = 2.0**61, 2.0**61 - 2.0**10, (2039 + d) / 2
+            table = OscillationTable(1, values, 9)
+            if want is None:
+                for f in (box_count, box_count_oracle):
+                    with pytest.raises(CapacityError, match="64 bits"):
+                        f(ref03, 1, table)
+            else:
+                assert box_count(ref03, 1, table).count == box_count_oracle(ref03, 1, table) == want
+
+    @pytest.mark.parametrize("stack_log2, fits", [(43, True), (45, False)])
+    def test_exact_over_chunks(self, ref03, stack_log2, fits):
+        # eight chunks of about 2^16 entries, each summed in int64 (the
+        # float total of a chunk lies between 2^53 and 2^62), and a count
+        # that crosses 2^62, or int64's end, only over the chunks
+        values = np.full((729, 729), 2.0 ** (stack_log2 - 6))
+        values[::7, ::5] += 0.3
+        table = OscillationTable(6, values, 9)
+        if fits:
+            want = box_count_oracle(ref03, 6, table)
+            assert 2**62 < want < 2**63
+            assert box_count(ref03, 6, table).count == want
+        else:
+            with pytest.raises(CapacityError):
+                box_count(ref03, 6, table)
+
+    def test_counts_that_used_to_wrap(self):
+        # a valid model whose level-5 and level-6 counts pass int64: the
+        # int64 sum gave -2384927727339546815 and -3207505069503213939;
+        # refused now, and the levels below counted exactly
+        model = build_model(gf.random_dataset(1, 0, scale=1e14), ScalingField.constant(0.3, 1))
+        tables = {n: oscillation(model, n) for n in range(2, 7)}
+        for n in (2, 3, 4):
+            assert box_count(model, n, tables[n]).count == box_count_oracle(model, n, tables[n])
+        exact = {5: 16061816346370004801, 6: 144366447520173198989}
+        for n, count in exact.items():
+            factor = 2.0**n / _common_side(model)
+            values = tables[n].values.ravel().tolist()
+            assert sum(1 + math.ceil(v * factor) for v in values) == count
+            with pytest.raises(CapacityError, match=f"level {n} box count"):
+                box_count(model, n, tables[n])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.7e308])
+    def test_non_finite_stack_refused(self, ref03, bad):
+        values = np.zeros((9, 9))
+        values[4, 5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapacityError):
+                box_count(ref03, 2, OscillationTable(2, values, 9))
 
     def test_count_at_least_floor(self, ref03):
         for n in (1, 2, 3):

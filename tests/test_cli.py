@@ -497,6 +497,18 @@ class TestChaos:
         cfg = write_config(tmp_path, config_dict())
         assert main(["chaos", "-c", cfg, "--points", "0", "-o", "x.csv"]) == 6
 
+    def test_count_over_the_byte_budget(self, tmp_path, capsys):
+        # 146 TiB of sample arrays used to reach numpy as a MemoryError
+        cfg = write_config(tmp_path, config_dict())
+        out = tmp_path / "c.csv"
+        assert main(["chaos", "-c", cfg, "--points", "10000000000000", "-o", str(out)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+            "error: 10000000000000 chaos samples need 400000000000000 bytes, over 268435456"
+        ]
+        assert not out.exists()
+
     def test_run_line_lists_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path, config_dict())
         out = tmp_path / "c.csv"
@@ -545,6 +557,20 @@ class TestDim:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "bytes" in captured.err
+
+    def test_count_past_int64_refused(self, tmp_path, capsys):
+        # data of 1e300: every stack of boxes passes int64, where the sum
+        # used to wrap to a negative count and fail in log()
+        data = [
+            {"first": str(k.first), "second": str(k.second), "z": z}
+            for k, z in gf.random_dataset(1, 0, scale=1e300).entries.items()
+        ]
+        cfg = write_config(tmp_path, config_dict(data=data))
+        assert main(["dim", "-c", cfg, "--min-level", "2", "--max-level", "5"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: the level 2 box count does not fit in 64 bits"]
 
     def test_too_few_levels(self, tmp_path):
         cfg = write_config(tmp_path, config_dict())

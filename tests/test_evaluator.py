@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import tracemalloc
 from functools import lru_cache
 
@@ -7,7 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_gasket import OFFSETS, gasket_specs, hull_point, moved, nudged_vertices, probe
+from test_gasket import (
+    OFFSETS,
+    PROBE_COORDS,
+    PROBE_GASKETS,
+    gasket_specs,
+    hull_point,
+    moved,
+    nudged_vertices,
+    probe,
+)
 
 import gasketfif as gf
 from gasketfif import evaluator, grids
@@ -45,6 +55,7 @@ from gasketfif.model import (
 )
 from oracles import (
     eval_approx_oracle,
+    grid_call_oracle,
     eval_exact_oracle,
     eval_scaling,
     eval_shift,
@@ -416,10 +427,11 @@ def scaled_model(n, kind, g1, g2):
     return build_model(gf.random_dataset(n, 7), ScalingField.from_cells(cells, n), g1, g2)
 
 
-def approx_bits(f, model, t, s, k):
-    """Value and bound as uint64 bits, or the type and message of the error."""
+def approx_bits(f, *args):
+    """f(*args), a value or a (value, bound) pair, as uint64 bits, or the
+    type and message of the error."""
     try:
-        return np.array(f(model, t, s, k)).view(np.uint64).tolist()
+        return np.array(f(*args)).view(np.uint64).tolist()
     except (DomainError, PreconditionError, TypeError) as e:
         return type(e), str(e)
 
@@ -686,6 +698,40 @@ class TestGridFunction:
                 t = address_point(ref03.gasket1, a)
                 s = address_point(ref03.gasket2, b)
                 assert g(t, s) == pytest.approx(g.at(a, b), abs=1e-9)
+
+
+def probe_pairs(spec):
+    """(t, s) pairs of the non-finite probes of test_gasket on `spec`, as
+    both factors: each probe beside each of some gasket points and odd
+    ones, the other way round, and those points by each other."""
+    probes = list(itertools.product(PROBE_COORDS, repeat=2))
+    addresses = [Address("", 2), Address("1", 3), Address("213", 1), Address("3121" * 5, 2)]
+    some = [tuple(address_point(spec, a).tolist()) for a in addresses]
+    some += [(np.nan, 0.25), (np.inf, 0.0), (0.25, -1e308), (5e-324, 5e-324)]
+    return list(itertools.product(probes + some, some)) + list(itertools.product(some, probes))
+
+
+def probe_model(spec):
+    return build_model(gf.random_dataset(1, 2), ScalingField.constant(0.3, 1), spec, spec)
+
+
+class TestNonFiniteProbes:
+    """GridFunction.__call__ and eval_approx on the non-finite probes: the
+    value of `grid_call_oracle` as uint64, the (value, bound) of
+    `eval_approx_oracle`, or their error, t's before s's."""
+
+    @pytest.mark.parametrize("spec", PROBE_GASKETS)
+    def test_grid_function(self, spec):
+        g = random_grid_function(probe_model(spec), 3, 5)
+        for t, s in probe_pairs(spec):
+            assert approx_bits(g, t, s) == approx_bits(grid_call_oracle, g, t, s)
+
+    @pytest.mark.parametrize("spec", PROBE_GASKETS)
+    def test_eval_approx(self, spec):
+        model = probe_model(spec)
+        for t, s in probe_pairs(spec):
+            want = approx_bits(eval_approx_oracle, model, t, s, 3)
+            assert approx_bits(eval_approx, model, t, s, 3) == want
 
 
 class TestRbApply:
@@ -1022,6 +1068,20 @@ def scalar_chaos_game(model, count, seed, burn_in):
 
 
 class TestChaosGame:
+    def test_refused_over_the_byte_budget(self, ref03):
+        # steps x orbits x 5 floats: 6553 steps of 1024 orbits fit in
+        # GRID_BYTES, one sample more needs a step more
+        assert 40 * 6553 * CHAOS_ORBITS <= grids.GRID_BYTES < 40 * 6554 * CHAOS_ORBITS
+        tracemalloc.start()
+        try:
+            for count in (6553 * CHAOS_ORBITS + 1, 10**13):
+                with pytest.raises(CapacityError, match="bytes"):
+                    chaos_game(ref03, count, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_zero_model_stays_at_zero(self, zero03):
         for sm in chaos_game(zero03, 200, seed=1):
             assert sm.value == 0.0

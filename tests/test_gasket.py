@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,12 +14,12 @@ from gasketfif.gasket import (
     Address,
     GasketSpec,
     address_bary,
+    _descend,
     _descent_start,
     _window_start,
     address_point,
     bary_f,
     canonicalize,
-    descend,
     enumerate_vertices,
     locate,
     locate_many,
@@ -378,14 +379,14 @@ class TestDescend:
     def test_barycentrics_after_each_level(self):
         # oracle: L_1 L_2 (p3) = p1/2 + p2/4 + p3/4 has coordinates
         # (0, 1/2, 1/2) in cell 1 and (0, 0, 1) in cell 12
-        word, lams = descend(SPEC, P1 / 2 + P2 / 4 + P3 / 4, 2)
+        word, lams = descend_oracle(SPEC, P1 / 2 + P2 / 4 + P3 / 4, 2)
         assert word == "12"
         assert lams[0] == pytest.approx((0.0, 0.5, 0.5), abs=1e-15)
         assert lams[1] == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
 
     def test_each_level_is_the_exact_step(self):
         # lam -> 2 lam - e_a is exact in binary floating point
-        word, lams = descend(SPEC, address_point(SPEC, Address("3121", 2)), 12)
+        word, lams = descend_oracle(SPEC, address_point(SPEC, Address("3121", 2)), 12)
         for j in range(1, 12):
             a = int(word[j]) - 1
             want = tuple(2.0 * v - (i == a) for i, v in enumerate(lams[j - 1]))
@@ -393,9 +394,9 @@ class TestDescend:
 
     def test_hole_and_outside_raise(self):
         with pytest.raises(DomainError):
-            descend(SPEC, SPEC.corner_array.mean(axis=0), 3)
+            descend_oracle(SPEC, SPEC.corner_array.mean(axis=0), 3)
         with pytest.raises(DomainError):
-            descend(SPEC, (2.0, 0.0), 3)
+            descend_oracle(SPEC, (2.0, 0.0), 3)
 
     def test_every_unit_gasket_point_resolves_to_the_limit(self):
         points = [P1, P2, P3, (0.5, 0.0), address_point(SPEC, Address("1231", 2))]
@@ -455,13 +456,20 @@ def outcome(f, *args):
         return type(e), str(e)
 
 
-def descent_bits(spec, t, depth, f=descend):
-    """The word and every lams triple as uint64 bits, or the error."""
+def one_descent(spec, t, depth):
+    """`_descend` of the one point t in `descend_oracle`'s form: the word
+    and, as the one entry of lams, the barycentrics in its last cell."""
+    letters, lam = _descend(spec, (t,), depth)
+    return "".join(map(str, letters[:, 0].tolist())), [tuple(v[0] for v in lam)]
+
+
+def descent_bits(spec, t, depth, f=one_descent):
+    """The word and the last lams triple as uint64 bits, or the error."""
     got = outcome(f, spec, t, depth)
     if isinstance(got[0], type):
         return got
     word, lams = got
-    return word, np.array(lams).view(np.uint64).tolist()
+    return word, np.array(lams[-1]).view(np.uint64).tolist()
 
 
 def batch_error(errors):
@@ -483,8 +491,9 @@ def batch_error(errors):
 
 
 class TestDescendOracle:
-    """descend and locate_many against `descend_oracle`, the full test of
-    all three coordinates for every letter at every level."""
+    """locate, locate_many and their kernel `_descend` against
+    `descend_oracle`, the full test of all three coordinates for every
+    letter at every level."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -497,6 +506,7 @@ class TestDescendOracle:
         for p in probe_points(spec, addresses, hull):
             for t in (tuple(p.tolist()), p):  # messages print the input's elements
                 assert descent_bits(spec, t, depth) == descent_bits(spec, t, depth, descend_oracle)
+                assert outcome(locate, spec, t, depth) == locate_outcome(spec, t, depth)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -527,7 +537,7 @@ class TestDescendOracle:
         for depth in (1, 5):
             want = outcome(descend_oracle, SPEC, t, depth)
             assert want == (DomainError, f"point {t} is not on the gasket at depth 1")
-            assert outcome(descend, SPEC, t, depth) == want
+            assert outcome(locate, SPEC, t, depth) == want
             assert outcome(locate_many, SPEC, [t], depth) == want
 
 
@@ -538,6 +548,77 @@ AXIS = GasketSpec(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
 #: bary_f(inf, -inf) is (NaN, -inf, NaN) here: lam_1 = x + y, lam_2 =
 #: 1 - x + y, lam_3 = -2 y
 TILTED = GasketSpec(((1.0, 0.0), (0.0, 0.0), (0.5, -0.5)))
+
+
+#: lam_1 = y here, so an infinite x makes the first coordinate and the
+#: first row of the window NaN, and only those
+LEANING = GasketSpec(((0.0, 1.0), (0.0, 0.0), (1.0, 0.0)))
+
+#: the gaskets of the non-finite probes: the unit one, a skewed one and a
+#: small one moved off the origin
+PROBE_GASKETS = (
+    SPEC,
+    GasketSpec(((0.0, 0.0), (2.0, 0.5), (0.3, 1.7))),
+    GasketSpec(((5.0, 5.0), (6.0, 5.0), (5.5, 6.0))),
+)
+
+#: coordinates of the probes: finite, infinite, NaN, huge and subnormal
+PROBE_COORDS = (0.0, 0.25, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324)
+
+#: odd coordinates: the probes', a negative subnormal, the least normal and any float
+odd_coords = st.one_of(
+    st.sampled_from(PROBE_COORDS + (-5e-324, 2.2250738585072014e-308)),
+    st.floats(),
+)
+
+
+def locate_outcome(spec, t, depth):
+    """`descend_oracle`'s word or error, as `outcome(locate, ...)` gives it."""
+    got = outcome(descend_oracle, spec, t, depth)
+    return got if isinstance(got[0], type) else got[0]
+
+
+class TestNonFiniteInput:
+    """locate and locate_many on NaN, infinite, huge and subnormal
+    coordinates: the gates compare as Python's min and max do, so both
+    give the word or the error of `descend_oracle`, row by row."""
+
+    @pytest.mark.parametrize("spec", PROBE_GASKETS + (AXIS, TILTED, LEANING))
+    def test_probes(self, spec):
+        for t in itertools.product(PROBE_COORDS, repeat=2):
+            want = locate_outcome(spec, t, 3)
+            assert outcome(locate, spec, t, 3) == want
+            got = outcome(locate_many, spec, [t], 3)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert got.tolist() == [[int(ch) for ch in want]]
+
+    def test_no_numpy_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = list(itertools.product(PROBE_COORDS, repeat=2))
+            for spec in PROBE_GASKETS + (AXIS, TILTED, LEANING):
+                assert outcome(locate_many, spec, pts, 3)[0] in (DomainError, PreconditionError)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        spec=st.sampled_from(PROBE_GASKETS[:2] + (moved(SPEC, (1e3, -1e3)), TILTED, LEANING)),
+        addresses=st.lists(nudged_vertices(), max_size=4),
+        odd=st.lists(st.tuples(odd_coords, odd_coords), min_size=1, max_size=4),
+        depth=st.integers(1, MAX_DESCENT_DEPTH),
+    )
+    def test_equals_oracle_row_by_row(self, spec, addresses, odd, depth):
+        rows = [tuple(probe(spec, *a).tolist()) for a in addresses] + odd
+        wants = [locate_outcome(spec, t, depth) for t in rows]
+        for t, want in zip(rows, wants):
+            assert outcome(locate, spec, t, depth) == want
+        errors = [w if isinstance(w, tuple) else None for w in wants]
+        got = outcome(locate_many, spec, rows, depth)
+        if batch_error(errors) is None:
+            assert got.tolist() == [[int(ch) for ch in w] for w in wants]
+        else:
+            assert got == batch_error(errors)
 
 
 def descent_start(spec, t, depth):
