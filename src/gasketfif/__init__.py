@@ -49,7 +49,6 @@ from .gasket import (
     enumerate_vertices,
     locate,
     locate_many,
-    standard_gasket,
     word_map_inverse,
 )
 from .grids import FactorGrid, product_values
@@ -67,7 +66,6 @@ from .reference import (
     random_dataset,
     random_model,
     reference_model,
-    zero_dataset,
     zero_model,
 )
 

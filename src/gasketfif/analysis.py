@@ -134,13 +134,19 @@ def oscillations(model: FifModel, levels, samples_per_cell: int = 9):
     Every value read is the one product_values gives at its level bit for
     bit, so each table equals oscillation(model, n, samples_per_cell) bit
     for bit.  D is checked against GRID_BYTES, as if the level-D grid were
-    built.  The tables are yielded in the order of `levels`.
+    built, and for a range of levels before the range is listed.  The
+    tables are yielded in the order of `levels`.
     """
-    levels = list(levels)
-    if not levels or min(levels) < 1:
+    # a range by its ends, so that a long one is refused before it is listed
+    if isinstance(levels, range):
+        ends = [levels[0], levels[-1]] if levels else []
+    else:
+        levels = ends = list(levels)
+    if not ends or min(ends) < 1:
         raise PreconditionError("level must be >= 1")
     r = refinement_depth(samples_per_cell)
-    check_grid_bytes(max(levels) + r)
+    check_grid_bytes(max(ends) + r)
+    levels = list(levels)
     k = max(levels) + r - model.n
     from_blocks = {n for n in levels if n + r > k >= 1 and n >= model.n}
     rest = [n for n in levels if n not in from_blocks]

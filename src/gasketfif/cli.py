@@ -355,7 +355,7 @@ def _run_checks(model) -> list:
     # points
     rng = np.random.default_rng(7)
     table = model.cell_table
-    nw = len(table.index)
+    nw = 3**model.n
     at, bs = np.zeros((2, 200, 3), dtype=np.int8)
     draws = np.empty((200, 4), dtype=np.intp)  # corners of t and s, then w1, w2
     for p in range(200):

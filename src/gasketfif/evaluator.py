@@ -31,12 +31,13 @@ def address_letters(addresses) -> tuple:
 
 
 def _exact_step(table, c, x, lam, mu):
-    """One step of eval_exact's recursion on the cell-pair rows c of the
-    cell table: alpha_c(lam, mu) x + h_c(lam, mu), for (3, P) barycentric
-    triples lam, mu; each entry as `_bilinear9` rounds it."""
-    alpha = table.alpha.take(c)
+    """One step of the recursion on the cell-pair rows c of the cell
+    table, in eval_exact and in chaos_game: alpha_c(lam, mu) x +
+    h_c(lam, mu), for (3, P) barycentric triples lam, mu; each entry as
+    `_bilinear9` rounds it."""
+    alpha = table.alpha[0, 0].take(c)
     if table.any_tensor:
-        tensor = table.alpha_tensor.reshape(9, -1).take(c, axis=1).reshape(3, 3, -1)
+        tensor = table.alpha.reshape(9, -1).take(c, axis=1).reshape(3, 3, -1)
         alpha = np.where(table.is_tensor.take(c), _bilinear_form(tensor, lam, mu), alpha)
     shift = table.shift.reshape(9, -1).take(c, axis=1).reshape(3, 3, -1)
     return alpha * x + _bilinear_form(shift, lam, mu)
@@ -62,7 +63,7 @@ def _exact(model: FifModel, t, s) -> tuple:
     for k in range(1, width // n + 1):  # the k-th block from the inside
         p = np.flatnonzero(blocks >= k)
         i, j = it[p, blocks[p] - k], js[p, blocks[p] - k]
-        x[p] = _exact_step(table, i * len(table.index) + j, x[p], lam[:, p], mu[:, p])
+        x[p] = _exact_step(table, i * 3**n + j, x[p], lam[:, p], mu[:, p])
         lam[:, p] = table.offset.take(i, axis=1) + 0.5**n * lam[:, p]
         mu[:, p] = table.offset.take(j, axis=1) + 0.5**n * mu[:, p]
     return x, lam, mu
@@ -200,7 +201,7 @@ def _approx_constants(model: FifModel) -> tuple:
             model.n,
             model.gasket1._descent_coeffs,
             model.gasket2._descent_coeffs,
-            len(table.index),
+            3**model.n,
             table.shift_rows,
             table.alpha_rows,
             model.f_sup_bound,
@@ -506,7 +507,8 @@ def chaos_game(
     first `burn_in` points.  Orbits move in barycentric coordinates, the
     same on both gaskets; a kept point is lam @ corner_array.  Sample
     j*orbits + i is the j-th kept point of orbit i.  Cell-pairs are drawn
-    uniformly; the stream is deterministic for a fixed seed.  A count whose
+    uniformly; the stream is deterministic for a fixed seed, which must be
+    non-negative (numpy's rule) or raises PreconditionError.  A count whose
     sample arrays, steps x orbits x 5 floats, would pass GRID_BYTES raises
     CapacityError before anything is allocated.
     """
@@ -514,20 +516,18 @@ def chaos_game(
         raise PreconditionError("count must be positive")
     if burn_in < 0:
         raise PreconditionError("burn_in must be non-negative")
+    if seed < 0:
+        raise PreconditionError("seed must be non-negative")
     orbits = min(count, CHAOS_ORBITS)
     steps = -(-count // orbits)
     if (size := 5 * 8 * steps * orbits) > GRID_BYTES:
         raise CapacityError(f"{count} chaos samples need {size} bytes, over {GRID_BYTES}")
     table = model.cell_table
-    cells = len(table.alpha)
+    cells = 9**model.n
     scale = 0.5**model.n
-    # per cell-pair rows, contiguous, so that each step gathers them with
-    # `take`: a fancy index on the last axis of (3, 3, C) is 3x slower
-    shift = np.ascontiguousarray(table.shift.reshape(9, cells))
-    alpha_tensor = np.ascontiguousarray(table.alpha_tensor.reshape(9, cells))
     # the offsets of row c's maps: of the first factor in rows 0-2, of the
     # second in rows 3-5
-    i1, i2 = np.divmod(np.arange(cells), len(table.index))
+    i1, i2 = np.divmod(np.arange(cells), 3**model.n)
     offset = np.vstack((table.offset[:, i1], table.offset[:, i2]))
     rng = np.random.default_rng(seed)
     # lam, then mu: one column per orbit
@@ -539,14 +539,7 @@ def chaos_game(
     v_out = np.empty((steps, orbits))
     for step in range(burn_in + steps):
         c = rng.integers(0, cells, size=orbits)
-        alpha = table.alpha.take(c)
-        if table.any_tensor:
-            alpha = np.where(
-                table.is_tensor.take(c),
-                _bilinear_form(alpha_tensor.take(c, axis=1).reshape(3, 3, -1), lam, mu),
-                alpha,
-            )
-        x = alpha * x + _bilinear_form(shift.take(c, axis=1).reshape(3, 3, -1), lam, mu)
+        x = _exact_step(table, c, x, lam, mu)
         bary = bary * scale + offset.take(c, axis=1)
         lam, mu = bary[:3], bary[3:]
         if step >= burn_in:

@@ -10,14 +10,20 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .errors import PreconditionError
+
 
 @contextmanager
 def atomic_open(path):
     """Open a temp file beside `path` for writing bytes and rename it over
     `path` when the block ends without error, so readers never see a
-    partial file."""
+    partial file.  A temp file that cannot be made there, in a directory
+    that does not exist say, raises PreconditionError."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as e:
+        raise PreconditionError(f"cannot write {path}: {e.strerror}") from None
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

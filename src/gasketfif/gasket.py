@@ -86,7 +86,8 @@ class Address:
 
 @dataclass(frozen=True)
 class GasketSpec:
-    """The three outer corner points of one gasket."""
+    """The three outer corner points of one gasket; by default the unit
+    equilateral triangle with its base on the x-axis."""
 
     corners: tuple = (
         (0.0, 0.0),
@@ -158,11 +159,6 @@ class GasketSpec:
         """What `_descent_start` reads: bary_f's nine coefficients and
         twice the residual, ten Python floats."""
         return (*self._bary_inv, 2.0 * self._bary_residual)
-
-
-def standard_gasket() -> GasketSpec:
-    """Unit equilateral triangle with base on the x-axis."""
-    return GasketSpec()
 
 
 def bary_f(spec: GasketSpec, x: float, y: float) -> tuple:

@@ -37,12 +37,18 @@ if TYPE_CHECKING:
 #: beside the table (1.0 MB at level 7).
 GRID_BYTES = 2**28
 
+#: the deepest level whose product grid fits in GRID_BYTES
+MAX_GRID_DEPTH = max(m for m in range(32) if 8 * vertex_count(m) ** 2 <= GRID_BYTES)
+
 
 def check_grid_bytes(depth: int) -> None:
-    """Refuse a depth-`depth` product grid, before building it, past GRID_BYTES."""
-    size = 8 * vertex_count(depth) ** 2
-    if size > GRID_BYTES:
-        raise CapacityError(f"a depth-{depth} product grid needs {size} bytes, over {GRID_BYTES}")
+    """Refuse a depth-`depth` product grid past GRID_BYTES before building
+    it, by its depth alone: V(depth) of a deep one is a huge integer."""
+    if depth > MAX_GRID_DEPTH:
+        raise CapacityError(
+            f"a depth-{depth} product grid needs over {GRID_BYTES} bytes; "
+            f"depth {MAX_GRID_DEPTH} is the deepest that fits"
+        )
 
 
 def word_index(w: str) -> int:
@@ -210,10 +216,10 @@ def _images(model: FifModel, lam: np.ndarray, f: np.ndarray, whole: np.ndarray =
     bit.
     """
     table = model.cell_table
-    nw, size = len(table.index), len(f)
+    nw, size = 3**model.n, len(f)
     shift = table.shift.reshape(3, 3, nw, nw)
-    scale = table.alpha_tensor.reshape(3, 3, nw, nw)
-    alpha = table.alpha.reshape(nw, nw)
+    scale = table.alpha.reshape(3, 3, nw, nw)
+    alpha = scale[0, 0]
     tensor = table.is_tensor.reshape(nw, nw)
     groups, chunks = _groups(nw, size)
     i0, i1, j0, j1 = groups[0]

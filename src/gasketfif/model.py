@@ -24,11 +24,10 @@ from .gasket import (
     address_bary,
     canonicalize,
     enumerate_vertices,
-    standard_gasket,
     vertex_count,
     words_of_length,
 )
-from .grids import FactorGrid
+from .grids import FactorGrid, word_index
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,6 @@ class FifModel:
     gasket1: GasketSpec
     gasket2: GasketSpec
     n: int
-    scaling: ScalingField
     data: DataSet = field(compare=False)
     cell_table: "CellTable" = field(compare=False)
     a: float = 0.0
@@ -204,18 +202,18 @@ class CellTable:
     """The cell-pair maps of a model in one flat table, their only store.
 
     Row c = i1 * 3**N + i2 holds the cell-pair (words[i1], words[i2]),
-    with words in `words_of_length` order and `index` mapping a word to
-    its i.  On the barycentrics of either gasket, L_w of the i-th word
-    maps lam to 2^-N lam + offset[:, i], exactly.  The arrays serve
+    with words in `words_of_length` order.  On the barycentrics of either
+    gasket, L_w of the i-th word maps lam to 2^-N lam + offset[:, i],
+    exactly.  alpha holds the scaling corners as `ScalingField.corners`
+    does, a constant cell filling its 3x3, so alpha[0, 0] holds the
+    constants; is_tensor tells the tensors apart.  The arrays serve
     vectorised code; `shift_rows` and `alpha_rows`, built on first use,
-    hold the same numbers as tuples of Python floats for scalar loops.
+    hold the same numbers as Python floats for scalar loops.
     """
 
-    index: dict  # block word -> i
     offset: np.ndarray  # (3, 3**N) barycentric offsets of the maps L_w
     shift: np.ndarray  # (3, 3, C) corner values
-    alpha: np.ndarray  # (C,) constant scaling, 0 on tensor cells
-    alpha_tensor: np.ndarray  # (3, 3, C) corner tensors, 0 on constant cells
+    alpha: np.ndarray  # (3, 3, C) scaling corners
     is_tensor: np.ndarray  # (C,) bool
     any_tensor: bool  # is_tensor.any()
 
@@ -223,21 +221,11 @@ class CellTable:
     def build(
         cls, n: int, shift: np.ndarray, alpha: np.ndarray, is_tensor: np.ndarray
     ) -> "CellTable":
-        """The table of the (3, 3, C) corner values `shift` and `alpha`,
-        where a constant cell (not is_tensor) fills its 3x3 of alpha."""
-        words = words_of_length(n)
+        """The table of the (3, 3, C) corner values `shift` and `alpha`."""
         # L_w(p_1) less its 2^-N e_1 term: a dyadic difference, so exact
-        offset = np.array([address_bary(Address(w, 1)) for w in words]).T
+        offset = np.array([address_bary(Address(w, 1)) for w in words_of_length(n)]).T
         offset[0] -= 0.5**n
-        return cls(
-            index={w: i for i, w in enumerate(words)},
-            offset=offset,
-            shift=shift,
-            alpha=np.where(is_tensor, 0.0, alpha[0, 0]),
-            alpha_tensor=np.where(is_tensor, alpha, 0.0),
-            is_tensor=is_tensor,
-            any_tensor=bool(is_tensor.any()),
-        )
+        return cls(offset, shift, alpha, is_tensor, bool(is_tensor.any()))
 
     @cached_property
     def shift_rows(self) -> tuple:
@@ -247,11 +235,12 @@ class CellTable:
     @cached_property
     def alpha_rows(self) -> tuple:
         """C entries: the constant as a float, or a tuple of 9 corner values."""
-        tensors = self.alpha_tensor.reshape(9, -1).T.tolist()
-        return tuple(
-            tuple(v) if t else a
-            for v, t, a in zip(tensors, self.is_tensor.tolist(), self.alpha.tolist())
-        )
+        # the tensors' rows alone: one float kept out of every row of 9
+        # holds the memory of the rest (0.2-0.4 MB of the points
+        # benchmark's peak RSS)
+        tensors = map(tuple, self.alpha.reshape(9, -1)[:, self.is_tensor].T.tolist())
+        constants = self.alpha[0, 0].tolist()
+        return tuple(next(tensors) if t else a for t, a in zip(self.is_tensor.tolist(), constants))
 
 
 def _vertex_names(fg: FactorGrid) -> dict:
@@ -278,20 +267,23 @@ def build_model(
     they were made.  Refused with ValidationError: a data matrix of another
     shape than V_N x V_N; a data value that is not finite or, on a
     boundary pair, not zero; a scaling value that is not finite."""
-    g1 = g1 if g1 is not None else standard_gasket()
-    g2 = g2 if g2 is not None else standard_gasket()
+    g1 = g1 if g1 is not None else GasketSpec()
+    g2 = g2 if g2 is not None else GasketSpec()
     if scaling.n != data.n:
         raise ValidationError(
             f"scaling field depth {scaling.n} does not match data depth {data.n}"
         )
     n = data.n
-    stacked, is_tensor = scaling.corners, scaling.is_tensor
-    bad = ~np.isfinite(stacked).all(axis=(0, 1))
+    # the model's own read-only copies, validated here
+    alpha, is_tensor = np.array(scaling.corners, dtype=float), np.array(scaling.is_tensor, bool)
+    alpha.setflags(write=False)
+    is_tensor.setflags(write=False)
+    bad = ~np.isfinite(alpha).all(axis=(0, 1))
     if bad.any():
         w1, w2 = divmod(int(np.argmax(bad)), 3**n)
         words = words_of_length(n)
         raise ValidationError(f"scaling on cell-pair {words[w1]}|{words[w2]} is not finite")
-    alpha_sup = float(abs(stacked).max())  # a bilinear form's sup is at a corner pair
+    alpha_sup = float(abs(alpha).max())  # a bilinear form's sup is at a corner pair
     if alpha_sup >= 1.0:
         raise ContractionError(f"scaling sup norm {alpha_sup} must be < 1")
     fg = FactorGrid(n)
@@ -325,15 +317,14 @@ def build_model(
         gasket1=g1,
         gasket2=g2,
         n=n,
-        scaling=scaling,
         data=data,
-        cell_table=CellTable.build(n, corners, stacked, is_tensor),
+        cell_table=CellTable.build(n, corners, alpha, is_tensor),
         a=2.0**-n,
         alpha_sup=alpha_sup,
         shift_sup=shift_sup,
         f_sup_bound=shift_sup / (1.0 - alpha_sup),
         k_h=k_h_range / min_sep,
-        k_alpha=float(np.ptp(stacked, axis=(0, 1)).max()) / min_sep,
+        k_alpha=float(np.ptp(alpha, axis=(0, 1)).max()) / min_sep,
     )
 
 
@@ -416,13 +407,16 @@ def perturb_shift(
 
     Breaks junction compatibility on purpose; used by diagnostics and
     tests, never by construction.  i and j, the corner's row and column,
-    are 1, 2 or 3; anything else raises ValueError.
+    are 1, 2 or 3; anything else raises ValueError.  omega or eta not a
+    word of length N raises KeyError.  The copy shares every other array.
     """
     if not (1 <= i <= 3 and 1 <= j <= 3):
         raise ValueError(f"corner ({i}, {j}) is not in 1..3 x 1..3")
-    table = model.cell_table
-    shift = table.shift.copy()
-    shift[i - 1, j - 1, table.index[omega] * len(table.index) + table.index[eta]] += delta
+    n = model.n
+    for w in (omega, eta):  # word_index would read a wrong-length word as another
+        if not (isinstance(w, str) and len(w) == n and not w.strip("123")):
+            raise KeyError(w)
+    shift = model.cell_table.shift.copy()
+    shift[i - 1, j - 1, word_index(omega) * 3**n + word_index(eta)] += delta
     shift.setflags(write=False)
-    alpha = np.where(table.is_tensor, table.alpha_tensor, table.alpha)
-    return replace(model, cell_table=CellTable.build(model.n, shift, alpha, table.is_tensor))
+    return replace(model, cell_table=replace(model.cell_table, shift=shift))

@@ -9,10 +9,6 @@ from .grids import FactorGrid
 from .model import DataSet, FifModel, ScalingField, build_model
 
 
-def zero_dataset(n: int = 1) -> DataSet:
-    return DataSet.zeros(n)
-
-
 def bump_dataset(n: int = 1, height: float = 0.5) -> DataSet:
     """Zero everywhere except at the vertex pair (1@2, 1@2), the first
     interior vertex of enumerate_vertices on both factors."""
@@ -38,7 +34,7 @@ def reference_model(alpha: float = 0.3, n: int = 1, height: float = 0.5) -> FifM
 
 
 def zero_model(alpha: float = 0.3, n: int = 1) -> FifModel:
-    return build_model(zero_dataset(n), ScalingField.constant(alpha, n))
+    return build_model(DataSet.zeros(n), ScalingField.constant(alpha, n))
 
 
 def random_model(n: int, seed: int, alpha: float = 0.3) -> FifModel:

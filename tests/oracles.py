@@ -15,6 +15,7 @@ the cloud count that bins by `np.unique` at every level, where
 `analysis.box_count_cloud` bins into a dense table at low levels, and
 the box count of an oscillation table in Python integers."""
 
+import functools
 import math
 
 import numpy as np
@@ -40,9 +41,15 @@ from gasketfif.grids import word_index
 from gasketfif.model import ProductVertex, _bilinear9, _bilinear_form, words_of_length
 
 
+@functools.cache
+def word_rows(n: int) -> dict:
+    """The index of each word of length n in `words_of_length` order."""
+    return {w: i for i, w in enumerate(words_of_length(n))}
+
+
 def row(model, omega: str, eta: str) -> int:
     """The cell_table row c = i * 3**N + j of the cell-pair (omega, eta)."""
-    index = model.cell_table.index
+    index = word_rows(model.n)
     return index[omega] * len(index) + index[eta]
 
 
@@ -115,7 +122,7 @@ def descend_oracle(spec, t, depth: int) -> tuple:
 def eval_approx_oracle(model, t, s, k: int) -> tuple:
     """`evaluator.eval_approx` sequentially: the whole descent of t, then
     that of s (`descend_oracle`), then one pass over the blocks that reads
-    each block's words back through `CellTable.index`."""
+    each block's words back through `word_rows`."""
     if k < 1:
         raise PreconditionError("truncation depth k must be >= 1")
     n = model.n
@@ -129,7 +136,8 @@ def eval_approx_oracle(model, t, s, k: int) -> tuple:
     wt, lams = descend_oracle(model.gasket1, t, d)
     ws, mus = descend_oracle(model.gasket2, s, d)
     table = model.cell_table
-    index, nw = table.index, len(table.index)
+    index = word_rows(n)
+    nw = len(index)
     value = 0.0
     coeff = 1.0
     for lo in range(0, d, n):
@@ -163,7 +171,8 @@ def eval_exact_oracle(model, addr_t, addr_s) -> float:
     wt = addr_t.word + str(addr_t.corner) * (m - len(addr_t.word))
     ws = addr_s.word + str(addr_s.corner) * (m - len(addr_s.word))
     table = model.cell_table
-    index, nw = table.index, len(table.index)
+    index = word_rows(n)
+    nw = len(index)
     offsets = table.offset.T.tolist()
     scale = 0.5**n
     lam = tuple(float(c == addr_t.corner) for c in (1, 2, 3))
@@ -307,7 +316,7 @@ def image_block_oracle(model, lam: np.ndarray, f: np.ndarray, c: int) -> np.ndar
     shift = lam @ np.ascontiguousarray(table.shift[:, :, c])
     scale = None
     if table.is_tensor[c]:
-        scale = lam @ np.ascontiguousarray(table.alpha_tensor[:, :, c])
+        scale = lam @ np.ascontiguousarray(table.alpha[:, :, c])
     rows = len(f)
     starts = list(range(0, rows, ORACLE_ROWS))
     if len(starts) > 1 and rows - starts[-1] == 1:
@@ -316,7 +325,7 @@ def image_block_oracle(model, lam: np.ndarray, f: np.ndarray, c: int) -> np.ndar
     for lo, hi in zip(starts, starts[1:] + [rows]):
         h = shift[lo:hi] @ lam.T
         if scale is None:
-            part = f[lo:hi] * table.alpha[c]
+            part = f[lo:hi] * table.alpha[0, 0, c]
         else:
             part = scale[lo:hi] @ lam.T
             part *= f[lo:hi]

@@ -28,14 +28,14 @@ from gasketfif.evaluator import (
 )
 from gasketfif.gasket import (
     Address,
+    GasketSpec,
     address_point,
     enumerate_vertices,
-    standard_gasket,
 )
 from gasketfif.model import check_compatibility
 from oracles import eval_scaling, eval_shift
 
-SPEC = standard_gasket()
+SPEC = GasketSpec()
 PRODUCT_DIM = 2.0 * math.log(3.0) / math.log(2.0)
 
 

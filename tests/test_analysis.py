@@ -221,6 +221,33 @@ class TestOscillation:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("deepest", [5000, 10**6, 10**12])
+    def test_long_level_range_refused_before_it_is_listed(self, ref03, deepest):
+        # list(range(2, 10**12 + 1)) alone would need terabytes
+        tracemalloc.start()
+        try:
+            for levels in (range(2, deepest + 1), range(deepest, 1, -1), [2, deepest, 3]):
+                with pytest.raises(CapacityError):
+                    next(oscillations(ref03, levels))
+            with pytest.raises(CapacityError):
+                oscillation(ref03, deepest)
+            with pytest.raises(CapacityError):
+                holder_fit(ref03, 2, deepest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_level_ranges_read_as_lists(self, ref03):
+        # a range is checked by its ends; its tables are those of its list
+        for levels in (range(2, 5), range(4, 1, -1), range(2, 7, 2)):
+            got = [t.values for t in oscillations(ref03, levels)]
+            want = [t.values for t in oscillations(ref03, list(levels))]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        for levels in (range(0), range(0, 3), range(3, -1, -1), iter([])):
+            with pytest.raises(PreconditionError, match="level must be >= 1"):
+                next(oscillations(ref03, levels))
+
     def test_validation(self, ref03):
         with pytest.raises(PreconditionError):
             oscillation(ref03, 0)

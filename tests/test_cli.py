@@ -24,7 +24,7 @@ from gasketfif.evaluator import address_letters, eval_exact
 
 
 def zero_data(n=1):
-    ds = gf.zero_dataset(n)
+    ds = gf.DataSet.zeros(n)
     return [
         {"first": str(k.first), "second": str(k.second), "z": 0.0}
         for k in ds.entries
@@ -733,6 +733,86 @@ class TestCheck:
             word = "".join(map(str, _random_word(by_index, size).tolist()))
             assert word == "".join(by_choice.choice(list("123"), size=size))
         assert by_index.integers(0, 2**62) == by_choice.integers(0, 2**62)
+
+
+def error_lines(err: str) -> list:
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+class TestRefusedArguments:
+    """Arguments that used to end in a traceback with exit 1: each exits
+    with a code of the --help epilog and one error line."""
+
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["grid", "--depth", "5000", "-o", "g.csv"],
+            ["grid", "--depth", "100000000000", "-o", "g.csv"],
+            ["dim", "--min-level", "2", "--max-level", "1000000"],
+            ["dim", "--min-level", "2", "--max-level", "100000000000"],
+            ["holder", "--min-level", "2", "--max-level", "1000000"],
+            ["holder", "--min-level", "2", "--max-level", "100000000000"],
+        ],
+    )
+    def test_over_deep_refused_before_any_work(self, tmp_path, capsys, monkeypatch, verb):
+        # V(depth) is past Python's 4300-digit limit for formatting, 3^depth
+        # takes minutes, and a list of the levels may not fit in memory
+        cfg = write_config(tmp_path, random_config(1, 0, 0.3))
+        monkeypatch.chdir(tmp_path)
+        tracemalloc.start()
+        try:
+            code = main([verb[0], "-c", cfg, *verb[1:]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 5
+        assert peak < 2**20
+        err = error_lines(capsys.readouterr().err)
+        assert len(err) == 1 and "depth 7 is the deepest that fits" in err[0]
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_negative_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, config_dict())
+        out = tmp_path / "c.csv"
+        assert main(["chaos", "-c", cfg, "--points", "10", "--seed", "-1", "-o", str(out)]) == 6
+        assert error_lines(capsys.readouterr().err) == ["error: seed must be non-negative"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["chaos", "--points", "10", "-o", "missing/x.csv"],
+            ["grid", "--depth", "1", "-o", "missing/x.csv"],
+            ["grid", "--depth", "1", "-o", "g.csv", "--ppm", "missing/x.ppm"],
+        ],
+    )
+    def test_output_in_a_missing_directory(self, tmp_path, capsys, monkeypatch, verb):
+        cfg = write_config(tmp_path, config_dict())
+        monkeypatch.chdir(tmp_path)
+        assert main([verb[0], "-c", cfg, *verb[1:]]) == 6
+        err = error_lines(capsys.readouterr().err)
+        assert err == [f"error: cannot write missing/{verb[-1][8:]}: No such file or directory"]
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize(
+        "n, spec, word",
+        [
+            (1, "12|1|1|1|0.5", "12"),
+            (1, "4|1|1|1|0.5", "4"),
+            (1, "|1|1|1|0.5", ""),
+            (1, "1|12|1|1|0.5", "12"),
+            (2, "1|11|1|1|0.5", "1"),
+            (2, "11|1|1|1|0.5", "1"),
+        ],
+    )
+    def test_corrupt_word_not_of_length_n(self, tmp_path, capsys, n, spec, word):
+        # a wrong-length word must not name another row
+        cfg = write_config(tmp_path, random_config(n, 0, 0.3))
+        assert main(["check", "-c", cfg, "--corrupt", spec]) == 6
+        captured = capsys.readouterr()
+        assert error_lines(captured.err) == [f"error: bad --corrupt spec: {word!r}"]
+        assert captured.out == ""
 
 
 class TestParser:

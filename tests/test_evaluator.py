@@ -43,7 +43,6 @@ from gasketfif.gasket import (
     address_bary,
     address_point,
     enumerate_vertices,
-    standard_gasket,
     vertex_count,
 )
 from gasketfif.grids import product_values
@@ -63,7 +62,7 @@ from oracles import (
     shift_at,
 )
 
-SPEC = standard_gasket()
+SPEC = GasketSpec()
 SKEWED = GasketSpec(((0.1, 0.2), (1.3, -0.1), (0.4, 1.1)))
 
 
@@ -656,6 +655,20 @@ class TestGridFunction:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_over_deep_refused_by_its_depth(self, ref03):
+        # V(depth) of these is too long to format (5000) or to compute (10^12)
+        tracemalloc.start()
+        try:
+            for depth in (5000, 10**12):
+                with pytest.raises(CapacityError):
+                    GridFunction(ref03, depth)
+                with pytest.raises(CapacityError):
+                    solve_fixed_point(ref03, depth, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_at_uses_canonical_addressing(self, ref03):
         g = GridFunction(ref03, 1)
         g.values[:] = np.arange(g.values.size).reshape(g.values.shape)
@@ -1169,6 +1182,11 @@ class TestChaosGame:
             chaos_game(ref03, 0, seed=1)
         with pytest.raises(PreconditionError):
             chaos_game(ref03, 10, seed=1, burn_in=-1)
+
+    def test_negative_seed_refused(self, ref03):
+        # numpy's own refusal of it is a bare ValueError
+        with pytest.raises(PreconditionError, match="seed must be non-negative"):
+            chaos_game(ref03, 10, seed=-1)
 
 
 class TestCsv:

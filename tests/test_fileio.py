@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasketfif.fileio import format_17g
+from gasketfif.errors import PreconditionError
+from gasketfif.fileio import atomic_open, format_17g
 
 
 def percent_text(block):
@@ -91,3 +92,11 @@ def test_tables_built_on_first_use():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
+
+
+def test_atomic_open_in_a_missing_directory(tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    with pytest.raises(PreconditionError, match="No such file or directory"):
+        with atomic_open(path) as fh:
+            fh.write(b"never")
+    assert list(tmp_path.iterdir()) == []

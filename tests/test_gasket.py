@@ -23,13 +23,12 @@ from gasketfif.gasket import (
     enumerate_vertices,
     locate,
     locate_many,
-    standard_gasket,
     vertex_count,
     word_map_inverse,
 )
 from oracles import descend_oracle, descent_start_oracle, reduce_dyadic
 
-SPEC = standard_gasket()
+SPEC = GasketSpec()
 P1, P2, P3 = (np.array(p) for p in SPEC.corners)
 
 

@@ -156,6 +156,33 @@ def test_budget_refuses_depth_8_before_allocating():
     assert peak < 2**20
 
 
+#: depths past the budget whose V(depth) is too long to format as a string
+#: (5000: past Python's 4300-digit limit) or to compute (10^11, 10^12)
+OVER_DEEP = (8, 5000, 10**6, 10**11, 10**12)
+
+
+@pytest.mark.parametrize("depth", OVER_DEEP)
+def test_over_deep_grid_refused_by_its_depth(depth):
+    model = gf.reference_model(0.3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"depth-{depth} product grid .* depth 7 is"):
+            grids.check_grid_bytes(depth)
+        with pytest.raises(CapacityError):
+            product_values(model, depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_deepest_grid_is_the_last_that_fits():
+    assert grids.MAX_GRID_DEPTH == 7
+    for depth in range(1, 8):
+        assert 8 * vertex_count(depth) ** 2 <= GRID_BYTES
+        grids.check_grid_bytes(depth)
+
+
 def test_owned_runs_split_where_the_word_changes():
     # consecutive positions that cross from one word to the next split
     o = np.array([0, 0, 1, 1, 1])

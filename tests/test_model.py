@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import gasketfif as gf
 from gasketfif.errors import ContractionError, ValidationError
-from gasketfif.gasket import Address, GasketSpec, address_point, canonicalize, standard_gasket
-from gasketfif.grids import FactorGrid
+from gasketfif.gasket import Address, GasketSpec, address_point, canonicalize
+from gasketfif.grids import FactorGrid, product_values
 from gasketfif.model import (
     COMPATIBILITY_TOL,
     DataSet,
@@ -25,7 +25,7 @@ from gasketfif.model import (
 )
 from oracles import dataset_entries_oracle, eval_scaling, eval_shift, shift_corners
 
-SPEC = standard_gasket()
+SPEC = GasketSpec()
 P = SPEC.corner_array
 Q = SPEC.corner_array
 
@@ -286,7 +286,7 @@ def test_data_read_matches_canonical_addresses(n, kind):
             {(a, b): rng.uniform(-0.2, 0.2, (3, 3)) for a in words for b in words}, n
         )
     model = build_model(data, scaling, g1)
-    shift, shift_sup, k_h = canonical_read(data, g1, standard_gasket())
+    shift, shift_sup, k_h = canonical_read(data, g1, GasketSpec())
     assert model.cell_table.shift.shape == (3, 3, len(shift))
     for key, c in shift.items():
         assert np.array_equal(bits(shift_corners(model, *key)), bits(c))
@@ -525,3 +525,78 @@ class TestCompatibility:
         rep = check_compatibility(bad)
         for desc, disc in rep.violations:
             assert disc <= 0.1 + 1e-12
+
+
+def mixed_scaling(n: int, seed: int) -> ScalingField:
+    """A random 3x3 corner tensor on about half the cell-pairs, a random
+    constant on the rest."""
+    rng = np.random.default_rng(seed)
+    words = words_of_length(n)
+    cells = {}
+    for key in itertools.product(words, repeat=2):
+        tensor = rng.random() < 0.5
+        cells[key] = rng.uniform(-0.3, 0.3, (3, 3)) if tensor else float(rng.uniform(-0.3, 0.3))
+    return ScalingField.from_cells(cells, n)
+
+
+class TestOneScalingStore:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_alpha_is_a_read_only_copy(self, n):
+        field = mixed_scaling(n, n)
+        model = build_model(gf.random_dataset(n, 0), field)
+        table = model.cell_table
+        assert table.alpha.shape == (3, 3, 9**n)
+        assert not table.alpha.flags.writeable and not table.is_tensor.flags.writeable
+        assert not np.shares_memory(table.alpha, field.corners)
+        assert not np.shares_memory(table.is_tensor, field.is_tensor)
+        assert np.array_equal(table.alpha.view(np.uint64), field.corners.view(np.uint64))
+        assert np.array_equal(table.is_tensor, field.is_tensor)
+        assert table.any_tensor
+        # alpha[0, 0] is a view of every cell's constant
+        assert np.shares_memory(table.alpha[0, 0], table.alpha)
+        assert table.alpha[0, 0].flags.c_contiguous
+        before = (table.alpha.copy(), table.alpha_rows, product_values(model, n + 1)[2])
+        field.corners[...] = 0.9
+        field.is_tensor[...] = ~field.is_tensor
+        assert np.array_equal(table.alpha.view(np.uint64), before[0].view(np.uint64))
+        assert table.alpha_rows == before[1]
+        after = product_values(model, n + 1)[2]
+        assert np.array_equal(after.view(np.uint64), before[2].view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_perturb_shift_passes_the_array_on(self, n):
+        model = build_model(gf.random_dataset(n, 0), mixed_scaling(n, n))
+        bad = perturb_shift(model, "1" * n, "2" * n, 2, 1, 0.1)
+        for name in ("alpha", "is_tensor", "offset"):
+            assert getattr(bad.cell_table, name) is getattr(model.cell_table, name)
+        assert bad.cell_table.any_tensor == model.cell_table.any_tensor
+        assert bad.cell_table.shift is not model.cell_table.shift
+        assert not bad.cell_table.shift.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_alpha_rows(self, n):
+        field = mixed_scaling(n, 10 + n)
+        rows = build_model(gf.random_dataset(n, 0), field).cell_table.alpha_rows
+        assert len(rows) == 9**n
+        for c, entry in enumerate(rows):
+            corners = field.corners[:, :, c].ravel()
+            if field.is_tensor[c]:
+                assert type(entry) is tuple and len(entry) == 9
+                assert all(type(v) is float for v in entry)
+                assert np.array_equal(np.array(entry).view(np.uint64), corners.view(np.uint64))
+            else:
+                assert type(entry) is float
+                assert np.array_equal(
+                    np.full(9, entry).view(np.uint64), corners.view(np.uint64)
+                )
+
+    @pytest.mark.parametrize(
+        "n, word",
+        [(1, "12"), (1, "4"), (1, ""), (1, "0"), (1, " 1"), (2, "1"), (2, "1a"), (2, "123")],
+    )
+    def test_perturb_shift_refuses_a_word_not_of_length_n(self, n, word):
+        model = gf.random_model(n, 0)
+        for omega, eta in ((word, "1" * n), ("1" * n, word)):
+            with pytest.raises(KeyError) as info:
+                perturb_shift(model, omega, eta, 1, 1, 0.5)
+            assert str(info.value) == repr(word)
