@@ -559,18 +559,19 @@ CSV_HEADER = "t_x,t_y,s_x,s_y,f\n"
 _CSV_BLOCK_ROWS = 4096
 
 
-def write_graph_csv(path, count: int, rows) -> None:
-    """Write `count` graph points as CSV, atomically (temp file + rename),
-    each value as its '%.17g' text (`fileio.format_17g`).  rows(lo, hi)
-    returns rows lo to hi - 1 as a (hi - lo, 5) array; they are formatted a
-    block at a time, so no Python object is held per row of the file."""
-    with atomic_open(path) as fh:
-        fh.write(CSV_HEADER.encode("ascii"))
-        for lo in range(0, count, _CSV_BLOCK_ROWS):
-            fh.write(format_17g(rows(lo, min(lo + _CSV_BLOCK_ROWS, count))))
+def write_graph_csv(fh, count: int, rows) -> None:
+    """Write `count` graph points as CSV to the binary file fh, each value
+    as its '%.17g' text (`fileio.format_17g`).  rows(lo, hi) returns rows
+    lo to hi - 1 as a (hi - lo, 5) array; they are formatted a block at a
+    time, so no Python object is held per row of the file."""
+    fh.write(CSV_HEADER.encode("ascii"))
+    for lo in range(0, count, _CSV_BLOCK_ROWS):
+        fh.write(format_17g(rows(lo, min(lo + _CSV_BLOCK_ROWS, count))))
 
 
 def samples_to_csv(samples: GraphSamples, path) -> None:
-    """Write graph samples with `write_graph_csv`."""
+    """Write graph samples with `write_graph_csv`, atomically (temp file +
+    rename)."""
     cols = (samples.t, samples.s, samples.value[:, None])
-    write_graph_csv(path, len(samples), lambda lo, hi: np.hstack([c[lo:hi] for c in cols]))
+    with atomic_open(path) as fh:
+        write_graph_csv(fh, len(samples), lambda lo, hi: np.hstack([c[lo:hi] for c in cols]))

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import functools
 import os
-import tempfile
 from contextlib import contextmanager
 
 import numpy as np
@@ -17,11 +16,15 @@ from .errors import PreconditionError
 def atomic_open(path):
     """Open a temp file beside `path` for writing bytes and rename it over
     `path` when the block ends without error, so readers never see a
-    partial file.  A temp file that cannot be made there, in a directory
-    that does not exist say, raises PreconditionError."""
-    directory = os.path.dirname(os.path.abspath(path))
+    partial file; the file gets the mode of a plain open.  A temp file
+    that cannot be made there, in a directory that does not exist say,
+    raises PreconditionError."""
+    # a random name, opened with O_EXCL: a new file, never one that exists
+    # or a link; 0o666 is masked by the umask, as in a plain open
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        fd = os.open(tmp, flags, 0o666)
     except OSError as e:
         raise PreconditionError(f"cannot write {path}: {e.strerror}") from None
     try:

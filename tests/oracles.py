@@ -194,14 +194,14 @@ def eval_exact_oracle(model, addr_t, addr_s) -> float:
 def check_lines_oracle(model) -> list:
     """The interpolation, functional-equation and boundary-vanishing lines
     of `cli check`, by the scalar loops that its array calls replace: one
-    `eval_exact_oracle` call per point, on words drawn from
-    default_rng(7) one at a time."""
+    `eval_exact_oracle` call per point, on the fields that `check` draws
+    from default_rng(7), in its order."""
 
     def line(name, ok, detail):
         return f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else "")
 
-    def word(rng, size):
-        return "".join("123"[i] for i in rng.integers(0, 3, size=size).tolist())
+    def word(letters):
+        return "".join(map(str, letters.tolist()))
 
     bad = 0
     for key, z in model.data.entries.items():
@@ -213,12 +213,14 @@ def check_lines_oracle(model) -> list:
     words = words_of_length(model.n)
     tol = 1e-9 * (1.0 + model.f_sup_bound)
     worst = 0.0
-    for _ in range(200):
-        wt = word(rng, rng.integers(0, 4))
-        ws = word(rng, rng.integers(0, 4))
-        at = Address(wt, int(rng.integers(1, 4)))
-        bs = Address(ws, int(rng.integers(1, 4)))
-        i, j = rng.integers(0, len(words)), rng.integers(0, len(words))
+    lengths = rng.integers(0, 4, size=(2, 200))
+    letters = rng.integers(1, 4, size=(2, 200, 3), dtype=np.int8)
+    corners = rng.integers(1, 4, size=(2, 200))
+    cells = rng.integers(0, len(words), size=(2, 200))
+    for p in range(200):
+        at = Address(word(letters[0, p, : lengths[0, p]]), int(corners[0, p]))
+        bs = Address(word(letters[1, p, : lengths[1, p]]), int(corners[1, p]))
+        i, j = cells[:, p]
         lam, mu = address_bary(at), address_bary(bs)
         lhs = eval_exact_oracle(
             model, Address(words[i] + at.word, at.corner), Address(words[j] + bs.word, bs.corner)
@@ -229,10 +231,10 @@ def check_lines_oracle(model) -> list:
         worst = np.maximum(worst, abs(lhs - rhs))
     lines.append(line("functional-equation", worst <= tol, f"residual {worst:.3e}"))
     worst = 0.0
-    for _ in range(100):
-        w = word(rng, 4)
-        c = int(rng.integers(1, 4))
-        corner = int(rng.integers(1, 4))
+    letters = rng.integers(1, 4, size=(100, 4), dtype=np.int8)
+    ends = rng.integers(1, 4, size=(2, 100))
+    for p in range(100):
+        w, c, corner = word(letters[p]), int(ends[0, p]), int(ends[1, p])
         v1 = eval_exact_oracle(model, Address("", corner), Address(w, c))
         v2 = eval_exact_oracle(model, Address(w, c), Address("", corner))
         worst = np.max([worst, abs(v1), abs(v2)])

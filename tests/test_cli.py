@@ -19,7 +19,7 @@ from oracles import check_lines_oracle
 
 import gasketfif as gf
 from gasketfif import cli, evaluator, grids
-from gasketfif.cli import _random_word, build_from_config, main
+from gasketfif.cli import build_from_config, main
 from gasketfif.evaluator import address_letters, eval_exact
 
 
@@ -611,7 +611,6 @@ class TestCheck:
             "interpolation",
             "functional-equation",
             "boundary-vanishing",
-            "vertex-count",
             "contraction",
         ):
             assert f"PASS {name}" in out
@@ -722,17 +721,25 @@ class TestCheck:
         with np.errstate(invalid="ignore", over="ignore"):
             assert lines[1:4] == check_lines_oracle(model)
 
-    @pytest.mark.parametrize("seed", [0, 7, 11, 2024])
-    def test_check_words_follow_the_choice_stream(self, seed):
-        # the check draws its words as integers; rng.choice over the
-        # letters consumes the same stream and spells the same words
-        by_choice, by_index = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(40):
-            size = int(by_choice.integers(0, 5))
-            assert size == int(by_index.integers(0, 5))
-            word = "".join(map(str, _random_word(by_index, size).tolist()))
-            assert word == "".join(by_choice.choice(list("123"), size=size))
-        assert by_index.integers(0, 2**62) == by_choice.integers(0, 2**62)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_draws_each_field_in_one_call(self, tmp_path, monkeypatch, n):
+        # the 200 and 100 random samples cost no Generator call each: one
+        # call per field, then two per contraction trial
+        cfg = write_config(tmp_path, random_config(n, 0, 0.3))
+        calls = []
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+                return lambda *a, **k: calls.append(name) or method(*a, **k)
+
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: Counting(default_rng(*a)))
+        assert main(["check", "-c", cfg]) == 0
+        assert calls == ["integers"] * 6 + ["standard_normal"] * 10
 
 
 def error_lines(err: str) -> list:
@@ -768,8 +775,10 @@ class TestRefusedArguments:
             tracemalloc.stop()
         assert code == 5
         assert peak < 2**20
-        err = error_lines(capsys.readouterr().err)
+        captured = capsys.readouterr()
+        err = error_lines(captured.err)
         assert len(err) == 1 and "depth 7 is the deepest that fits" in err[0]
+        assert captured.out == ""
         assert not (tmp_path / "g.csv").exists()
 
     def test_negative_seed(self, tmp_path, capsys):
@@ -794,6 +803,19 @@ class TestRefusedArguments:
         err = error_lines(capsys.readouterr().err)
         assert err == [f"error: cannot write missing/{verb[-1][8:]}: No such file or directory"]
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("existing", [None, b"old rows\n"], ids=["absent", "present"])
+    def test_refused_ppm_leaves_no_csv(self, tmp_path, monkeypatch, existing):
+        # both outputs are opened before either is written, and neither
+        # temp is left behind
+        cfg = write_config(tmp_path, config_dict())
+        monkeypatch.chdir(tmp_path)
+        if existing is not None:
+            (tmp_path / "x.csv").write_bytes(existing)
+        argv = ["grid", "-c", cfg, "--depth", "2", "-o", "x.csv", "--ppm", "missing/x.ppm"]
+        assert main(argv) == 6
+        left = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "model.json"}
+        assert left == ({} if existing is None else {"x.csv": existing})
 
     @pytest.mark.parametrize(
         "n, spec, word",

@@ -1,5 +1,7 @@
 """The array kernel that writes '%.17g' text, against '%' itself."""
 
+import os
+import stat
 import subprocess
 import sys
 
@@ -100,3 +102,19 @@ def test_atomic_open_in_a_missing_directory(tmp_path):
         with atomic_open(path) as fh:
             fh.write(b"never")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_atomic_open_mode_follows_the_umask(tmp_path, umask, mode):
+    # the mode of a plain open, 0o666 less the umask, not mkstemp's 0o600
+    old = os.umask(umask)
+    try:
+        with atomic_open(tmp_path / "x.csv") as fh:
+            fh.write(b"1\n")
+        with open(tmp_path / "plain.csv", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "x.csv").st_mode) == mode
+    assert stat.S_IMODE(os.stat(tmp_path / "plain.csv").st_mode) == mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.csv", "x.csv"]
