@@ -97,6 +97,12 @@ class OscillationTable:
         self.samples_per_cell = samples_per_cell
 
     def r(self, omega: str, eta: str) -> float:
+        """The oscillation over the cell-pair (omega, eta); PreconditionError
+        unless both are words of length `level` over 1, 2, 3, which
+        word_index would read as another cell-pair or past the table."""
+        for w in (omega, eta):
+            if not (isinstance(w, str) and len(w) == self.level and not w.strip("123")):
+                raise PreconditionError(f"{w!r} is not a word of length {self.level}")
         return float(self.values[word_index(omega), word_index(eta)])
 
     def max(self) -> float:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import CapacityError, PreconditionError
 from .fileio import atomic_open, format_17g
-from .gasket import MAX_DESCENT_DEPTH, Address, _descend, _descent_start, locate_many, vertex_count
-from .grids import GRID_BYTES, FactorGrid, check_grid_bytes, level_step, level_steps, step_blocks
+from .gasket import MAX_DESCENT_DEPTH, Address, _descend, _descent_start, locate_many
+from .grids import GRID_BYTES, FactorGrid, check_grid_bytes, level_step, product_values
 from .model import FifModel, _bilinear9, _bilinear_form
 
 
@@ -277,7 +277,8 @@ class GridFunction:
         if values.shape != shape:
             raise PreconditionError(f"values must have shape {shape}")
         self.values = values
-        #: applications of T that solve_fixed_point ran; None otherwise
+        #: set by solve_fixed_point: depth/N + 1, the applications of T by
+        #: which the plain iteration from zero stops; None otherwise
         self.iterations = None
 
     def at(self, addr_t: Address, addr_s: Address) -> float:
@@ -307,18 +308,11 @@ class GridFunction:
 _GATHER_ROWS = 64
 
 
-def _gather(values: np.ndarray, idx, out: np.ndarray, same: bool = False) -> bool:
+def _gather(values: np.ndarray, idx, out: np.ndarray) -> None:
     """Copy values[idx][:, idx] into `out`, _GATHER_ROWS rows at a time,
-    with no temporary of its full size.  Returns True when `same` is set
-    and `out` already held those values bit for bit."""
+    with no temporary of its full size."""
     for lo in range(0, len(idx), _GATHER_ROWS):
-        part = values[np.ix_(idx[lo : lo + _GATHER_ROWS], idx)]
-        dst = out[lo : lo + _GATHER_ROWS]
-        if same and np.array_equal(part.view(np.uint64), dst.view(np.uint64)):
-            continue
-        same = False
-        dst[...] = part
-    return same
+        out[lo : lo + _GATHER_ROWS] = values[np.ix_(idx[lo : lo + _GATHER_ROWS], idx)]
 
 
 def rb_apply(model: FifModel, g: GridFunction) -> GridFunction:
@@ -337,110 +331,23 @@ def rb_apply(model: FifModel, g: GridFunction) -> GridFunction:
     return g._on_grid(model, level_step(model, g.grid, k, f, np.empty_like(g.values)))
 
 
-def _within(change: np.ndarray, tol: float) -> bool:
-    """Whether every entry of `change` is at most tol in magnitude."""
-    return float(change.max()) <= tol and -float(change.min()) <= tol
-
-
-def _apply_in_place(
-    model: FifModel, fg: FactorGrid, k: int, f: np.ndarray, values: np.ndarray, tol: float
-) -> bool:
-    """Overwrite `values`, the level k+N matrix of the index fg, with the
-    level step from f, the values at level k; returns whether every entry
-    changed by at most tol.  Each entry is written once, by its owner.
-    Once one entry has changed by more, the remaining rectangles are only
-    written: their change cannot alter the answer."""
-    within = True
-    for rows, cols, block in step_blocks(model, fg, k, f):
-        if not within:
-            values[rows, cols] = block
-            continue
-        old = values[rows, cols]
-        old -= block  # exactly -(block - old): the same |change| bits
-        within = _within(old, tol)
-        old[...] = block
-    return within
-
-
-def _step_within(
-    model: FifModel, fg: FactorGrid, k: int, f: np.ndarray, values: np.ndarray, tol: float
-) -> bool:
-    """Whether `values`, the level k+N matrix of the index fg, differs by at
-    most tol from the level step from f, the older iterate at level k: the
-    change _apply_in_place would find if it overwrote that step with
-    `values`, found with `values` only read.  The first rectangle over tol
-    ends the comparison."""
-    for rows, cols, block in step_blocks(model, fg, k, f):
-        block -= values[rows, cols]  # old - new, as _apply_in_place; block is scratch
-        if not _within(block, tol):
-            return False
-    return True
-
-
 def solve_fixed_point(model: FifModel, depth: int, tol: float) -> GridFunction:
-    """Iterate T from the zero grid function until the sup change is <= tol.
+    """The fixed point of T on the depth-`depth` grid: product_values'
+    matrix.
 
-    Restriction commutes with T, so level L of the iterate T^j 0 is T^j 0
-    on level L alone, and its change bounds the change at level m from
-    below.  The loop runs level by level, L = N, 2N, ..., m: level L
-    starts at application j, the one that stopped level L-N (j = 1 at
-    level N).  How level L-N stopped picks how level L runs.
-
-    On the tolerance, or at level N: level L enters with T^(j-1) 0, the
-    level step run j-1 times from zeros at level L-(j-1)N.  An
-    application gathers the level L-N restriction and, unless it is the
-    previous one bit for bit (then T maps the values to themselves:
-    change 0), overwrites the values in place (_apply_in_place).
-
-    On an unchanged restriction: level L-N holds T^(j-1) 0 = T^j 0, so
-    level L of T^j 0 is its step, written once into a new matrix.
-    Application j's change is found against T^(j-1) 0, the step of
-    T^(j-2) 0 rebuilt on level L-N, streamed with no write
-    (_step_within).  Application j+1 steps from level L-N of T^j 0, the
-    input of application j: it changes nothing and runs no step.  So each
-    level after such a stop costs one write and one streamed step of its
-    size, and no gather.
-
-    From application L/N on the level L-N restriction is exact, so each
-    level stops by application L/N + 1.  Values and the result's
-    `iterations`, the number of applications, are those of the plain
-    iteration g -> T g bit for bit; the peak is product_values' and, while
-    T^(j-2) 0 is rebuilt, one level L-2N matrix more.
+    T^j 0 holds the exact values on the level jN vertices, so the plain
+    iteration g -> T g from zero reaches the recursion's values bit for
+    bit at application depth/N, and the next application changes
+    nothing: whatever tol, that iteration stops by application depth/N +
+    1, which `iterations` reports.  The values carry no iteration error;
+    `tol` must be positive and bounds nothing further.
     """
     if tol <= 0:
         raise PreconditionError("tolerance must be positive")
     _check_depth(model, depth)
-    n = model.n
-    fg = FactorGrid(depth)
-    j, unchanged = 1, False
-    for level in range(n, depth + 1, n):
-        k = level - n
-        if unchanged:
-            # written first: holding the rebuilt iterate beside the level-k
-            # values before this allocation raises the peak RSS
-            values = level_step(model, fg, k, values, np.empty((vertex_count(level),) * 2))
-            start = k - (j - 2) * n
-            older = level_steps(model, fg, start, k, np.zeros((vertex_count(start),) * 2))
-            unchanged = not _step_within(model, fg, k, older, values, tol)
-            j += unchanged
-            del older  # not held beside the next level's write
-            continue
-        start = level - (j - 1) * n
-        values = np.zeros((vertex_count(start),) * 2)  # frees the previous level's values
-        values = level_steps(model, fg, start, level, values)
-        idx = fg.restriction(k, level)
-        f = np.empty((len(idx),) * 2)
-        first = j
-        for j in range(first, level // n + 2):
-            if unchanged := _gather(values, idx, f, same=j > first):
-                break
-            if _apply_in_place(model, fg, k, f, values, tol):
-                break
-        else:
-            raise RuntimeError("fixed-point iteration failed to converge")
-        del f  # not held beside the next level's entry
+    fg, _, values = product_values(model, depth)
     g = GridFunction(model, depth, values, grid=fg)
-    g.iterations = j
+    g.iterations = depth // model.n + 1
     return g
 
 

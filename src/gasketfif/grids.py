@@ -25,11 +25,9 @@ if TYPE_CHECKING:
 
 #: bytes one level's value matrix may take: depth 7 (86 MB) fits, depth 8 (775 MB) does not.
 #: The calls under it hold more, in level-m matrices, and each level step
-#: one group's temporaries (_GROUP_BYTES) beside them: product_values 1 + 9^-N
-#: (the level m-N values it steps from), solve_fixed_point 1 + 9^-N + 81^-N
-#: (the level m-N values it steps from or compares with, or its copy of their
-#: restriction; beside a level m-N iterate it rebuilds, the level m-2N one it
-#: steps from), 97 MB for both at depth 7, N=1, oscillation 2 * 9^-N (the level
+#: one group's temporaries (_GROUP_BYTES) beside them: product_values, and
+#: solve_fixed_point on it, 1 + 9^-N (the level m-N values it steps from),
+#: 97 MB at depth 7, N=1, oscillation 2 * 9^-N (the level
 #: m-N values and one image block of the last step) plus its 9^n-entry
 #: table and its kernel's buffers, 3 x rows x (V + cells) floats for a
 #: chunk of rows = analysis._CHUNK_ENTRIES // V of the cells of a V-vertex

@@ -117,6 +117,23 @@ class TestOscillation:
         tab = oscillation(ref03, 1)
         assert tab.r("1", "1") == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "omega, eta", [("1", "1"), ("31", "4"), ("33", "34"), ("113", "11"), ("", "12"), (12, "12")]
+    )
+    def test_r_refuses_a_word_that_is_no_cell(self, ref03, omega, eta):
+        # word_index reads "1" as cell 0 and "4" as the index past "3"
+        tab = oscillation(ref03, 2)
+        with pytest.raises(PreconditionError):
+            tab.r(omega, eta)
+        with pytest.raises(PreconditionError):
+            tab.r(eta, omega)
+
+    def test_r_reads_every_cell_pair_by_its_words(self, ref03):
+        tab = oscillation(ref03, 2)
+        words = words_of_length(2)
+        got = [[tab.r(a, b) for b in words] for a in words]
+        assert np.array_equal(np.array(got), tab.values)
+
     def test_monotone_under_more_samples(self, ref07):
         coarse = oscillation(ref07, 2, samples_per_cell=9)
         fine = oscillation(ref07, 2, samples_per_cell=100)

@@ -695,6 +695,9 @@ class TestCheck:
             (3, 0.05, None),
             (2, "mixed", None),
             (1, 0.3, "1|2|2|1|0.1"),
+            # a shift corner at p1 moved: f no longer vanishes next to the
+            # gasket corner, so the boundary line reads the drawn pairs
+            (1, 0.3, "1|2|1|1|0.1"),
             (2, 0.2, "11|23|2|1|nan"),
             (1, "mixed", "1|2|2|1|inf"),
             (2, "mixed", "22|13|1|3|-1e-3"),

@@ -54,6 +54,7 @@ from gasketfif.model import (
 )
 from oracles import (
     eval_approx_oracle,
+    fixed_point_oracle,
     grid_call_oracle,
     eval_exact_oracle,
     eval_scaling,
@@ -793,11 +794,18 @@ class TestRbApply:
                 assert g.at(a, b) == pytest.approx(eval_exact(ref03, a, b), abs=1e-9)
 
 
+FIXED_POINT_MODELS = {
+    "constant": lambda n: gf.random_model(n, 3),
+    "tensor": lambda n: tensor_model(n, 4),
+    "zero": lambda n: gf.zero_model(0.3, n),
+}
+
+
 class TestSolveFixedPoint:
     def test_zero_data_single_iteration(self, zero03):
-        g = solve_fixed_point(zero03, 1, 1e-10)
-        assert g.iterations == 1
-        assert np.all(g.values == 0.0)
+        values, iterations = two_buffer_fixed_point(zero03, 1, 1e-10)
+        assert iterations == 1
+        assert np.all(values == 0.0)
 
     def test_iteration_count_bound(self, ref03):
         g = solve_fixed_point(ref03, 1, 1e-10)
@@ -835,39 +843,28 @@ class TestSolveFixedPoint:
         with pytest.raises(PreconditionError):
             solve_fixed_point(ref03, 1, 0.0)
 
+    @pytest.mark.parametrize("tol", [5e-324, 1e-15, 1e-12, 1e-6, 0.3])
+    @pytest.mark.parametrize("kind", ["constant", "tensor", "zero"])
+    @pytest.mark.parametrize("n, depth", [(1, 1), (1, 3), (1, 5), (2, 2), (2, 4), (3, 3)])
+    def test_is_product_values_at_any_tolerance(self, n, depth, kind, tol):
+        # the grid values carry no iteration error: the same bits and the
+        # same count, whatever tol
+        model = FIXED_POINT_MODELS[kind](n)
+        g = solve_fixed_point(model, depth, tol)
+        assert g.iterations == depth // n + 1
+        want = product_values(model, depth)[2]
+        assert np.array_equal(g.values.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("tol", [1e-15, 1e-12, 1e-6, 0.3])
     @pytest.mark.parametrize("kind", ["constant", "tensor", "zero"])
     @pytest.mark.parametrize("n, depth", [(1, 1), (1, 3), (1, 5), (2, 2), (2, 4), (3, 3)])
     def test_equals_the_two_buffer_iteration(self, n, depth, kind, tol):
-        model = {
-            "constant": lambda: gf.random_model(n, 3),
-            "tensor": lambda: tensor_model(n, 4),
-            "zero": lambda: gf.zero_model(0.3, n),
-        }[kind]()
-        g = solve_fixed_point(model, depth, tol)
+        # the plain iteration through rb_apply against the cell-pair loop
+        model = FIXED_POINT_MODELS[kind](n)
+        want, count = fixed_point_oracle(model, grids.FactorGrid(depth), depth, tol)
         values, iterations = two_buffer_fixed_point(model, depth, tol)
-        assert g.iterations == iterations
-        assert np.array_equal(g.values.view(np.uint64), values.view(np.uint64))
-
-    def test_unchanged_restriction_skips_the_last_application(self, monkeypatch):
-        # the level step reproduces product_values bit for bit, so at a tiny
-        # tolerance the restriction stops changing; that application counts
-        # but runs no step
-        model, depth = gf.random_model(1, 201), 3
-        iterations = two_buffer_fixed_point(model, depth, 1e-300)[1]
-        gathers, steps = spy_fixed_point(monkeypatch)
-        writes = spy_writes(monkeypatch)
-        g = solve_fixed_point(model, depth, 1e-300)
-        assert g.iterations == iterations
-        # level N stops on an unchanged restriction, so every later level
-        # is stepped once from the values below it and gathers nothing
-        sizes = [n for n, _ in gathers]
-        assert vertex_count(depth - 1) not in sizes
-        assert set(sizes) == {vertex_count(0)} and gathers[-1][1]
-        # level m is written whole once; its second step is only compared
-        assert writes.count(depth) == 1
-        assert steps.count(depth) == 2
-        assert np.array_equal(g.values, product_values(model, depth)[2])
+        assert iterations == count
+        assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -879,58 +876,52 @@ class TestSolveFixedPoint:
         # level L's restriction is exact from application L/N on, so the
         # next application finds it unchanged, whatever the tolerance
         n, depth = n_depth
-        model = {
-            "constant": lambda: gf.random_model(n, 3),
-            "tensor": lambda: tensor_model(n, 4),
-            "zero": lambda: gf.zero_model(0.3, n),
-        }[kind]()
+        model = FIXED_POINT_MODELS[kind](n)
         tol = max(float(np.exp(log_tol)), 5e-324)
-        g = solve_fixed_point(model, depth, tol)
         values, iterations = two_buffer_fixed_point(model, depth, tol)
-        assert g.iterations == iterations <= depth // n + 1
-        assert np.array_equal(g.values.view(np.uint64), values.view(np.uint64))
+        want, count = fixed_point_oracle(model, grids.FactorGrid(depth), depth, tol)
+        assert iterations == count <= depth // n + 1
+        assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("kind", ["constant", "tensor", "zero"])
     @pytest.mark.parametrize("n, depth", [(1, 5), (1, 6), (2, 4), (2, 6), (3, 6)])
     def test_level_loop_equals_two_buffer_iteration(self, n, depth, kind):
-        # each level stops on its own change, a lower bound for the
-        # level-m one; a tol equal to a change of the plain iteration,
-        # or one ulp either side of it, is where the two could disagree
-        model = {
-            "constant": lambda: gf.random_model(n, 3),
-            "tensor": lambda: tensor_model(n, 4),
-            "zero": lambda: gf.zero_model(0.3, n),
-        }[kind]()
+        # a tol equal to a change of the plain iteration, or one ulp either
+        # side of it, stops at the first application whose change is <= tol
+        model = FIXED_POINT_MODELS[kind](n)
         g, iterates = GridFunction(model, depth), []
         while not iterates or iterates[-1][0] > 0:
             nxt = rb_apply(model, g)
             change = float(np.max(np.abs(nxt.values - g.values)))
             iterates.append((change, hashlib.sha256(nxt.values).digest()))
             g = nxt
+        assert len(iterates) <= depth // n + 1
         tols = {5e-324}
         for change, _ in iterates:
             if change > 0:
                 tols |= {change, np.nextafter(change, 0.0), np.nextafter(change, np.inf)}
         for tol in sorted(tols):
             j = next(j for j, (change, _) in enumerate(iterates, start=1) if change <= tol)
-            got = solve_fixed_point(model, depth, tol)
-            assert got.iterations == j
-            assert hashlib.sha256(got.values).digest() == iterates[j - 1][1]
+            values, iterations = two_buffer_fixed_point(model, depth, tol)
+            assert iterations == j
+            assert hashlib.sha256(values).digest() == iterates[j - 1][1]
 
     def test_two_full_size_steps(self, monkeypatch):
-        # the plain iteration runs 7 steps at depth 6; all but the last two
-        # run on the level-5 restriction alone
+        # the plain iteration runs 7 steps at depth 6; the solver runs the
+        # recursion, one step per level, so one step to level 6
         model = gf.random_model(1, 1)
-        _, steps = spy_fixed_point(monkeypatch)
+        steps, step = [], grids.step_blocks
+        monkeypatch.setattr(
+            grids, "step_blocks", lambda m, fg, k, f: steps.append(k + m.n) or step(m, fg, k, f)
+        )
         g = solve_fixed_point(model, 6, 1e-12)
         assert g.iterations == 7
-        assert steps.count(6) <= 2
+        assert steps.count(6) == 1
         assert np.array_equal(g.values, product_values(model, 6)[2])
 
     def test_tolerance_equal_to_a_change_stops_there(self):
-        # once a rectangle changes by more than tol the rest are only
-        # written; a tol that equals the j-th change exactly must still stop
-        # at application j, so that comparison is <=
+        # a tol that equals the j-th change exactly must stop at
+        # application j, so the comparison is <=
         model = gf.random_model(1, 3)
         g, changes = GridFunction(model, 4), []
         for _ in range(4):
@@ -939,11 +930,11 @@ class TestSolveFixedPoint:
             g = nxt
         assert all(a > b > 0 for a, b in zip(changes, changes[1:]))
         for j, tol in enumerate(changes, start=1):
-            assert solve_fixed_point(model, 4, tol).iterations == j
+            assert two_buffer_fixed_point(model, 4, tol)[1] == j
 
     def test_holds_one_value_matrix(self):
-        # the values, a copy of their restriction (1/9 of them for N=1) and
-        # the factor grids; two alternating value matrices would be 2x
+        # the values, the level m-N values they step from (1/9 of them for
+        # N=1) and the factor grids; two alternating value matrices would be 2x
         model = gf.random_model(1, 1)
         tracemalloc.start()
         try:
@@ -955,8 +946,7 @@ class TestSolveFixedPoint:
         assert peak < 1.3 * 8 * vertex_count(6) ** 2
 
     def test_peaks_no_higher_than_product_values(self):
-        # the value matrix is allocated once the coarse phase is over, so
-        # the level-5 restrictions it iterates never sit beside it
+        # it runs product_values and builds nothing of its size beside it
         model = gf.random_model(1, 1)
         peaks = []
         for run in (lambda: product_values(model, 7), lambda: solve_fixed_point(model, 7, 1e-12)):
@@ -979,49 +969,6 @@ class TestSolveFixedPoint:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-
-
-def spy_fixed_point(monkeypatch):
-    """Lists filled as solve_fixed_point runs: (rows, found unchanged) of
-    each restriction _gather copies, and the target level of each level
-    step."""
-    gathers, steps = [], []
-    gather, step = evaluator._gather, grids.step_blocks
-
-    def spy_gather(values, idx, out, same=False):
-        unchanged = gather(values, idx, out, same)
-        gathers.append((len(idx), unchanged))
-        return unchanged
-
-    def spy_step(model, fg, k, f):
-        steps.append(k + model.n)
-        return step(model, fg, k, f)
-
-    monkeypatch.setattr(evaluator, "_gather", spy_gather)
-    monkeypatch.setattr(evaluator, "step_blocks", spy_step)
-    monkeypatch.setattr(grids, "step_blocks", spy_step)
-    return gathers, steps
-
-
-def spy_writes(monkeypatch):
-    """A list filled as solve_fixed_point runs: the level of each value
-    matrix written whole, by a level step into a matrix of its own or in
-    place."""
-    writes = []
-    step, apply = grids.level_step, evaluator._apply_in_place
-
-    def spy_step(model, fg, k, f, out):
-        writes.append(k + model.n)
-        return step(model, fg, k, f, out)
-
-    def spy_apply(model, fg, k, f, values, tol):
-        writes.append(k + model.n)
-        return apply(model, fg, k, f, values, tol)
-
-    monkeypatch.setattr(grids, "level_step", spy_step)
-    monkeypatch.setattr(evaluator, "level_step", spy_step)
-    monkeypatch.setattr(evaluator, "_apply_in_place", spy_apply)
-    return writes
 
 
 def two_buffer_fixed_point(model, depth, tol):
