@@ -366,7 +366,9 @@ class GraphSamples:
 
     Behaves as a sequence of GraphSample: integer indexing and iteration
     build GraphSample objects with tuples of Python floats, slicing gives
-    a GraphSamples, and == compares all arrays with one bool.
+    a GraphSamples, and == compares all arrays with one bool.  Iteration
+    converts the arrays to Python floats one block of CHAOS_ORBITS samples
+    at a time, so it holds O(CHAOS_ORBITS) Python objects, not O(P).
     """
 
     t: np.ndarray
@@ -384,8 +386,11 @@ class GraphSamples:
         )
 
     def __iter__(self):
-        for t, s, v in zip(self.t.tolist(), self.s.tolist(), self.value.tolist()):
-            yield GraphSample(tuple(t), tuple(s), v)
+        for lo in range(0, len(self), CHAOS_ORBITS):
+            hi = lo + CHAOS_ORBITS
+            block = zip(self.t[lo:hi].tolist(), self.s[lo:hi].tolist(), self.value[lo:hi].tolist())
+            for t, s, v in block:
+                yield GraphSample(tuple(t), tuple(s), v)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphSamples):

@@ -161,14 +161,36 @@ class GasketSpec:
         return (*self._bary_inv, 2.0 * self._bary_residual)
 
 
-def bary_f(spec: GasketSpec, x: float, y: float) -> tuple:
-    """Barycentric coordinates of (x, y) w.r.t. the outer triangle (floats)."""
-    a = spec._bary_inv
-    return (
-        a[0] * x + a[1] * y + a[2],
-        a[3] * x + a[4] * y + a[5],
-        a[6] * x + a[7] * y + a[8],
-    )
+def _affine_rows(a: tuple, x, y, absolute: bool, out=None, scratch=None) -> np.ndarray:
+    """Row i of `out`, i = 0, 1, 2: (a[3i] x + a[3i+1] y) + a[3i+2] on the
+    (P,) arrays x and y, each term in absolute value when `absolute`.  The
+    float operations of that expression, in its order, written in place
+    into the (3, P) `out` with the (P,) `scratch`, new arrays when None."""
+    if out is None:
+        out = np.empty((3, len(x)))
+    if scratch is None:
+        scratch = np.empty(len(x))
+    with np.errstate(invalid="ignore", over="ignore"):  # as floats: inf * 0 is NaN
+        for i, row in enumerate(out):
+            np.multiply(a[3 * i], x, out=row)
+            np.multiply(a[3 * i + 1], y, out=scratch)
+            c = a[3 * i + 2]
+            if absolute:
+                np.abs(row, out=row)
+                np.abs(scratch, out=scratch)
+                c = abs(c)
+            row += scratch
+            row += c
+    return out
+
+
+def bary_f(spec: GasketSpec, x, y, out=None, scratch=None):
+    """Barycentric coordinates of (x, y) w.r.t. the outer triangle: three
+    floats for floats x, y; for (P,) arrays, a (3, P) array, written into
+    `out` with the (P,) `scratch` row when they are given."""
+    if np.ndim(x) == 0:
+        return tuple(bary_f(spec, [x], [y])[:, 0].tolist())
+    return _affine_rows(spec._bary_inv, x, y, False, out, scratch)
 
 
 def address_numerators(a: Address, depth: int):
@@ -268,26 +290,28 @@ def _check_depth(depth: int) -> None:
         )
 
 
-def _window_start(spec: GasketSpec, x, y):
-    """Starting snap window of a descent from the point (x, y), floats or
-    arrays: 8 ulp of bary_f's rounding scale S = max_i(|a_i0 x| + |a_i1 y|
-    + |a_i2|) plus twice the float inverse's residual.  bary_f's rounding
-    error in coordinate i is a few ulp of row i's sum, and so is the error
-    that the rounding of x and y carries into it; so half the window
-    bounds, in every coordinate, how far bary_f(x, y) lies from the exact
-    barycentrics of any point that rounds to (x, y)."""
-    a = spec._bary_inv
-    rows = (
-        abs(a[0] * x) + abs(a[1] * y) + abs(a[2]),
-        abs(a[3] * x) + abs(a[4] * y) + abs(a[5]),
-        abs(a[6] * x) + abs(a[7] * y) + abs(a[8]),
-    )
-    if isinstance(x, np.ndarray):
-        # max(rows) as Python compares: NaN when rows[0] is, else the largest number
-        peak = np.maximum(rows[0], np.fmax(np.fmax(rows[1], rows[2]), rows[0]))
-    else:
-        peak = max(rows)
-    return _WINDOW_ULPS * peak + 2.0 * spec._bary_residual
+def _window_start(spec: GasketSpec, x, y, out=None, scratch=None):
+    """Starting snap window of a descent from the point (x, y): 8 ulp of
+    bary_f's rounding scale S = max_i(|a_i0 x| + |a_i1 y| + |a_i2|) plus
+    twice the float inverse's residual.  bary_f's rounding error in
+    coordinate i is a few ulp of row i's sum, and so is the error that
+    the rounding of x and y carries into it; so half the window bounds,
+    in every coordinate, how far bary_f(x, y) lies from the exact
+    barycentrics of any point that rounds to (x, y).
+
+    A float for floats x, y; for (P,) arrays, a (P,) array: row 0 of the
+    (3, P) work rows `out`, with the (P,) `scratch`, when they are given.
+    """
+    if np.ndim(x) == 0:
+        return _window_start(spec, [x], [y]).item()
+    peak, r1, r2 = _affine_rows(spec._bary_inv, x, y, True, out, scratch)
+    # max of the rows as Python compares: NaN when row 0 is, else the largest number
+    np.fmax(r1, r2, out=r1)
+    np.fmax(r1, peak, out=r1)
+    np.maximum(peak, r1, out=peak)
+    peak *= _WINDOW_ULPS
+    peak += 2.0 * spec._bary_residual
+    return peak
 
 
 def _window_error(t, depth: int) -> PreconditionError:
@@ -388,21 +412,23 @@ def _descend(spec: GasketSpec, pts, depth: int) -> tuple:
     _check_depth(depth)
     rows = np.asarray(pts, dtype=float).reshape(-1, 2)
     x, y = np.ascontiguousarray(rows.T)
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows are refused
-        l0, l1, l2 = bary_f(spec, x, y)
-        low = np.minimum(l0, np.fmin(np.fmin(l1, l2), l0))  # min(l0, l1, l2), NaN as in Python
-        eff = _window_start(spec, x, y)
+    # lam, the window's three work rows and a scratch row, for the whole call
+    work = np.empty((7, len(rows)))
+    scratch = work[6]
+    l0, l1, l2 = bary_f(spec, x, y, work[:3], scratch)
+    # min(l0, l1, l2), NaN as in Python
+    low = np.minimum(l0, np.fmin(np.fmin(l1, l2, out=scratch), l0, out=scratch), out=scratch)
     outside = np.flatnonzero(low < -SNAP_TOL)
     if len(outside):
         raise _hull_error(_point(pts, rows, outside[0]))
-    coarse = np.flatnonzero(eff * 2.0**depth > MAX_WINDOW)
+    eff = _window_start(spec, x, y, work[3:6], scratch)
+    coarse = np.flatnonzero(np.multiply(eff, 2.0**depth, out=scratch) > MAX_WINDOW)
     if len(coarse):
         raise _window_error(_point(pts, rows, coarse[0]), depth)
-    neg = -eff
+    neg = np.negative(eff, out=eff)
     # rows with a coordinate below -eff: no letter takes them at level 1
     stray = ~((l0 >= neg) & (l1 >= neg) & (l2 >= neg))
     letters = np.empty((depth, len(rows)), dtype=np.int8)
-    scratch = np.empty_like(l0)
     for level in range(depth):
         neg *= 2.0
         l0 *= 2.0

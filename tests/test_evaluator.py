@@ -1,3 +1,4 @@
+import collections
 import csv
 import hashlib
 import itertools
@@ -1027,6 +1028,14 @@ def scalar_chaos_game(model, count, seed, burn_in):
     return out[:count]
 
 
+def sample_bits(samples) -> list:
+    """The (t, s, value) rows of a sequence of GraphSample, as uint64 bits;
+    each field must be a Python float."""
+    rows = [sm.t + sm.s + (sm.value,) for sm in samples]
+    assert all(type(v) is float for row in rows for v in row)
+    return np.array(rows, dtype=float).reshape(-1, 5).view(np.uint64).tolist()
+
+
 class TestChaosGame:
     def test_refused_over_the_byte_budget(self, ref03):
         # steps x orbits x 5 floats: 6553 steps of 1024 orbits fit in
@@ -1102,13 +1111,16 @@ class TestChaosGame:
             scaling = ScalingField.from_cells(cells, n)
             model = build_model(gf.random_dataset(n, 5), scaling, g1)
             assert 0 < model.cell_table.is_tensor.sum() < 9**n
-            for count, burn_in in ((37, 5), (2 * CHAOS_ORBITS + 7, 0)):
+            # iteration converts one block of CHAOS_ORBITS samples at a
+            # time: counts on either side of one and two blocks
+            b = CHAOS_ORBITS
+            for count, burn_in in ((1, 0), (37, 5), (b - 1, 0), (b, 0), (b + 1, 0), (2 * b + 7, 0)):
                 got = chaos_game(model, count, 11, burn_in)
                 want = scalar_chaos_game(model, count, 11, burn_in)
                 assert list(got) == want
-                rows = np.array([sm.t + sm.s + (sm.value,) for sm in want])
+                assert sample_bits(got) == sample_bits(want)
                 got_rows = np.column_stack([got.t, got.s, got.value])
-                assert got_rows.view(np.uint64).tolist() == rows.view(np.uint64).tolist()
+                assert got_rows.view(np.uint64).tolist() == sample_bits(want)
 
     def test_container_interface(self, ref03):
         samples = chaos_game(ref03, 10, seed=4)
@@ -1123,6 +1135,27 @@ class TestChaosGame:
         assert part[0] == samples[2]
         assert (samples == chaos_game(ref03, 10, seed=4)) is True
         assert (samples == samples[:9]) is False
+        # iteration, bit for bit the samples that indexing builds: empty,
+        # and a strided slice across block boundaries
+        assert list(samples[:0]) == [] and sample_bits(samples[:0]) == []
+        many = chaos_game(ref03, 2 * CHAOS_ORBITS + 7, seed=4)
+        strided = many[::3]
+        assert len(strided) == len(range(0, len(many), 3))
+        by_index = [many[i] for i in range(0, len(many), 3)]
+        assert list(strided) == by_index
+        assert sample_bits(strided) == sample_bits(by_index)
+
+    def test_iteration_holds_one_block(self, ref03):
+        # draining the iterator converts one block at a time, so no Python
+        # object is held per sample
+        samples = chaos_game(ref03, 2**16, seed=2)
+        tracemalloc.start()
+        try:
+            collections.deque(iter(samples), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_count_validation(self, ref03):
         with pytest.raises(PreconditionError):
