@@ -342,7 +342,7 @@ def solve_fixed_point(model: FifModel, depth: int, tol: float) -> GridFunction:
     1, which `iterations` reports.  The values carry no iteration error;
     `tol` must be positive and bounds nothing further.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise PreconditionError("tolerance must be positive")
     _check_depth(model, depth)
     fg, _, values = product_values(model, depth)

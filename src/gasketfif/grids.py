@@ -5,10 +5,11 @@ The oscillation and box-counting pipeline needs f on every depth-m product
 vertex for m up to ~6, which is far too many points for the scalar
 evaluator.  Here vertices are indexed level by level, from their exact
 integer barycentric numerators, and the defining recursion is applied
-to whole index blocks with numpy.  A level step computes its cell-pairs
-in groups: small image blocks stacked, several cell-pairs to a group,
-large ones one cell-pair at a time in row chunks, and writes each entry
-from its owner through the two owner maps of FactorGrid.owners.
+to whole index blocks with numpy.  One image kernel computes, for one
+row word at a time, chunks of rows of its image blocks with a slice of
+the column words; a level step takes every column word and writes each
+entry from its owner through the two owner maps of FactorGrid.owners,
+and image_blocks hands out whole blocks.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ if TYPE_CHECKING:
 
 #: bytes one level's value matrix may take: depth 7 (86 MB) fits, depth 8 (775 MB) does not.
 #: The calls under it hold more, in level-m matrices, and each level step
-#: one group's temporaries (_GROUP_BYTES) beside them: product_values, and
-#: solve_fixed_point on it, 1 + 9^-N (the level m-N values it steps from),
-#: 97 MB at depth 7, N=1, oscillation 2 * 9^-N (the level
-#: m-N values and one image block of the last step) plus its 9^n-entry
+#: the image kernel's two buffers (_STEP_ENTRIES each) beside them:
+#: product_values, and solve_fixed_point on it, 1 + 9^-N (the level m-N
+#: values it steps from), 97 MB at depth 7, N=1, oscillation 2 * 9^-N (the
+#: level m-N values and one image block of the last step) plus its 9^n-entry
 #: table and its kernel's buffers, 3 x rows x (V + cells) floats for a
 #: chunk of rows = analysis._CHUNK_ENTRIES // V of the cells of a V-vertex
 #: block (2.5 MB at level 7); box_count holds 2^16 table entries at a time
@@ -148,207 +149,135 @@ class FactorGrid:
         return i
 
 
-#: rows of an image block that a group computes at a time when the block
-#: alone holds more than _GROUP_ENTRIES entries
-_STEP_ROWS = 64
-
-#: bytes of the temporaries of one group of cell-pairs: six arrays of as
-#: many entries as a chunk of _STEP_ROWS rows of a 1024-column block (the
-#: blocks, one scratch array, the level-k values tiled across the group's
-#: columns, the left operands of the gemms for h and a tensor alpha, and
-#: the corner table of one of them while it is built)
-_GROUP_BYTES = 6 * 8 * _STEP_ROWS * 1024
-
-#: image-block entries of one group
-_GROUP_ENTRIES = _GROUP_BYTES // (6 * 8)
+#: entries of each of the image kernel's two buffers, the image rows it
+#: writes at a time and a scratch array: with f's rows they stay in a 2 MiB
+#: L2 cache (at 2^16, the N=1 image blocks of level 5 took 40% longer)
+_STEP_ENTRIES = 2**15
 
 
-def _row_chunks(rows: int) -> list:
-    """(lo, hi) chunks of _STEP_ROWS rows, none of a single row: numpy
-    hands a one-row product to gemv, which may round differently from the
-    gemm that a whole-block product uses."""
-    starts = list(range(0, rows, _STEP_ROWS))
+def _row_chunks(rows: int, size: int) -> list:
+    """(lo, hi) chunks of `size` rows (two when size < 2), none of a
+    single row: numpy hands a one-row product to gemv, which may round
+    differently from the gemm that a whole-block product uses."""
+    starts = list(range(0, rows, max(size, 2)))
     if len(starts) > 1 and rows - starts[-1] == 1:
         starts.pop()
     return list(zip(starts, starts[1:] + [rows]))
 
 
-def _groups(nw: int, rows: int) -> tuple:
-    """The groups of cell-pairs of a step with nw words per factor and
-    rows x rows image blocks, and the row chunks each group computes at a
-    time: ([(i0, i1, j0, j1), ...], [(lo, hi), ...]).  A group holds the
-    cell-pairs of words i0..i1-1 by j0..j1-1, in row-major cell-pair
-    order.  Small blocks stack up to _GROUP_ENTRIES entries: several row
-    words by all column words, or one row word by a range of column words.
-    When fewer than eight blocks fit, a group is one cell-pair, in
-    _row_chunks when its block alone holds more than _GROUP_ENTRIES."""
-    block = rows * rows
-    # a few stacked blocks save less Python than their gather costs
-    if 8 * block > _GROUP_ENTRIES:
-        pairs = [(i, i + 1, j, j + 1) for i in range(nw) for j in range(nw)]
-        return pairs, _row_chunks(rows) if block > _GROUP_ENTRIES else [(0, rows)]
-    if nw * block > _GROUP_ENTRIES:
-        step = _GROUP_ENTRIES // block
-        groups = [(i, i + 1, j, min(j + step, nw)) for i in range(nw) for j in range(0, nw, step)]
-    else:
-        step = _GROUP_ENTRIES // (nw * block)
-        groups = [(i, min(i + step, nw), 0, nw) for i in range(0, nw, step)]
-    return groups, [(0, rows)]
+def _row_word(model: FifModel, lam: np.ndarray, i: int) -> tuple:
+    """The operands of the image kernel for the blocks (i, j) of row word
+    i, lam the level-k barycentrics: (h, scale, alpha, tensor).
+
+    h[j, v] = lam[v] @ the shift's corners of cell-pair (i, j), for every
+    column word j, from one (V, 3) x (3, 3 * 3^N) gemm, laid out (3^N, V,
+    3); scale the same of the scaling's corners when some (i, j) has a
+    tensor alpha, else None; alpha[j] the constant of (i, j) and
+    tensor[j] whether it is a tensor.
+    """
+    table = model.cell_table
+    nw = 3**model.n
+    cells = slice(i * nw, (i + 1) * nw)
+
+    def left(corners):
+        # (V, 3) x (3, 3 * 3^N), the right operand's columns (b, j) nine
+        # contiguous rows of the table
+        rows = lam @ corners[:, :, cells].reshape(3, -1)
+        return np.ascontiguousarray(rows.reshape(len(lam), 3, nw).transpose(2, 0, 1))
+
+    tensor = table.is_tensor[cells]
+    scale = left(table.alpha) if table.any_tensor and tensor.any() else None
+    return left(table.shift), scale, table.alpha[0, 0, cells], tensor
 
 
-def _images(model: FifModel, lam: np.ndarray, f: np.ndarray, whole: np.ndarray = None):
-    """The image blocks alpha_w f + h_w of the step from the level-k values
-    f, group by group and chunk by chunk (_groups).
+def _image_rows(word: tuple, f: np.ndarray, lamt: np.ndarray, js: slice, lo: int, out, spare):
+    """Rows lo..lo+R-1 of the image blocks alpha_w f + h_w of row word i
+    (`_row_word`) and the column words j of `js`, from the level-k values
+    f, into the C-contiguous (J, R, V) array out: out[b, r] is row lo + r
+    of block (i, js.start + b).  lamt is lam.T, C-contiguous (a transposed
+    operand slows the gemm), and spare a flat array of out's size or more.
 
-    lam holds the level-k barycentrics.  Yields (group, lo, hi, blocks,
-    spare): blocks an (I R, J V) view whose entry [a R + v, b V + u] is
-    the block of cell-pair (i0 + a, j0 + b) at row lo + v and column u, R
-    = hi - lo, and spare a flat buffer of the blocks' size that is free
-    until the next chunk.  The next chunk reuses both.  Given `whole`, a
-    level-k matrix, the chunks of one cell-pair are written into its rows
-    instead.
-
-    h, and a tensor alpha, is one gemm over the chunk whose inner
-    dimension is the 3 of one cell-pair's product, so every entry is
+    h is one gemm over all J R rows whose inner dimension is the 3 of one
+    cell-pair's product, and so is a tensor alpha; so every entry is
     fl(fl(alpha f) + h) as the cell-pair's own products give it, bit for
     bit.
     """
-    table = model.cell_table
-    nw, size = 3**model.n, len(f)
-    shift = table.shift.reshape(3, 3, nw, nw)
-    scale = table.alpha.reshape(3, 3, nw, nw)
-    alpha = scale[0, 0]
-    tensor = table.is_tensor.reshape(nw, nw)
-    groups, chunks = _groups(nw, size)
-    i0, i1, j0, j1 = groups[0]
-    most = (i1 - i0) * (j1 - j0) * max(hi - lo for lo, hi in chunks) * size
-    buf = np.empty(most) if whole is None else None
-    scratch = np.empty(most)
-    # f once per column word, so that the products run along whole rows
-    tiled = np.tile(f, j1 - j0) if j1 - j0 > 1 else f
-    lamt = lam.T
-    views = {}
-
-    def chunk_views(ni, nj):
-        # per chunk of a group of I x J cell-pairs: its rows of h, the
-        # blocks and the scratch as (I, R, J V) for the products and as the
-        # gemm's (I R J, V) rows, its level-k values, and the blocks and the
-        # scratch as yielded
-        out = []
-        for lo, hi in chunks:
-            shape = (ni, hi - lo, nj * size)
-            n = shape[0] * shape[1] * shape[2]
-            dst = (buf[:n] if whole is None else whole[lo:hi]).reshape(shape)
-            spare = scratch[:n].reshape(shape)
-            out.append((
-                lo, hi, slice(lo * nj, hi * nj) if ni == 1 else slice(None),
-                dst, spare, dst.reshape(-1, size), spare.reshape(-1, size),
-                tiled[None, lo:hi, : nj * size], dst.reshape(ni * (hi - lo), -1), scratch[:n],
-            ))
-        return out
-
-    def left(corners, ni):
-        # the rows (a, v, b) of the gemm, lam[v] @ corners[:, :, a, b]: one
-        # product of lam and a 3 x 3J matrix per row word
-        right = np.ascontiguousarray(corners.transpose(2, 0, 3, 1)).reshape(ni, 3, -1)
-        return np.matmul(lam, right).reshape(-1, 3)
-
-    for group in groups:
-        i0, i1, j0, j1 = group
-        ni, nj = i1 - i0, j1 - j0
-        cells = (slice(None), slice(None), slice(i0, i1), slice(j0, j1))
-        h = left(shift[cells], ni)
-        factor = alpha[i0, j0]
-        if ni * nj > 1:
-            factor = np.repeat(alpha[i0:i1, j0:j1], size, axis=1)[:, None]
-        tensors = tensor[i0:i1, j0:j1]
-        sc = constant = None
-        if table.any_tensor and tensors.any():
-            sc = left(scale[cells], ni)
-            if not tensors.all():
-                constant = ~np.repeat(tensors, size, axis=1)[:, None]
-        if (ni, nj) not in views:
-            views[ni, nj] = chunk_views(ni, nj)
-        for lo, hi, rows, out, spare, out_rows, spare_rows, fr, blocks, flat in views[ni, nj]:
-            np.matmul(h[rows], lamt, out=out_rows)
-            if sc is None:
-                np.multiply(fr, factor, out=spare)
-            else:
-                np.matmul(sc[rows], lamt, out=spare_rows)
-                spare *= fr
-                if constant is not None:
-                    np.multiply(fr, factor, out=spare, where=constant)
-            out += spare
-            yield group, lo, hi, blocks, flat
+    h, scale, alpha, tensor = word
+    rows, size = slice(lo, lo + out.shape[1]), out.shape[2]
+    fr, part = f[None, rows], spare[: out.size].reshape(out.shape)
+    np.matmul(np.ascontiguousarray(h[js, rows]).reshape(-1, 3), lamt, out=out.reshape(-1, size))
+    if scale is None or not tensor[js].any():
+        np.multiply(fr, alpha[js, None, None], out=part)
+    else:
+        left = np.ascontiguousarray(scale[js, rows]).reshape(-1, 3)
+        np.matmul(left, lamt, out=part.reshape(-1, size))
+        part *= fr
+        np.multiply(fr, alpha[js, None, None], out=part, where=~tensor[js, None, None])
+    out += part
 
 
-def _owned_runs(o: np.ndarray, p: np.ndarray, nw: int) -> list:
-    """For each of the nw words, the runs (x0, x1, q0) of consecutive
-    positions that it owns: o[x0:x1] is the word and p[x0:x1] ==
-    range(q0, q0 + x1 - x0)."""
+def _runs(o: np.ndarray, p: np.ndarray) -> list:
+    """The runs (w, x0, x1, q0) of the owner maps o, p of a step, in order
+    of x: word w owns the positions x0..x1-1, o[x0:x1] == w, and p[x0:x1]
+    == range(q0, q0 + x1 - x0)."""
     cut = np.flatnonzero((np.diff(p) != 1) | (np.diff(o) != 0)) + 1
     bounds = [0, *cut.tolist(), len(p)]
-    runs = [[] for _ in range(nw)]
-    for x0, x1 in zip(bounds, bounds[1:]):
-        runs[o[x0]].append((x0, x1, int(p[x0])))
-    return runs
+    return [(int(o[x0]), x0, x1, int(p[x0])) for x0, x1 in zip(bounds, bounds[1:])]
 
 
-def step_blocks(model: FifModel, fg: FactorGrid, k: int, f: np.ndarray):
-    """One step of the defining recursion, from level k to level k+N, as
-    rectangles of the level-(k+N) value matrix.
+def level_step(
+    model: FifModel, fg: FactorGrid, k: int, f: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """One step of the defining recursion, from the level-k values f into
+    the level-(k+N) matrix `out`, C-contiguous; returns out.
 
     f holds values at the level-k product vertices of the index fg; every
     level-(k+N) vertex pair (x, y) is L_w1(v) x L_w2(u) for some cell-pair
     (w1, w2) of length N, and gets alpha_w(v, u) f[v, u] + h_w(v, u) from
     the cell-pair that owns it: the lexicographically smallest containing
     one, words o[x] and o[y] at positions v = p[x] and u = p[y]
-    (FactorGrid.owners).  The cell-pairs step in groups (_groups).  A
-    group of several cell-pairs gathers the rectangle of vertex pairs its
-    words own from its stacked blocks.  A group of one cell-pair, maybe
-    of some of its rows only, yields views of its block, one per pair of
-    runs of consecutive positions that it owns.
-
-    Yields (rows, cols, block) with rows and cols slices of the
-    level-(k+N) matrix and block its new values there; every entry is in
-    exactly one rectangle, in no fixed order.  block is a view of a buffer
-    that the next rectangle may reuse.
+    (FactorGrid.owners).  Row word by row word, the kernel writes chunks
+    of rows of its blocks with every column word (_image_rows); the owned
+    rows go out by runs of consecutive positions (_runs), their columns by
+    the same runs or, where the runs outnumber the chunk's rows, by one
+    gather per row run from the chunk transposed to (R, J V).
     """
     size, nw = len(f), 3**model.n
+    lam = fg.lam[k]
+    lamt = np.ascontiguousarray(lam.T)
     o, p = fg.owners(k, model.n)
-    # o is sorted: word i owns the vertices start[i]..start[i+1]-1
-    start = np.searchsorted(o, np.arange(nw + 1)).tolist()
-    runs = _owned_runs(o, p, nw)
-    # per word, its runs as (level-(k+N) indices, block positions)
-    cols = [[(slice(y0, y1), slice(u0, u0 + y1 - y0)) for y0, y1, u0 in word] for word in runs]
-    for (i0, i1, j0, j1), lo, hi, flat, spare in _images(model, fg.lam[k], f):
-        # gathered rows go to spare, gathered columns to whichever of spare
-        # and the blocks' own buffer their rows are not read from
-        rect = spare
-        if i1 - i0 > 1:
-            xs = slice(start[i0], start[i1])
-            r = (o[xs] - i0) * size + p[xs]
-            part = spare[: len(r) * flat.shape[1]].reshape(len(r), -1)
-            np.take(flat, r, axis=0, out=part, mode="clip")
-            row_parts, rect = [(xs, part)], flat.reshape(-1)
-        else:
-            row_parts = []
-            for x0, x1, q0 in runs[i0]:
+    runs = _runs(o, p)
+    rows = [[] for _ in range(nw)]
+    for w, x0, x1, q0 in runs:
+        rows[w].append((x0, x1, q0))
+    cols = [(w, slice(y0, y1), slice(u0, u0 + y1 - y0)) for w, y0, y1, u0 in runs]
+    # column y's entry in a row of the transposed chunk
+    gather = o * size + p
+    chunks = _row_chunks(size, _STEP_ENTRIES // (nw * size))
+    most = nw * size * max(hi - lo for lo, hi in chunks)
+    buf, spare = np.empty(most), np.empty(most)
+    for i in range(nw):
+        word = _row_word(model, lam, i)
+        for lo, hi in chunks:
+            r = hi - lo
+            blocks = buf[: nw * r * size].reshape(nw, r, size)
+            _image_rows(word, f, lamt, slice(None), lo, blocks, spare)
+            parts = []
+            for x0, x1, q0 in rows[i]:
                 # the positions lo..hi-1 of the chunk that the run holds
                 a0, a1 = max(q0, lo), min(q0 + x1 - x0, hi)
                 if a0 < a1:
-                    row_parts.append((slice(x0 + a0 - q0, x0 + a1 - q0), flat[a0 - lo : a1 - lo]))
-        if j1 - j0 == 1:
-            for xs, part in row_parts:
-                for ys, us in cols[j0]:
-                    yield xs, ys, part[:, us]
-            continue
-        ys = slice(start[j0], start[j1])
-        c = (o[ys] - j0) * size + p[ys]
-        for xs, part in row_parts:
-            out = rect[: len(part) * len(c)].reshape(len(part), -1)
-            np.take(part, c, axis=1, out=out, mode="clip")
-            yield xs, ys, out
+                    parts.append((slice(x0 + a0 - q0, x0 + a1 - q0), a0 - lo, a1 - lo))
+            if len(cols) > r:
+                flat = spare[: blocks.size].reshape(r, -1)
+                np.copyto(flat.reshape(r, nw, size), blocks.transpose(1, 0, 2))
+                for xs, a0, a1 in parts:
+                    np.take(flat[a0:a1], gather, axis=1, out=out[xs], mode="clip")
+            else:
+                for xs, a0, a1 in parts:
+                    for w, ys, us in cols:
+                        out[xs, ys] = blocks[w, a0:a1, us]
+    return out
 
 
 def image_blocks(model: FifModel, fg: FactorGrid, k: int, f: np.ndarray):
@@ -357,9 +286,10 @@ def image_blocks(model: FifModel, fg: FactorGrid, k: int, f: np.ndarray):
     For the cell-pair (w1, w2) of length N, the i-th and j-th words in
     lexicographic order, yields (i, j, block) with block[v, u] =
     alpha_w(v, u) f[v, u] + h_w(v, u) for every level-k vertex pair, the
-    value at L_w1(v) x L_w2(u), computed as step_blocks computes it, in
-    row-major cell-pair order.  block is a view of a buffer that the next
-    group of cell-pairs (_groups) reuses.
+    value at L_w1(v) x L_w2(u), computed as level_step computes it, in
+    row-major cell-pair order.  block is a view of a buffer that a later
+    cell-pair overwrites: the kernel writes one column word's block in row
+    chunks, or the blocks of as many column words as fit its budget.
 
     An entry that another cell-pair owns lies on a junction: v or u is a
     gasket corner p_c, where f vanishes (the data are zero on the
@@ -367,38 +297,23 @@ def image_blocks(model: FifModel, fg: FactorGrid, k: int, f: np.ndarray):
     the owner reads too.  So every entry of block equals the level-(k+N)
     value, not only the owned ones.
     """
-    size = len(f)
-    if size * size > _GROUP_ENTRIES:
-        # one cell-pair's row chunks, written into one whole block
-        whole = np.empty_like(f)
-        for (i0, _, j0, _), _, hi, _, _ in _images(model, fg.lam[k], f, whole):
-            if hi == size:
-                yield i0, j0, whole
-        return
-    for (i0, i1, j0, j1), _, _, blocks, _ in _images(model, fg.lam[k], f):
-        for a in range(i1 - i0):
-            for b in range(j1 - j0):
-                yield i0 + a, j0 + b, blocks[a * size : (a + 1) * size, b * size : (b + 1) * size]
-
-
-def level_step(
-    model: FifModel, fg: FactorGrid, k: int, f: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """One step of the defining recursion (see step_blocks), from the
-    level-k values f into the level-(k+N) matrix `out`."""
-    for rows, cols, block in step_blocks(model, fg, k, f):
-        out[rows, cols] = block
-    return out
-
-
-def level_steps(
-    model: FifModel, fg: FactorGrid, k: int, depth: int, f: np.ndarray
-) -> np.ndarray:
-    """The level steps from the level-k values f up to level `depth`, each
-    into a new matrix; f itself when k == depth."""
-    for k in range(k, depth, model.n):
-        f = level_step(model, fg, k, f, np.empty((len(fg.lam[k + model.n]),) * 2))
-    return f
+    size, nw = len(f), 3**model.n
+    lam = fg.lam[k]
+    lamt = np.ascontiguousarray(lam.T)
+    # blocks that fit the budget whole go several column words at a time
+    nj = max(1, min(nw, _STEP_ENTRIES // size**2))
+    chunks = _row_chunks(size, _STEP_ENTRIES // size)
+    blocks = np.empty((nj, size, size))
+    spare = np.empty(nj * size * max(hi - lo for lo, hi in chunks))
+    for i in range(nw):
+        word = _row_word(model, lam, i)
+        for j0 in range(0, nw, nj):
+            js = slice(j0, min(j0 + nj, nw))
+            out = blocks[: js.stop - j0]
+            for lo, hi in chunks:
+                _image_rows(word, f, lamt, js, lo, out[:, lo:hi], spare)
+            for b, block in enumerate(out):
+                yield i, j0 + b, block
 
 
 def product_values(model: FifModel, depth: int):
@@ -419,4 +334,6 @@ def product_values(model: FifModel, depth: int):
         data_fg, _, data = product_values(model, n)
         idx = data_fg.restriction(start, n)
         f = data[np.ix_(idx, idx)]
-    return fg, fg, level_steps(model, fg, start, depth, f)
+    for k in range(start, depth, n):
+        f = level_step(model, fg, k, f, np.empty((len(fg.lam[k + n]),) * 2))
+    return fg, fg, f

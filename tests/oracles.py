@@ -6,14 +6,15 @@ had), `GridFunction.__call__` and the truncated unrolling of
 recursion that the array `evaluator.eval_exact` replaces, the data set
 keyed by canonical vertex pairs that `model.DataSet` holds as a matrix,
 the dict-keyed vertex index that `grids.FactorGrid` builds with array
-ops, the level step one cell-pair at a time that the grouped
-`grids.step_blocks` replaces, `FactorGrid`'s index maps one letter at a
-time, the cell oscillation kernel with fresh temporaries per chunk
-that `analysis._cell_oscillation` replaces, the descent gates through
-`bary_f` and `_window_start` that `gasket._descent_start` writes out,
-the cloud count that bins by `np.unique` at every level, where
-`analysis.box_count_cloud` bins into a dense table at low levels, and
-the box count of an oscillation table in Python integers."""
+ops, the level step one cell-pair at a time that `grids.level_step`
+computes one row word at a time with every column word, `FactorGrid`'s
+index maps one letter at a time, the cell oscillation kernel with fresh
+temporaries per chunk that `analysis._cell_oscillation` replaces, the
+descent gates through `bary_f` and `_window_start` that
+`gasket._descent_start` writes out, the cloud count that bins by
+`np.unique` at every level, where `analysis.box_count_cloud` bins into
+a dense table at low levels, and the box count of an oscillation table
+in Python integers."""
 
 import functools
 import math

@@ -844,6 +844,11 @@ class TestSolveFixedPoint:
         with pytest.raises(PreconditionError):
             solve_fixed_point(ref03, 1, 0.0)
 
+    def test_nan_tolerance_refused(self, ref03):
+        # NaN compares false with 0 either way: a "tol <= 0" guard let it in
+        with pytest.raises(PreconditionError, match="tolerance must be positive"):
+            solve_fixed_point(ref03, 2, float("nan"))
+
     @pytest.mark.parametrize("tol", [5e-324, 1e-15, 1e-12, 1e-6, 0.3])
     @pytest.mark.parametrize("kind", ["constant", "tensor", "zero"])
     @pytest.mark.parametrize("n, depth", [(1, 1), (1, 3), (1, 5), (2, 2), (2, 4), (3, 3)])
@@ -911,9 +916,11 @@ class TestSolveFixedPoint:
         # the plain iteration runs 7 steps at depth 6; the solver runs the
         # recursion, one step per level, so one step to level 6
         model = gf.random_model(1, 1)
-        steps, step = [], grids.step_blocks
+        steps, step = [], grids.level_step
         monkeypatch.setattr(
-            grids, "step_blocks", lambda m, fg, k, f: steps.append(k + m.n) or step(m, fg, k, f)
+            grids,
+            "level_step",
+            lambda m, fg, k, f, out: steps.append(k + m.n) or step(m, fg, k, f, out),
         )
         g = solve_fixed_point(model, 6, 1e-12)
         assert g.iterations == 7

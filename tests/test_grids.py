@@ -12,11 +12,10 @@ from gasketfif.errors import CapacityError
 from gasketfif.evaluator import GridFunction, eval_exact, rb_apply, solve_fixed_point
 from gasketfif.gasket import Address, GasketSpec, canonicalize, vertex_count
 from gasketfif.grids import (
-    _STEP_ROWS,
     GRID_BYTES,
     FactorGrid,
-    _owned_runs,
     _row_chunks,
+    _runs,
     image_blocks,
     level_step,
     product_values,
@@ -36,8 +35,8 @@ def test_owned_runs_cover_each_words_positions():
     # word 0 owns positions 5, 6, 7 and 2, 3; word 2 owns 9, then 9 again
     o = np.array([0, 0, 0, 0, 0, 2, 2])
     p = np.array([5, 6, 7, 2, 3, 9, 9])
-    assert _owned_runs(o, p, 3) == [[(0, 3, 5), (3, 5, 2)], [], [(5, 6, 9), (6, 7, 9)]]
-    assert _owned_runs(np.array([1]), np.array([4]), 2) == [[], [(0, 1, 4)]]
+    assert _runs(o, p) == [(0, 0, 3, 5), (0, 3, 5, 2), (2, 5, 6, 9), (2, 6, 7, 9)]
+    assert _runs(np.array([1]), np.array([4])) == [(1, 0, 1, 4)]
 
 
 @pytest.mark.parametrize("depth", range(9))
@@ -65,10 +64,12 @@ def test_index_of_reduces_the_address():
 
 
 def test_row_chunks_never_hold_a_single_row():
-    assert _row_chunks(3) == [(0, 3)]
-    assert _row_chunks(_STEP_ROWS + 1) == [(0, _STEP_ROWS + 1)]
-    assert _row_chunks(2 * _STEP_ROWS + 1) == [(0, _STEP_ROWS), (_STEP_ROWS, 2 * _STEP_ROWS + 1)]
-    assert _row_chunks(2 * _STEP_ROWS) == [(0, _STEP_ROWS), (_STEP_ROWS, 2 * _STEP_ROWS)]
+    assert _row_chunks(3, 64) == [(0, 3)]
+    assert _row_chunks(65, 64) == [(0, 65)]
+    assert _row_chunks(129, 64) == [(0, 64), (64, 129)]
+    assert _row_chunks(128, 64) == [(0, 64), (64, 128)]
+    # a budget of one row or none still chunks by two rows
+    assert _row_chunks(5, 1) == _row_chunks(5, 0) == [(0, 2), (2, 5)]
 
 
 OFF_ORIGIN = GasketSpec(((10.0, 5.0), (11.0, 5.2), (10.1, 6.3)))
@@ -187,7 +188,7 @@ def test_owned_runs_split_where_the_word_changes():
     # consecutive positions that cross from one word to the next split
     o = np.array([0, 0, 1, 1, 1])
     p = np.array([0, 1, 2, 3, 5])
-    assert _owned_runs(o, p, 2) == [[(0, 2, 0)], [(2, 4, 2), (4, 5, 5)]]
+    assert _runs(o, p) == [(0, 0, 2, 0), (1, 2, 4, 2), (1, 4, 5, 5)]
 
 
 @pytest.mark.parametrize("n, depth", [(1, 5), (2, 5)])
@@ -206,10 +207,10 @@ def test_ownership_table_names_the_smallest_containing_block(n, depth):
             assert images[o[x]][p[x]] == x
         # the runs of the owner maps are the runs of the one-word-at-a-time
         # ownership table, moved from positions to vertices
-        runs = _owned_runs(o, p, len(words))
-        assert runs == [
-            [(first, first + stop - start, start) for start, stop, first in word]
-            for word in owner_runs_oracle(fg, k, n)
+        assert _runs(o, p) == [
+            (w, first, first + stop - start, start)
+            for w, word in enumerate(owner_runs_oracle(fg, k, n))
+            for start, stop, first in word
         ]
 
 
@@ -292,10 +293,6 @@ def test_level_step_equals_the_cell_pair_loop(n, top, kind):
         want = level_step_oracle(model, fg, k, f)
         got = level_step(model, fg, k, f, np.full_like(want, np.nan))
         assert np.array_equal(bits(got), bits(want))
-        seen = np.zeros(want.shape, dtype=int)
-        for rows, cols, _ in grids.step_blocks(model, fg, k, f):
-            seen[rows, cols] += 1
-        assert np.all(seen == 1)
         if nw**2 * vertex_count(k) ** 2 > 2**19:
             continue
         cells = []
@@ -337,23 +334,37 @@ def test_fixed_point_equals_the_plain_cell_pair_iteration(n, depth, kind):
     got = solve_fixed_point(model, depth, 1e-12)
     assert got.iterations == iterations
     assert np.array_equal(bits(got.values), bits(values))
-@pytest.mark.parametrize("entries, rows", [(1, 64), (200, 64), (15, 7), (900, 41), (30, 14)])
-def test_one_cell_pair_groups_and_row_chunks_equal_the_loop(monkeypatch, entries, rows):
-    # groups of one cell-pair, whole or in row chunks, among them chunks
-    # that would leave a single row of a 15-row or 42-row block (numpy's
-    # one-row products go to gemv), and groups of a few cell-pairs
-    monkeypatch.setattr(grids, "_GROUP_ENTRIES", entries)
-    monkeypatch.setattr(grids, "_STEP_ROWS", rows)
-    for n, kind in ((1, "mixed"), (2, "tensor")):
+
+
+#: chunk budgets of the image kernel (entries).  On the 3-, 15- and
+#: 42-row blocks of levels 0, 2 and 3 they give level steps in chunks of
+#: two rows (1; a 15-row block then ends in a chunk of three), of 7 and 8
+#: (315 at N=1), 13, 13, 13 and 3 (1722 at N=1), 14 (5292 at N=2), 32
+#: and 10 (12348 at N=2), 42 where 41 fit (15498 at N=2), and whole
+#: blocks (2^16).  Columns go by runs and by the gather at each of N=1,
+#: 2 and 3 (by runs at N=3 only at 2^16).  Image blocks come in chunks
+#: of 7 and 8 rows (105), whole where 41 of 42 rows fit (1722), and
+#: several column words at a time, the last slice shorter (1722 at 15
+#: rows, 12348 at 42).
+BUDGETS = [1, 105, 315, 1722, 5292, 12348, 15498, 2**16]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_chunk_budgets_and_column_regimes_equal_the_loop(monkeypatch, budget):
+    # chunks of every size, among them budgets that would leave a single
+    # row of a 15-row or 42-row block (numpy's one-row products go to
+    # gemv), columns written by runs and by the transposed gather
+    monkeypatch.setattr(grids, "_STEP_ENTRIES", budget)
+    for n, kind in ((1, "mixed"), (2, "tensor"), (3, "mixed")):
         model = any_depth_model(n, kind)
         fg = FactorGrid(3 + n)
         rng = np.random.default_rng(n)
-        for k in (2, 3):
+        nw = 3**n
+        for k in (0, 2, 3):
             f = rng.standard_normal((vertex_count(k),) * 2)
             want = level_step_oracle(model, fg, k, f)
-            got = level_step(model, fg, k, f, np.empty_like(want))
+            got = level_step(model, fg, k, f, np.full_like(want, np.nan))
             assert np.array_equal(bits(got), bits(want))
-            nw = 3**n
             for i, j, block in image_blocks(model, fg, k, f):
                 want = image_block_oracle(model, fg.lam[k], f, i * nw + j)
                 assert np.array_equal(bits(block), bits(want))
@@ -369,4 +380,4 @@ def test_product_values_peak_is_output_level_and_group_budget():
     finally:
         tracemalloc.stop()
     output, level_k = 8 * vertex_count(5) ** 2, 8 * vertex_count(0) ** 2
-    assert peak < output + level_k + grids._GROUP_BYTES + 2**20
+    assert peak < output + level_k + 3 * 2**20 + 2**20
