@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CapacityError, HypothesisError, PreconditionError
 from .evaluator import GraphSamples
 from .gasket import locate_many, vertex_count
-from .grids import check_grid_bytes, image_blocks, product_values, word_index
+from .grids import check_grid_bytes, image_blocks, is_word, product_values, word_codes, word_index
 from .model import FifModel
 
 #: Hausdorff dimension of the product of two gaskets, 2 log3/log2
@@ -101,7 +101,7 @@ class OscillationTable:
         unless both are words of length `level` over 1, 2, 3, which
         word_index would read as another cell-pair or past the table."""
         for w in (omega, eta):
-            if not (isinstance(w, str) and len(w) == self.level and not w.strip("123")):
+            if not is_word(w, self.level):
                 raise PreconditionError(f"{w!r} is not a word of length {self.level}")
         return float(self.values[word_index(omega), word_index(eta)])
 
@@ -127,7 +127,7 @@ def oscillations(model: FifModel, levels, samples_per_cell: int = 9):
 
     Let D be the deepest level plus the refinement depth r, and k = D - N.
     product_values runs once, to level k.  A level n with n + r <= k
-    reads those values restricted, with FactorGrid.lift, to the
+    reads those values restricted, with FactorGrid.restrict, to the
     level-(n + r) vertices.  A deeper level n >= N is read off the last
     step's image blocks (grids.image_blocks), one cell-pair (w1, w2) at a
     time: the rows and columns of the words that start with w1 and w2
@@ -161,15 +161,13 @@ def oscillations(model: FifModel, levels, samples_per_cell: int = 9):
     samples = vertex_count(r) ** 2
     tables = {}
     if from_blocks:
-        fk = _restrict(fg, f, k, base)
-        tables = _block_tables(model, fg, k, fk, from_blocks, r)
-        del fk
+        tables = _block_tables(model, fg, k, fg.restrict(f, k, base), from_blocks, r)
     for i, n in enumerate(levels):
         values = tables.get(n)
         if values is None:
             m = n + r
             values = _cell_oscillation(
-                _restrict(fg, f, m, base),
+                fg.restrict(f, m, base),
                 fg.cells[m].reshape(3**n, -1),
                 np.empty((3**n, 3**n)),
             )
@@ -178,14 +176,6 @@ def oscillations(model: FifModel, levels, samples_per_cell: int = 9):
             # the grid held beside it, as after a one-level call
             del f, tables
         yield OscillationTable(n, values, samples)
-
-
-def _restrict(fg, f: np.ndarray, m: int, depth: int) -> np.ndarray:
-    """The level-`depth` values f restricted to the level-m vertices."""
-    if m == depth:
-        return f
-    idx = fg.restriction(m, depth)
-    return f[np.ix_(idx, idx)]
 
 
 def _block_tables(model: FifModel, fg, k: int, f: np.ndarray, levels, r: int) -> dict:
@@ -203,7 +193,7 @@ def _block_tables(model: FifModel, fg, k: int, f: np.ndarray, levels, r: int) ->
         for n, values in tables.items():
             m, b = n + r - model.n, 3 ** (n - model.n)
             _cell_oscillation(
-                _restrict(fg, block, m, k),
+                fg.restrict(block, m, k),
                 fg.cells[m].reshape(b, -1),
                 values[i * b : (i + 1) * b, j * b : (j + 1) * b],
             )
@@ -408,18 +398,6 @@ def holder_fit(
     return HolderFit(slope, std_error, False, tuple(levels))
 
 
-def _cell_codes(letters: np.ndarray) -> np.ndarray:
-    """The index, in `words_of_length` order, of the word of each row of
-    a (P, n) array of letters 1..3: its base-3 digits, the letters less
-    1, read column by column."""
-    code = np.zeros(len(letters), dtype=np.int64)
-    for col in letters.T:
-        code *= 3
-        code += col
-    code -= (3 ** letters.shape[1] - 1) // 2  # each of the n digits is 1 less
-    return code
-
-
 def box_count_cloud(model: FifModel, samples: GraphSamples, n: int) -> int:
     """Independent box count from a chaos-game point cloud.
 
@@ -444,8 +422,8 @@ def box_count_cloud(model: FifModel, samples: GraphSamples, n: int) -> int:
         )
     if not np.isfinite(samples.value).all():
         raise PreconditionError("sample values must be finite")
-    cell1 = _cell_codes(locate_many(model.gasket1, samples.t, n))
-    cell2 = _cell_codes(locate_many(model.gasket2, samples.s, n))
+    cell1 = word_codes(locate_many(model.gasket1, samples.t, n), n)[:, 0]
+    cell2 = word_codes(locate_many(model.gasket2, samples.s, n), n)[:, 0]
     key = cell1 * 3**n + cell2
     bins = 9**n
     if bins > p:  # a table of every cell-pair would outgrow the samples

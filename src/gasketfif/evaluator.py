@@ -8,7 +8,6 @@ fixed point is f), and chaos-game sampling of the graph.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from .errors import CapacityError, PreconditionError
 from .fileio import atomic_open, format_17g
 from .gasket import MAX_DESCENT_DEPTH, Address, _descend, _descent_start, locate_many
-from .grids import GRID_BYTES, FactorGrid, check_grid_bytes, level_step, product_values
+from .grids import GRID_BYTES, FactorGrid, check_grid_bytes, level_step, product_values, word_codes
 from .model import FifModel, _bilinear9, _bilinear_form
 
 
@@ -51,11 +50,15 @@ def _exact(model: FifModel, t, s) -> tuple:
     (lt, ct), (ls, cs) = t, s
     # (w, c) and (w.c^r, c) name the same point: pad the two words of each
     # pair with their corners to one length, a multiple of N, in `blocks`
-    # blocks of N letters
+    # blocks of N letters, and index the blocks of t's words by it, of s's by js
     blocks = np.maximum(np.count_nonzero(lt, axis=1), np.count_nonzero(ls, axis=1))
     blocks = -(-np.maximum(blocks, 1) // n)
     width = n * int(blocks.max(initial=0))
-    it, js = (_block_indices(w, np.asarray(c), width, n) for w, c in ((lt, ct), (ls, cs)))
+    padded = np.zeros((2, len(blocks), width), dtype=np.intp)
+    for out, (w, c) in zip(padded, (t, s)):
+        out[:, : w.shape[1]] = w[:, :width]
+        np.copyto(out, np.asarray(c)[:, None], where=out == 0)
+    it, js = (word_codes(out, n) for out in padded)
     table = model.cell_table
     lam = (np.arange(1, 4)[:, None] == ct).astype(float)
     mu = (np.arange(1, 4)[:, None] == cs).astype(float)
@@ -67,19 +70,6 @@ def _exact(model: FifModel, t, s) -> tuple:
         lam[:, p] = table.offset.take(i, axis=1) + 0.5**n * lam[:, p]
         mu[:, p] = table.offset.take(j, axis=1) + 0.5**n * mu[:, p]
     return x, lam, mu
-
-
-def _block_indices(letters, corners, width: int, n: int) -> np.ndarray:
-    """The words of `letters` padded with their corners to `width` letters,
-    as (P, width / n) indices of their n-letter blocks in words_of_length
-    order."""
-    padded = np.zeros((len(corners), width), dtype=np.intp)
-    padded[:, : letters.shape[1]] = letters[:, :width]
-    padded = np.where(padded == 0, corners[:, None], padded) - 1
-    index = np.zeros((len(corners), width // n), dtype=np.intp)
-    for k in range(n):
-        index = 3 * index + padded[:, k::n]
-    return index
 
 
 def eval_exact(model: FifModel, addr_t, addr_s):
@@ -289,30 +279,13 @@ class GridFunction:
         the containing depth-m cell-pair (`locate_many`), from its nine corner values."""
         w1, lam = _descend(self.model.gasket1, (t,), self.depth)
         w2, mu = _descend(self.model.gasket2, (s,), self.depth)
-        i, j = (np.ravel_multi_index(w - 1, (3,) * self.depth)[0] for w in (w1, w2))
+        i, j = (word_codes(w.T, self.depth)[0, 0] for w in (w1, w2))
         cells = self.grid.cells[self.depth]
         corner = self.values[np.ix_(cells[i], cells[j])]
         return float(_bilinear_form(corner, lam, mu)[0])
 
-    def _on_grid(self, model: FifModel, values: np.ndarray) -> "GridFunction":
-        """A grid function of `model` on this one's grids."""
-        out = copy.copy(self)
-        out.model, out.values, out.iterations = model, values, None
-        return out
-
     def copy(self) -> "GridFunction":
-        return self._on_grid(self.model, self.values.copy())
-
-
-#: rows of a restriction that _gather copies at a time
-_GATHER_ROWS = 64
-
-
-def _gather(values: np.ndarray, idx, out: np.ndarray) -> None:
-    """Copy values[idx][:, idx] into `out`, _GATHER_ROWS rows at a time,
-    with no temporary of its full size."""
-    for lo in range(0, len(idx), _GATHER_ROWS):
-        out[lo : lo + _GATHER_ROWS] = values[np.ix_(idx[lo : lo + _GATHER_ROWS], idx)]
+        return GridFunction(self.model, self.depth, self.values.copy(), grid=self.grid)
 
 
 def rb_apply(model: FifModel, g: GridFunction) -> GridFunction:
@@ -320,15 +293,14 @@ def rb_apply(model: FifModel, g: GridFunction) -> GridFunction:
 
     Each grid vertex is pulled back through its lexicographically smallest
     containing depth-N cell-pair; the preimages of grid vertices are grid
-    vertices of level m-N, so the application is exact.
+    vertices of level m-N, so the application is exact.  A grid depth that
+    is not a positive multiple of model's N raises PreconditionError.
     """
-    if g.depth < model.n:
-        raise PreconditionError("grid depth must be at least N")
+    _check_depth(model, g.depth)
     k = g.depth - model.n
-    idx = g.grid.restriction(k, g.depth)
-    f = np.empty((len(idx),) * 2)
-    _gather(g.values, idx, f)
-    return g._on_grid(model, level_step(model, g.grid, k, f, np.empty_like(g.values)))
+    f = g.grid.restrict(g.values, k, g.depth)
+    values = level_step(model, g.grid, k, f, np.empty_like(g.values))
+    return GridFunction(model, g.depth, values, grid=g.grid)
 
 
 def solve_fixed_point(model: FifModel, depth: int, tol: float) -> GridFunction:

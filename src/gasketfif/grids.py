@@ -50,6 +50,12 @@ def check_grid_bytes(depth: int) -> None:
         )
 
 
+def is_word(w, n: int) -> bool:
+    """Whether w is a word of length n over 1, 2, 3: word_index would read
+    any other string as another word or past the words of length n."""
+    return isinstance(w, str) and len(w) == n and not w.strip("123")
+
+
 def word_index(w: str) -> int:
     """Position of the word w among the words of its length in
     lexicographic order (letters 1, 2, 3 read as base-3 digits)."""
@@ -57,6 +63,15 @@ def word_index(w: str) -> int:
     for ch in w:
         i = 3 * i + int(ch) - 1
     return i
+
+
+def word_codes(letters: np.ndarray, n: int) -> np.ndarray:
+    """`word_index` on arrays: the (P, L / n) int64 indices of the n-letter
+    blocks of a (P, L) array of letters 1..3, L a multiple of n."""
+    codes = np.zeros((len(letters), letters.shape[1] // n), dtype=np.int64)
+    for k in range(n):
+        codes = 3 * codes + (letters[:, k::n] - 1)
+    return codes
 
 
 class FactorGrid:
@@ -124,9 +139,13 @@ class FactorGrid:
             idx = self.emb[k][idx]
         return idx
 
-    def restriction(self, k: int, depth: int) -> np.ndarray:
-        """Indices at level `depth` of the level-k vertices."""
-        return self.lift(np.arange(vertex_count(k)), k, depth)
+    def restrict(self, f: np.ndarray, m: int, depth: int) -> np.ndarray:
+        """The level-`depth` values f restricted to the level-m vertices:
+        f itself when m == depth."""
+        if m == depth:
+            return f
+        idx = self.lift(np.arange(vertex_count(m)), m, depth)
+        return f[np.ix_(idx, idx)]
 
     def indices_of(self, addresses) -> np.ndarray:
         """Index at level `depth` of the vertex named by each address, -1
@@ -332,8 +351,7 @@ def product_values(model: FifModel, depth: int):
     f = np.zeros((3, 3))  # f vanishes at corner pairs
     if start := depth % n:
         data_fg, _, data = product_values(model, n)
-        idx = data_fg.restriction(start, n)
-        f = data[np.ix_(idx, idx)]
+        f = data_fg.restrict(data, start, n)
     for k in range(start, depth, n):
         f = level_step(model, fg, k, f, np.empty((len(fg.lam[k + n]),) * 2))
     return fg, fg, f

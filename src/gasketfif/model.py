@@ -27,7 +27,7 @@ from .gasket import (
     vertex_count,
     words_of_length,
 )
-from .grids import FactorGrid, word_index
+from .grids import FactorGrid, is_word, word_index
 
 
 @dataclass(frozen=True)
@@ -298,7 +298,7 @@ def build_model(
             f"data value {float(z.flat[k])} at vertex {_pair_name(fg, k)} is not finite"
         )
     # f vanishes at the corners p_c: on their rows and columns
-    corner = fg.restriction(0, n)
+    corner = fg.lift(np.arange(3), 0, n)
     bad[corner] = z[corner] != 0.0
     bad[:, corner] |= z[:, corner] != 0.0
     if bad.any():
@@ -413,8 +413,8 @@ def perturb_shift(
     if not (1 <= i <= 3 and 1 <= j <= 3):
         raise ValueError(f"corner ({i}, {j}) is not in 1..3 x 1..3")
     n = model.n
-    for w in (omega, eta):  # word_index would read a wrong-length word as another
-        if not (isinstance(w, str) and len(w) == n and not w.strip("123")):
+    for w in (omega, eta):
+        if not is_word(w, n):
             raise KeyError(w)
     shift = model.cell_table.shift.copy()
     shift[i - 1, j - 1, word_index(omega) * 3**n + word_index(eta)] += delta

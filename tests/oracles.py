@@ -1,9 +1,10 @@
 """Scalar oracles: the cell-pair maps, read one row of FifModel.cell_table
 at a time by word pair, the sequential descent of one point that
 `gasket.locate_many` runs on arrays (the scalar `descend` the library
-had), `GridFunction.__call__` and the truncated unrolling of
-`evaluator.eval_approx` on that descent, the scalar
-recursion that the array `evaluator.eval_exact` replaces, the data set
+had, its start in Python floats on the gasket's stored inverse, not
+through `bary_f` and `_window_start`), `GridFunction.__call__` and the
+truncated unrolling of `evaluator.eval_approx` on that descent, the
+scalar recursion that the array `evaluator.eval_exact` replaces, the data set
 keyed by canonical vertex pairs that `model.DataSet` holds as a matrix,
 the dict-keyed vertex index that `grids.FactorGrid` builds with array
 ops, the level step one cell-pair at a time that `grids.level_step`
@@ -14,14 +15,15 @@ descent gates through `bary_f` and `_window_start` that
 `gasket._descent_start` writes out, the cloud count that bins by
 `np.unique` at every level, where `analysis.box_count_cloud` bins into
 a dense table at low levels, and the box count of an oscillation table
-in Python integers."""
+in Python integers.  Word positions come from `word_rows` and
+`word_positions`, not from `grids.word_index` or `grids.word_codes`."""
 
 import functools
 import math
 
 import numpy as np
 
-from gasketfif.analysis import _cell_codes, _common_side
+from gasketfif.analysis import _common_side
 from gasketfif.errors import CapacityError, DomainError, PreconditionError, ValidationError
 from gasketfif.evaluator import _input_rounding_bound
 from gasketfif.gasket import (
@@ -38,7 +40,6 @@ from gasketfif.gasket import (
     canonicalize,
     locate_many,
 )
-from gasketfif.grids import word_index
 from gasketfif.model import ProductVertex, _bilinear9, _bilinear_form, words_of_length
 
 
@@ -88,13 +89,25 @@ def descend_oracle(spec, t, depth: int) -> tuple:
     """The descent of `gasket.locate_many` for one point, by its full
     rule: at every level, the first letter a for which every coordinate of
     2 lam - e_a is at least -eff.  Returns the word and the barycentric
-    triple of t in its cell after each letter."""
+    triple of t in its cell after each letter.
+
+    The start is spelled in Python floats on the stored inverse
+    spec._bary_inv and residual spec._bary_residual, in the operation
+    order of `gasket._descent_start`: lam = (a_i0 x + a_i1 y) + a_i2, and
+    eff = 8 ulp of the largest row of absolute terms plus twice the
+    residual, each min and max as Python's builtins compare."""
     _check_depth(depth)
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = spec._bary_inv
     x, y = float(t[0]), float(t[1])
-    l0, l1, l2 = bary_f(spec, x, y)
+    l0, l1, l2 = a0 * x + a1 * y + a2, a3 * x + a4 * y + a5, a6 * x + a7 * y + a8
     if min(l0, l1, l2) < -SNAP_TOL:
         raise DomainError(f"point {tuple(t)} lies outside the gasket hull")
-    eff = _window_start(spec, x, y)
+    peak = max(
+        abs(a0 * x) + abs(a1 * y) + abs(a2),
+        abs(a3 * x) + abs(a4 * y) + abs(a5),
+        abs(a6 * x) + abs(a7 * y) + abs(a8),
+    )
+    eff = 8.0 * 2.0**-52 * peak + 2.0 * spec._bary_residual
     if eff * 2.0**depth > MAX_WINDOW:
         raise _window_error(t, depth)
     letters = []
@@ -159,7 +172,8 @@ def grid_call_oracle(g, t, s) -> float:
     w1, lams = descend_oracle(g.model.gasket1, t, g.depth)
     w2, mus = descend_oracle(g.model.gasket2, s, g.depth)
     cells = g.grid.cells[g.depth]
-    corner = g.values[np.ix_(cells[word_index(w1)], cells[word_index(w2)])]
+    index = word_rows(g.depth)
+    corner = g.values[np.ix_(cells[index[w1]], cells[index[w2]])]
     return float(_bilinear_form(corner, lams[-1], mus[-1]))
 
 
@@ -395,7 +409,7 @@ def fixed_point_oracle(model, fg, depth: int, tol: float) -> tuple:
     the depth-`depth` grid, T the level step from the restriction to level
     depth-N, until the sup change is <= tol."""
     k = depth - model.n
-    idx = fg.restriction(k, depth)
+    idx = fg.lift(np.arange(len(fg.lam[k])), k, depth)
     g = np.zeros((len(fg.lam[depth]),) * 2)
     iterations = 0
     while True:
@@ -449,9 +463,19 @@ def descent_start_oracle(spec, t, depth: int) -> tuple:
     return l0, l1, l2, neg
 
 
+def word_positions(letters) -> np.ndarray:
+    """The index in `words_of_length` order of the word of each row of a
+    (P, n) array of letters 1..3, read as a base-3 numeral by Python's int
+    from the digits of the letters less 1: word_rows would need a table of
+    3^n words, past memory at the cloud counts' level 19."""
+    digits = (np.asarray(letters) + (ord("0") - 1)).astype(np.uint8)
+    return np.array([int(row.tobytes(), 3) for row in digits], dtype=np.int64)
+
+
 def box_count_cloud_oracle(model, samples, n: int) -> int:
     """`analysis.box_count_cloud` with its bins the distinct cell-pair
-    codes that np.unique sorts, at every level."""
+    codes that np.unique sorts, at every level; the codes by
+    `word_positions`."""
     int64_max = np.iinfo(np.int64).max
     if 9**n > int64_max:
         raise CapacityError(f"level {n} cell-pair codes do not fit in 64 bits")
@@ -463,8 +487,8 @@ def box_count_cloud_oracle(model, samples, n: int) -> int:
         )
     if not np.isfinite(samples.value).all():
         raise PreconditionError("sample values must be finite")
-    cell1 = _cell_codes(locate_many(model.gasket1, samples.t, n))
-    cell2 = _cell_codes(locate_many(model.gasket2, samples.s, n))
+    cell1 = word_positions(locate_many(model.gasket1, samples.t, n))
+    cell2 = word_positions(locate_many(model.gasket2, samples.s, n))
     keys, inv = np.unique(cell1 * 3**n + cell2, return_inverse=True)
     lo = np.full(len(keys), np.inf)
     hi = np.full(len(keys), -np.inf)

@@ -664,14 +664,16 @@ class TestCheck:
     def test_functional_equation_exact_on_a_far_skinny_gasket(self, tmp_path, capsys, n):
         # both sides come from exact barycentrics, so the residual is the
         # recursion's alone; a round trip through these plane points gave
-        # about 1e-11
+        # about 1e-11.  The lines are those of the scalar loops, as in
+        # test_lines_equal_the_scalar_loops, on this moved gasket too
         raw = random_config(n, 0, 0.3)
         raw["gasket1"] = [[1000.15625, -1000], [997.375, -997.25], [1000, -999]]
-        assert main(["check", "-c", write_config(tmp_path, raw)]) == 0
-        line = next(
-            x for x in capsys.readouterr().out.splitlines() if "functional-equation" in x
-        )
+        cfg = write_config(tmp_path, raw)
+        assert main(["check", "-c", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        line = next(x for x in lines if "functional-equation" in x)
         assert float(re.search(r"residual (\S+)\)", line).group(1)) <= 1e-14
+        assert lines[1:4] == check_lines_oracle(build_from_config(cfg))
 
 
     @pytest.mark.parametrize("n", [1, 2])

@@ -785,6 +785,14 @@ class TestRbApply:
         scale = np.abs(g.values).max() + model.shift_sup
         assert np.max(np.abs(got - want)) <= 8 * EPS * scale
 
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_refuses_a_depth_that_is_no_multiple_of_n(self, depth):
+        # a grid function of an N=1 model, at depths that no N=2 grid
+        # function has: the result would be one the constructor refuses
+        g = GridFunction(gf.random_model(1, 0), depth)
+        with pytest.raises(PreconditionError, match="positive multiple of N=2"):
+            rb_apply(gf.random_model(2, 0), g)
+
     def test_iteration_reaches_exact_values(self, ref03):
         # 30 applications from zero agree with the exact evaluator
         g = GridFunction(ref03, 2)

@@ -318,7 +318,7 @@ def test_product_values_and_rb_apply_equal_the_cell_pair_loop(n, top, kind):
     fg = FactorGrid(depth)
     g = GridFunction(model, depth, grid=fg)
     g.values = np.random.default_rng(depth).standard_normal(g.values.shape)
-    idx = fg.restriction(depth - n, depth)
+    idx = fg.lift(np.arange(len(fg.lam[depth - n])), depth - n, depth)
     want = level_step_oracle(model, fg, depth - n, g.values[np.ix_(idx, idx)])
     assert np.array_equal(bits(rb_apply(model, g).values), bits(want))
 
