@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .fileio import atomic_open
+from .fileio import atomic_open, fill_words, words_text
 from .gasket import MAX_ENUM_DEPTH, Address, GasketSpec, enumerate_vertices
 from .grids import FactorGrid, product_values
 from .model import (
@@ -216,17 +216,26 @@ def cmd_grid(args):
     rows = nv**2
     # rows and columns in enumerate_vertices order, with no reordered copy
     order = fg.indices_of(verts)
-    pts1 = (fg.lam[-1] @ model.gasket1.corner_array)[order]
-    pts2 = (fg.lam[-1] @ model.gasket2.corner_array)[order]
+    # the '%.17g' slots of [pts1, pts2, 0], columns 0-3 ending in ',', filled
+    # once; a row gathers its four by i and j and fills only its value's
+    coords = np.zeros((nv, 5))
+    coords[:, :2] = (fg.lam[-1] @ model.gasket1.corner_array)[order]
+    coords[:, 2:4] = (fg.lam[-1] @ model.gasket2.corner_array)[order]
+    slots = np.empty((nv, 5, 4), "<u8")
+    fill_words(coords.ravel(), 5, slots.reshape(-1, 4))
 
-    def block(lo, hi):
+    def text(lo, hi):
         i, j = np.divmod(np.arange(lo, hi), nv)
-        return np.column_stack([pts1[i], pts2[j], values[order[i], order[j]]])
+        words = np.empty((hi - lo, 5, 4), "<u8")
+        words[:, :2] = slots[i, :2]
+        words[:, 2:4] = slots[j, 2:4]
+        fill_words(values[order[i], order[j]], 1, words[:, 4])
+        return words_text(words)
 
     # both temps are made before either is written: a refused PPM path
     # leaves no CSV
     with atomic_open(args.out) as csv, atomic_open(args.ppm) if args.ppm else nullcontext() as ppm:
-        evaluator.write_graph_csv(csv, rows, block)
+        evaluator.write_graph_csv(csv, rows, text)
         if ppm:
             _write_ppm(ppm, values, order)
     print(f"wrote {rows} rows to {args.out}")

@@ -443,14 +443,15 @@ CSV_HEADER = "t_x,t_y,s_x,s_y,f\n"
 _CSV_BLOCK_ROWS = 4096
 
 
-def write_graph_csv(fh, count: int, rows) -> None:
+def write_graph_csv(fh, count: int, text) -> None:
     """Write `count` graph points as CSV to the binary file fh, each value
-    as its '%.17g' text (`fileio.format_17g`).  rows(lo, hi) returns rows
-    lo to hi - 1 as a (hi - lo, 5) array; they are formatted a block at a
-    time, so no Python object is held per row of the file."""
+    as its '%.17g' text.  text(lo, hi) returns the bytes of rows lo to
+    hi - 1 (`fileio.format_17g` of their (hi - lo, 5) array, say); it is
+    called a block of rows at a time, so no Python object is held per row
+    of the file."""
     fh.write(CSV_HEADER.encode("ascii"))
     for lo in range(0, count, _CSV_BLOCK_ROWS):
-        fh.write(format_17g(rows(lo, min(lo + _CSV_BLOCK_ROWS, count))))
+        fh.write(text(lo, min(lo + _CSV_BLOCK_ROWS, count)))
 
 
 def samples_to_csv(samples: GraphSamples, path) -> None:
@@ -458,4 +459,5 @@ def samples_to_csv(samples: GraphSamples, path) -> None:
     rename)."""
     cols = (samples.t, samples.s, samples.value[:, None])
     with atomic_open(path) as fh:
-        write_graph_csv(fh, len(samples), lambda lo, hi: np.hstack([c[lo:hi] for c in cols]))
+        write_graph_csv(fh, len(samples),
+                        lambda lo, hi: format_17g(np.hstack([c[lo:hi] for c in cols])))

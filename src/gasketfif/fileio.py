@@ -179,12 +179,19 @@ def format_17g(block: np.ndarray) -> bytes:
     words = np.empty((len(x), 4), "<u8")
     step = max(1, _CHUNK // c) * c
     for lo in range(0, len(x), step):
-        _fill_words(x[lo : lo + step], c, words[lo : lo + step])
+        fill_words(x[lo : lo + step], c, words[lo : lo + step])
+    return words_text(words)
+
+
+def words_text(words: np.ndarray) -> bytes:
+    """The text of filled slots, in their order: every NUL byte dropped."""
     return words.tobytes().translate(None, b"\0")
 
 
-def _fill_words(x, c, words) -> None:
-    """Write the slots of the values x, whole rows of c, into words (len(x), 4)."""
+def fill_words(x, c, words) -> None:
+    """Write the '%.17g' slots of the values x, read as rows of c, into
+    words (len(x), 4): a value ends in ',', the last of a row in '\\n'.
+    words may be a strided view whose rows are 4 contiguous words."""
     p10, t4, tz4, mask, dot, pre, exp, k0, k1 = _tables()
     a = np.abs(x)
     zero = a == 0.0

@@ -263,21 +263,21 @@ def vertex_count(m: int) -> int:
 
 
 def enumerate_vertices(m: int) -> list:
-    """All distinct gasket vertices {L_w(p_i): |w| = m}, canonical, sorted.
-
-    The count is vertex_count(m).  `canonicalize` gives each point one
-    address, so the canonical addresses deduplicate the points exactly.
-    """
+    """All distinct gasket vertices {L_w(p_i): |w| = m}, canonical, sorted
+    by (word length, word, corner): p_1, p_2, p_3, then, for each word u of
+    length 1..m in lexicographic order, (u, c) for every corner c above u's
+    last letter.  A vertex new at level L is the midpoint of one edge {a, b},
+    a < b, of one level-(L-1) cell w, with the canonical address (w a, b);
+    the count is vertex_count(m)."""
     if m < 0:
         raise ValueError("depth must be non-negative")
     if m > MAX_ENUM_DEPTH:
         raise CapacityError(f"vertex enumeration supports depth <= {MAX_ENUM_DEPTH}")
-    seen = {
-        canonicalize(Address("".join(letters), corner))
-        for letters in itertools.product("123", repeat=m)
-        for corner in LETTERS
-    }
-    return sorted(seen, key=lambda a: (len(a.word), a.word, a.corner))
+    verts = [Address("", c) for c in LETTERS]
+    for length in range(1, m + 1):
+        for u in words_of_length(length):
+            verts += [Address(u, c) for c in LETTERS[int(u[-1]) :]]
+    return verts
 
 
 def _check_depth(depth: int) -> None:

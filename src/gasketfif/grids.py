@@ -100,6 +100,7 @@ class FactorGrid:
         # the sorted keys of the deepest level, and the index of each: at
         # level 0, e_3, e_2, e_1 have the keys 0, 1, 2
         self._keys, self._rank = np.arange(3), np.array([2, 1, 0])
+        self._plans = {}  # step_plan's, by (k, n)
         for k in range(depth):
             images = nums[None] + 2**k * np.eye(3, dtype=np.int64)[:, None]  # (a, v, 3)
             base = 2 ** (k + 1) + 1  # two numerators fix the third
@@ -132,6 +133,21 @@ class FactorGrid:
         # the first occurrence of each index, in word order, is its owner
         _, first = np.unique(maps, return_index=True)
         return np.divmod(first, maps.shape[1])
+
+    def step_plan(self, k: int, n: int) -> tuple:
+        """The index work of level_step from level k to k+n, the same for
+        every model, built on the first call and held by the grid: (rows,
+        cols, gather), rows[w] the runs (x0, x1, q0) that row word w owns,
+        cols every run (w, ys, us) as slices, and gather = o V_k + p."""
+        if (k, n) not in self._plans:
+            o, p = self.owners(k, n)
+            runs = _runs(o, p)
+            rows = [[] for _ in range(3**n)]
+            for w, x0, x1, q0 in runs:
+                rows[w].append((x0, x1, q0))
+            cols = [(w, slice(y0, y1), slice(u0, u0 + y1 - y0)) for w, y0, y1, u0 in runs]
+            self._plans[k, n] = rows, cols, o * len(self.lam[k]) + p
+        return self._plans[k, n]
 
     def lift(self, idx: np.ndarray, level_from: int, level_to: int) -> np.ndarray:
         """Re-index vertices of a coarse level inside a finer level."""
@@ -257,21 +273,15 @@ def level_step(
     one, words o[x] and o[y] at positions v = p[x] and u = p[y]
     (FactorGrid.owners).  Row word by row word, the kernel writes chunks
     of rows of its blocks with every column word (_image_rows); the owned
-    rows go out by runs of consecutive positions (_runs), their columns by
-    the same runs or, where the runs outnumber the chunk's rows, by one
-    gather per row run from the chunk transposed to (R, J V).
+    rows go out by runs of consecutive positions, their columns by the
+    same runs or, where the runs outnumber the chunk's rows, by one gather
+    per row run from the chunk transposed to (R, J V): the grid's
+    step_plan, built once per (k, N).
     """
     size, nw = len(f), 3**model.n
     lam = fg.lam[k]
     lamt = np.ascontiguousarray(lam.T)
-    o, p = fg.owners(k, model.n)
-    runs = _runs(o, p)
-    rows = [[] for _ in range(nw)]
-    for w, x0, x1, q0 in runs:
-        rows[w].append((x0, x1, q0))
-    cols = [(w, slice(y0, y1), slice(u0, u0 + y1 - y0)) for w, y0, y1, u0 in runs]
-    # column y's entry in a row of the transposed chunk
-    gather = o * size + p
+    rows, cols, gather = fg.step_plan(k, model.n)
     chunks = _row_chunks(size, _STEP_ENTRIES // (nw * size))
     most = nw * size * max(hi - lo for lo, hi in chunks)
     buf, spare = np.empty(most), np.empty(most)

@@ -14,11 +14,15 @@ temporaries per chunk that `analysis._cell_oscillation` replaces, the
 descent gates through `bary_f` and `_window_start` that
 `gasket._descent_start` writes out, the cloud count that bins by
 `np.unique` at every level, where `analysis.box_count_cloud` bins into
-a dense table at low levels, and the box count of an oscillation table
-in Python integers.  Word positions come from `word_rows` and
+a dense table at low levels, the box count of an oscillation table in
+Python integers, the vertex list that `gasket.enumerate_vertices` writes
+in closed form, by canonicalizing, deduplicating and sorting every
+address, and the `grid` CSV that the CLI writes from slots filled once
+per coordinate, by '%' one row at a time.  Word positions come from `word_rows` and
 `word_positions`, not from `grids.word_index` or `grids.word_codes`."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -40,6 +44,7 @@ from gasketfif.gasket import (
     canonicalize,
     locate_many,
 )
+from gasketfif.grids import product_values
 from gasketfif.model import ProductVertex, _bilinear9, _bilinear_form, words_of_length
 
 
@@ -522,3 +527,31 @@ def box_count_oracle(model, n: int, table) -> int:
     if count > np.iinfo(np.int64).max:
         raise CapacityError(f"the level {n} box count does not fit in 64 bits")
     return count
+
+
+def enumerate_vertices_oracle(m: int) -> list:
+    """The canonical vertex addresses of level m by brute force: every
+    address (w, c) with |w| = m canonicalized, deduplicated and sorted by
+    (length of the word, word, corner)."""
+    seen = {
+        canonicalize(Address("".join(letters), corner))
+        for letters in itertools.product("123", repeat=m)
+        for corner in (1, 2, 3)
+    }
+    return sorted(seen, key=lambda a: (len(a.word), a.word, a.corner))
+
+
+def grid_csv_oracle(model, depth: int) -> bytes:
+    """The `grid` CSV as '%' writes it, one row at a time: row (i, j) is
+    the '%.17g' text of (pts1[i], pts2[j], f(v_i, v_j)) for the vertices
+    v of `enumerate_vertices(depth)`, the first factor outside.  The
+    points are the grid's barycentrics times each gasket's corners, the
+    values product_values' matrix."""
+    fg, _, values = product_values(model, depth)
+    order = fg.indices_of(enumerate_vertices_oracle(depth))
+    pts1 = (fg.lam[-1] @ model.gasket1.corner_array)[order].tolist()
+    pts2 = (fg.lam[-1] @ model.gasket2.corner_array)[order].tolist()
+    f = values[np.ix_(order, order)].tolist()
+    row = "%.17g," * 4 + "%.17g\n"
+    lines = [row % (*t, *s, f[i][j]) for i, t in enumerate(pts1) for j, s in enumerate(pts2)]
+    return ("t_x,t_y,s_x,s_y,f\n" + "".join(lines)).encode("ascii")

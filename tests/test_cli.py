@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import config_dict, write_config
-from oracles import check_lines_oracle
+from oracles import check_lines_oracle, grid_csv_oracle
 
 import gasketfif as gf
 from gasketfif import cli, evaluator, grids
@@ -37,6 +37,10 @@ def random_config(n, seed, alpha):
         for k, z in gf.random_dataset(n, seed).entries.items()
     ]
     return config_dict(n=n, alpha=alpha, data=data)
+
+
+#: two skewed gaskets far apart, one per factor
+SKEWED = ([[0.3, -1.2], [2.7, 0.4], [0.9, 3.1]], [[10.0, 5.0], [11.0, 5.2], [10.1, 6.3]])
 
 
 class TestBuild:
@@ -415,8 +419,7 @@ class TestGrid:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_rows_match_scalar_oracle_on_skewed_gaskets(self, tmp_path, n):
-        corners1 = [[0.3, -1.2], [2.7, 0.4], [0.9, 3.1]]
-        corners2 = [[10.0, 5.0], [11.0, 5.2], [10.1, 6.3]]
+        corners1, corners2 = SKEWED
         ds = gf.random_dataset(n, 11 + n)
         raw = config_dict(n=n, data=[
             {"first": str(k.first), "second": str(k.second), "z": z}
@@ -443,6 +446,26 @@ class TestGrid:
         assert np.max(np.abs(rows[:, 2:4] - np.tile(pts2, (nv, 1)))) <= 1e-14 * np.max(
             np.abs(corners2)
         )
+
+    @pytest.mark.parametrize(
+        "n, depth, case",
+        [(1, 4, "unit"), (2, 3, "unit"), (1, 4, "skewed"), (2, 4, "skewed"), (1, 4, "mixed")],
+    )
+    def test_csv_bytes_equal_percent_text(self, tmp_path, n, depth, case):
+        # the coordinates' slots, filled once and gathered by row, and the
+        # values formatted per row write what '%' writes row by row
+        raw = random_config(n, 11 + n, 0.3)
+        if case == "skewed":
+            raw["gasket1"], raw["gasket2"] = SKEWED
+        elif case == "mixed":
+            tensor = [[0.1, -0.2, 0.3], [0.2, 0.1, -0.1], [0.0, 0.25, 0.15]]
+            raw["scaling"] = {"cells": {
+                f"{a}|{b}": tensor if a == b else 0.2 for a in "123" for b in "123"
+            }}
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "g.csv"
+        assert main(["grid", "-c", cfg, "--depth", str(depth), "-o", str(out)]) == 0
+        assert out.read_bytes() == grid_csv_oracle(build_from_config(cfg), depth)
 
     def test_depth_not_a_multiple_of_n(self, tmp_path, capsys):
         cfg = write_config(tmp_path, random_config(2, 0, 0.2))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasketfif.errors import PreconditionError
-from gasketfif.fileio import atomic_open, format_17g
+from gasketfif.fileio import atomic_open, fill_words, format_17g, words_text
 
 
 def percent_text(block):
@@ -84,6 +84,18 @@ def test_non_contiguous_block():
     block = np.arange(1.0, 41.0).reshape(8, 5) / 7.0
     part = block[::2, ::2]
     assert format_17g(part) == percent_text(part)
+
+
+def test_fill_words_into_one_column_of_slots():
+    # as the grid CSV does: the slots of rows of 5 filled, then column 4
+    # filled again in place, as rows of 1, through a strided view; the
+    # edge values send some of it through the '%' fallback
+    block = EDGE[: len(EDGE) // 5 * 5].reshape(-1, 5)
+    words = np.empty((len(block), 5, 4), "<u8")
+    fill_words(block.ravel(), 5, words.reshape(-1, 4))
+    words[:, 4] = 0xFF
+    fill_words(block[:, 4].copy(), 1, words[:, 4])
+    assert words_text(words) == percent_text(block)
 
 
 def test_tables_built_on_first_use():

@@ -26,7 +26,7 @@ from gasketfif.gasket import (
     vertex_count,
     word_map_inverse,
 )
-from oracles import descend_oracle, descent_start_oracle, reduce_dyadic
+from oracles import descend_oracle, descent_start_oracle, enumerate_vertices_oracle, reduce_dyadic
 
 SPEC = GasketSpec()
 P1, P2, P3 = (np.array(p) for p in SPEC.corners)
@@ -194,6 +194,10 @@ class TestEnumerateVertices:
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
             enumerate_vertices(9)
+
+    def test_closed_form_equals_the_sorted_canonical_set(self):
+        for m in range(8):
+            assert enumerate_vertices(m) == enumerate_vertices_oracle(m)
 
     def test_same_list_as_numerator_keyed_enumeration(self):
         # oracle: dedupe on the reduced dyadic numerators of every raw

@@ -323,6 +323,33 @@ def test_product_values_and_rb_apply_equal_the_cell_pair_loop(n, top, kind):
     assert np.array_equal(bits(rb_apply(model, g).values), bits(want))
 
 
+def test_step_plans_built_once_per_step_on_one_grid(monkeypatch):
+    # as check's contraction test: many applications on one grid, here
+    # with models of N=1 and N=2 and several scalings; the owner maps of
+    # each (k, N) are built once, and every step still equals the loop
+    built = []
+    owners = FactorGrid.owners
+    monkeypatch.setattr(
+        FactorGrid, "owners", lambda fg, k, n: built.append((k, n)) or owners(fg, k, n)
+    )
+    fg = FactorGrid(4)
+    rng = np.random.default_rng(4)
+    for n, kind in ((2, "tensor"), (1, "constant"), (2, "mixed"), (1, "gasket"), (2, "gasket")):
+        model = any_depth_model(n, kind)
+        for k in (0, 2, 4 - n):
+            f = rng.standard_normal((vertex_count(k),) * 2)
+            want = level_step_oracle(model, fg, k, f)
+            got = level_step(model, fg, k, f, np.full_like(want, np.nan))
+            assert np.array_equal(bits(got), bits(want))
+        g = GridFunction(model, 4, grid=fg)
+        g.values = rng.standard_normal(g.values.shape)
+        idx = fg.lift(np.arange(vertex_count(4 - n)), 4 - n, 4)
+        want = level_step_oracle(model, fg, 4 - n, g.values[np.ix_(idx, idx)])
+        for _ in range(2):
+            assert np.array_equal(bits(rb_apply(model, g).values), bits(want))
+    assert sorted(built) == [(0, 1), (0, 2), (2, 1), (2, 2), (3, 1)]
+
+
 @pytest.mark.parametrize(
     "n, depth, kind",
     [(1, 3, "tensor"), (1, 6, "constant"), (1, 6, "mixed"), (2, 4, "gasket"), (2, 6, "tensor"),
