@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fileio import atomic_open, fill_words, words_text
 from .gasket import MAX_ENUM_DEPTH, Address, GasketSpec, enumerate_vertices
-from .grids import FactorGrid, product_values
+from .grids import product_values
 from .model import (
     DataSet,
     ScalingField,
@@ -344,7 +344,7 @@ def _run_checks(model) -> list:
     check("compatibility", not rep.violations, detail)
 
     # every data vertex pair, in one array call
-    grid = FactorGrid(model.n)
+    grid = model.data.grid
     verts = enumerate_vertices(model.n)
     letters, corners = evaluator.address_letters(verts)
     a, b = np.divmod(np.arange(len(verts) ** 2), len(verts))

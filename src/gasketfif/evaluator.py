@@ -16,7 +16,7 @@ from .errors import CapacityError, PreconditionError
 from .fileio import atomic_open, format_17g
 from .gasket import MAX_DESCENT_DEPTH, Address, _descend, _descent_start, locate_many
 from .grids import GRID_BYTES, FactorGrid, check_grid_bytes, level_step, product_values, word_codes
-from .model import FifModel, _bilinear9, _bilinear_form
+from .model import FifModel, _bilinear_form
 
 
 def address_letters(addresses) -> tuple:
@@ -32,8 +32,8 @@ def address_letters(addresses) -> tuple:
 def _exact_step(table, c, x, lam, mu):
     """One step of the recursion on the cell-pair rows c of the cell
     table, in eval_exact and in chaos_game: alpha_c(lam, mu) x +
-    h_c(lam, mu), for (3, P) barycentric triples lam, mu; each entry as
-    `_bilinear9` rounds it."""
+    h_c(lam, mu), for (3, P) barycentric triples lam, mu; each bilinear
+    form in `_bilinear_form`'s term order, as eval_approx writes it."""
     alpha = table.alpha[0, 0].take(c)
     if table.any_tensor:
         tensor = table.alpha.reshape(9, -1).take(c, axis=1).reshape(3, 3, -1)
@@ -84,7 +84,7 @@ def eval_exact(model: FifModel, addr_t, addr_s):
     block's offset, exact dyadics for words of up to 52 letters.  The
     recursion bottoms out at a corner pair, where f vanishes; the result
     carries no truncation error, only the rounding of the bilinear forms,
-    each rounded as `_bilinear9` rounds it.
+    each in `_bilinear_form`'s term order.
     """
     if isinstance(addr_t, Address):
         return float(_exact(model, address_letters([addr_t]), address_letters([addr_s]))[0][0])
@@ -159,15 +159,19 @@ def eval_approx(model: FifModel, t, s, k: int) -> tuple:
             continue
         left = n
         c = i * nw + j
+        # h and a tensor alpha at (lam, mu): `_bilinear_form`, its terms in its order
         h = shift_rows[c]
-        # _bilinear9(h, lam, mu), its terms in its order
         value += coeff * (
             l0 * (h[0] * m0 + h[1] * m1 + h[2] * m2)
             + l1 * (h[3] * m0 + h[4] * m1 + h[5] * m2)
             + l2 * (h[6] * m0 + h[7] * m1 + h[8] * m2)
         )
-        alpha = alpha_rows[c]
-        coeff *= alpha if type(alpha) is float else _bilinear9(alpha, (l0, l1, l2), (m0, m1, m2))
+        a = alpha_rows[c]
+        coeff *= a if type(a) is float else (
+            l0 * (a[0] * m0 + a[1] * m1 + a[2] * m2)
+            + l1 * (a[3] * m0 + a[4] * m1 + a[5] * m2)
+            + l2 * (a[6] * m0 + a[7] * m1 + a[8] * m2)
+        )
         i = j = 0
     bound = abs(coeff) * f_sup_bound
     return value, bound + rounding[k - 1]
@@ -176,24 +180,31 @@ def eval_approx(model: FifModel, t, s, k: int) -> tuple:
 def _approx_constants(model: FifModel) -> tuple:
     """What eval_approx reads of a model, built on its first call and
     kept in the model's __dict__, as a cached_property keeps its value:
-    (n, both gaskets' `_descent_coeffs`, the number of block words,
-    `CellTable.shift_rows` and `alpha_rows`, f_sup_bound, and
+    (n, both gaskets' `_descent_coeffs`, the number of block words, the
+    cell table's rows as Python floats, f_sup_bound, and
     `_input_rounding_bound` for every k the depth limit admits, k - 1 its
-    index).  One dict lookup per call instead of the attribute reads and
-    the rounding bound's arithmetic."""
+    index).  Per cell-pair, a shift row holds its 9 corners row-major, an
+    alpha row its constant or its 9 tensor corners.  One dict lookup per
+    call instead of the attribute reads and the rounding bound's
+    arithmetic, and floats where numpy scalars would be far slower."""
     consts = model.__dict__.get("_approx_constants")
     if consts is None:
         table = model.cell_table
         rounding = tuple(
             _input_rounding_bound(model, k) for k in range(1, MAX_DESCENT_DEPTH // model.n + 1)
         )
+        # the tensors' rows alone: one float kept out of every row of 9
+        # holds the memory of the rest (0.2-0.4 MB of the points
+        # benchmark's peak RSS)
+        tensors = map(tuple, table.alpha.reshape(9, -1)[:, table.is_tensor].T.tolist())
+        constants = table.alpha[0, 0].tolist()
         consts = (
             model.n,
             model.gasket1._descent_coeffs,
             model.gasket2._descent_coeffs,
             3**model.n,
-            table.shift_rows,
-            table.alpha_rows,
+            tuple(map(tuple, table.shift.reshape(9, -1).T.tolist())),
+            tuple(next(tensors) if t else a for t, a in zip(table.is_tensor.tolist(), constants)),
             model.f_sup_bound,
             rounding,
         )

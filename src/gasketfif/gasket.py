@@ -139,7 +139,7 @@ class GasketSpec:
         """The largest `_window_start` on the hull: the rounding scale is
         convex, so it peaks at a corner (SNAP_TOL outside, by a factor
         1 + 6 SNAP_TOL at most, well inside the window's margin of 2)."""
-        return max(_window_start(self, x, y) for x, y in self.corners)
+        return max(_window_start(self, *self.corner_array.T).tolist())
 
     @cached_property
     def _bary_residual(self) -> float:
@@ -184,12 +184,10 @@ def _affine_rows(a: tuple, x, y, absolute: bool, out=None, scratch=None) -> np.n
     return out
 
 
-def bary_f(spec: GasketSpec, x, y, out=None, scratch=None):
-    """Barycentric coordinates of (x, y) w.r.t. the outer triangle: three
-    floats for floats x, y; for (P,) arrays, a (3, P) array, written into
-    `out` with the (P,) `scratch` row when they are given."""
-    if np.ndim(x) == 0:
-        return tuple(bary_f(spec, [x], [y])[:, 0].tolist())
+def bary_f(spec: GasketSpec, x, y, out=None, scratch=None) -> np.ndarray:
+    """Barycentric coordinates of the (P,) points (x, y) w.r.t. the outer
+    triangle, a (3, P) array, written into `out` with the (P,) `scratch`
+    row when they are given."""
     return _affine_rows(spec._bary_inv, x, y, False, out, scratch)
 
 
@@ -225,7 +223,7 @@ def word_map_inverse(spec: GasketSpec, w: str, t, tol: float = SNAP_TOL) -> np.n
     """Invert L_w on its image cell; raises DomainError off the cell."""
     scale = 2.0 ** len(w)
     # L_w maps lam to lam / scale + address_bary((w, 1)) - e_1 / scale
-    lam = (np.array(bary_f(spec, float(t[0]), float(t[1]))) - address_bary(Address(w, 1))) * scale
+    lam = (bary_f(spec, [float(t[0])], [float(t[1])])[:, 0] - address_bary(Address(w, 1))) * scale
     lam[0] += 1.0
     # the snap tolerance is relative to the cell size, hence scaled by 2^|w|
     if lam.min() < -tol * scale:
@@ -290,7 +288,7 @@ def _check_depth(depth: int) -> None:
         )
 
 
-def _window_start(spec: GasketSpec, x, y, out=None, scratch=None):
+def _window_start(spec: GasketSpec, x, y, out=None, scratch=None) -> np.ndarray:
     """Starting snap window of a descent from the point (x, y): 8 ulp of
     bary_f's rounding scale S = max_i(|a_i0 x| + |a_i1 y| + |a_i2|) plus
     twice the float inverse's residual.  bary_f's rounding error in
@@ -299,11 +297,9 @@ def _window_start(spec: GasketSpec, x, y, out=None, scratch=None):
     in every coordinate, how far bary_f(x, y) lies from the exact
     barycentrics of any point that rounds to (x, y).
 
-    A float for floats x, y; for (P,) arrays, a (P,) array: row 0 of the
-    (3, P) work rows `out`, with the (P,) `scratch`, when they are given.
+    For the (P,) points (x, y), a (P,) array: row 0 of the (3, P) work
+    rows `out`, with the (P,) `scratch`, when they are given.
     """
-    if np.ndim(x) == 0:
-        return _window_start(spec, [x], [y]).item()
     peak, r1, r2 = _affine_rows(spec._bary_inv, x, y, True, out, scratch)
     # max of the rows as Python compares: NaN when row 0 is, else the largest number
     np.fmax(r1, r2, out=r1)

@@ -55,9 +55,9 @@ class DataSet:
     """Interpolation values z on the depth-N product vertex set V_N x V_N.
 
     values[i, j] is z at vertex i of the first gasket and vertex j of the
-    second, both in FactorGrid(N) order.  build_model checks the rest for
-    every data set, however it was made: the shape, and that the values
-    are finite and zero on the boundary.
+    second, both in the order of `grid`, the data set's one FactorGrid(N).
+    build_model checks the rest for every data set, however it was made:
+    the shape, and that the values are finite and zero on the boundary.
     """
 
     n: int
@@ -83,7 +83,8 @@ class DataSet:
         # input order
         named = dict.fromkeys(itertools.chain.from_iterable(zip(firsts, seconds)))
         parsed = {a: a if isinstance(a, Address) else Address.parse(a) for a in named}
-        fg = FactorGrid(n)
+        data = cls.zeros(n)
+        fg = data.grid
         index = dict(zip(named, fg.indices_of(parsed.values()).tolist()))
         i = np.fromiter(map(index.__getitem__, firsts), dtype=np.intp, count=len(z))
         j = np.fromiter(map(index.__getitem__, seconds), dtype=np.intp, count=len(z))
@@ -111,18 +112,24 @@ class DataSet:
             raise ValidationError(f"missing data for vertex {_pair_name(fg, np.argmin(written))}")
         # every pair, in order: of its equal values, the one given last
         # (0.0 or -0.0)
-        return cls(n, z[np.append(~same, True)].reshape(nv, nv))
+        data.values[...] = z[np.append(~same, True)].reshape(nv, nv)
+        return data
 
     @classmethod
     def zeros(cls, n: int) -> "DataSet":
         return cls(n, np.zeros((vertex_count(n),) * 2))
 
     @cached_property
+    def grid(self) -> FactorGrid:
+        """FactorGrid(n), the vertex index of `values`; built on first use."""
+        return FactorGrid(self.n)
+
+    @cached_property
     def entries(self) -> dict:
         """The values by canonical vertex pair, {ProductVertex: float}, in
         `enumerate_vertices` order; built on first use."""
         verts = enumerate_vertices(self.n)
-        idx = FactorGrid(self.n).indices_of(verts)
+        idx = self.grid.indices_of(verts)
         rows = self.values[np.ix_(idx, idx)].tolist()
         return {
             ProductVertex(a, b): z for a, row in zip(verts, rows) for b, z in zip(verts, row)
@@ -206,9 +213,7 @@ class CellTable:
     gasket, L_w of the i-th word maps lam to 2^-N lam + offset[:, i],
     exactly.  alpha holds the scaling corners as `ScalingField.corners`
     does, a constant cell filling its 3x3, so alpha[0, 0] holds the
-    constants; is_tensor tells the tensors apart.  The arrays serve
-    vectorised code; `shift_rows` and `alpha_rows`, built on first use,
-    hold the same numbers as Python floats for scalar loops.
+    constants; is_tensor tells the tensors apart.
     """
 
     offset: np.ndarray  # (3, 3**N) barycentric offsets of the maps L_w
@@ -226,21 +231,6 @@ class CellTable:
         offset = np.array([address_bary(Address(w, 1)) for w in words_of_length(n)]).T
         offset[0] -= 0.5**n
         return cls(offset, shift, alpha, is_tensor, bool(is_tensor.any()))
-
-    @cached_property
-    def shift_rows(self) -> tuple:
-        """C tuples of 9 corner values, row-major."""
-        return tuple(map(tuple, self.shift.reshape(9, -1).T.tolist()))
-
-    @cached_property
-    def alpha_rows(self) -> tuple:
-        """C entries: the constant as a float, or a tuple of 9 corner values."""
-        # the tensors' rows alone: one float kept out of every row of 9
-        # holds the memory of the rest (0.2-0.4 MB of the points
-        # benchmark's peak RSS)
-        tensors = map(tuple, self.alpha.reshape(9, -1)[:, self.is_tensor].T.tolist())
-        constants = self.alpha[0, 0].tolist()
-        return tuple(next(tensors) if t else a for t, a in zip(self.is_tensor.tolist(), constants))
 
 
 def _vertex_names(fg: FactorGrid) -> dict:
@@ -286,7 +276,7 @@ def build_model(
     alpha_sup = float(abs(alpha).max())  # a bilinear form's sup is at a corner pair
     if alpha_sup >= 1.0:
         raise ContractionError(f"scaling sup norm {alpha_sup} must be < 1")
-    fg = FactorGrid(n)
+    fg = data.grid
     z = data.values
     nv = vertex_count(n)
     if z.shape != (nv, nv):
@@ -338,18 +328,6 @@ def _bilinear_form(cell, lam, mu):
     )
 
 
-def _bilinear9(c, lam, mu) -> float:
-    """`_bilinear_form` for a cell given as 9 row-major Python floats,
-    with the same terms in the same order; much faster than indexing a
-    numpy array in scalar loops."""
-    m0, m1, m2 = mu
-    return (
-        lam[0] * (c[0] * m0 + c[1] * m1 + c[2] * m2)
-        + lam[1] * (c[3] * m0 + c[4] * m1 + c[5] * m2)
-        + lam[2] * (c[6] * m0 + c[7] * m1 + c[8] * m2)
-    )
-
-
 #: the largest junction discrepancy check_compatibility accepts
 COMPATIBILITY_TOL = 1e-12
 
@@ -365,14 +343,14 @@ def check_compatibility(model: FifModel) -> CompatibilityReport:
     """Verify that the cell-pair maps agree wherever two cells touch.
 
     Corner [a, b] of the cell-pair (i, j) in `cell_table` is the value the
-    pair writes at the product vertex (cells[i, a], cells[j, b]) of
-    FactorGrid(N).  The discrepancy of a vertex pair is the max less the
+    pair writes at the product vertex (cells[i, a], cells[j, b]) of the
+    data set's grid.  The discrepancy of a vertex pair is the max less the
     min of all its writers; h is bilinear, so two cells agree along a
     junction exactly when they agree at its corners.  A discrepancy that
     is not <= COMPATIBILITY_TOL, NaN among them, is a violation.
     """
     n = model.n
-    fg = FactorGrid(n)
+    fg = model.data.grid
     cells = fg.cells[n].T  # cells[a, i]: corner a of the i-th word cell
     nv = vertex_count(n)
     w = cells.shape[1]

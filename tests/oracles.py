@@ -1,24 +1,27 @@
 """Scalar oracles: the cell-pair maps, read one row of FifModel.cell_table
-at a time by word pair, the sequential descent of one point that
-`gasket.locate_many` runs on arrays (the scalar `descend` the library
-had, its start in Python floats on the gasket's stored inverse, not
-through `bary_f` and `_window_start`), `GridFunction.__call__` and the
-truncated unrolling of `evaluator.eval_approx` on that descent, the
-scalar recursion that the array `evaluator.eval_exact` replaces, the data set
-keyed by canonical vertex pairs that `model.DataSet` holds as a matrix,
-the dict-keyed vertex index that `grids.FactorGrid` builds with array
-ops, the level step one cell-pair at a time that `grids.level_step`
-computes one row word at a time with every column word, `FactorGrid`'s
-index maps one letter at a time, the cell oscillation kernel with fresh
-temporaries per chunk that `analysis._cell_oscillation` replaces, the
-descent gates through `bary_f` and `_window_start` that
-`gasket._descent_start` writes out, the cloud count that bins by
-`np.unique` at every level, where `analysis.box_count_cloud` bins into
-a dense table at low levels, the box count of an oscillation table in
-Python integers, the vertex list that `gasket.enumerate_vertices` writes
-in closed form, by canonicalizing, deduplicating and sorting every
-address, and the `grid` CSV that the CLI writes from slots filled once
-per coordinate, by '%' one row at a time.  Word positions come from `word_rows` and
+at a time by word pair, as Python floats from the stored arrays, and
+evaluated by their own `bilinear9`; the barycentric map `bary`, in Python
+floats on the gasket's stored inverse (neither goes through
+`model._bilinear_form`, `gasket.bary_f` or `eval_approx`'s rows); the
+sequential descent of one point that `gasket.locate_many` runs on arrays
+(the scalar `descend` the library had, its start on `bary`),
+`GridFunction.__call__` and the truncated unrolling of
+`evaluator.eval_approx` on that descent, the scalar recursion that the
+array `evaluator.eval_exact` replaces, the data set keyed by canonical
+vertex pairs that `model.DataSet` holds as a matrix, the dict-keyed
+vertex index that `grids.FactorGrid` builds with array ops, the level
+step one cell-pair at a time that `grids.level_step` computes one row
+word at a time with every column word, `FactorGrid`'s index maps one
+letter at a time, the cell oscillation kernel with fresh temporaries per
+chunk that `analysis._cell_oscillation` replaces, the descent gates that
+`gasket._descent_start` writes out, through `bary_f` and `_window_start`
+on one-element arrays, the cloud count that bins by `np.unique` at every
+level, where `analysis.box_count_cloud` bins into a dense table at low
+levels, the box count of an oscillation table in Python integers, the
+vertex list that `gasket.enumerate_vertices` writes in closed form, by
+canonicalizing, deduplicating and sorting every address, and the `grid`
+CSV that the CLI writes from slots filled once per coordinate, by '%'
+one row at a time.  Word positions come from `word_rows` and
 `word_positions`, not from `grids.word_index` or `grids.word_codes`."""
 
 import functools
@@ -45,7 +48,7 @@ from gasketfif.gasket import (
     locate_many,
 )
 from gasketfif.grids import product_values
-from gasketfif.model import ProductVertex, _bilinear9, _bilinear_form, words_of_length
+from gasketfif.model import ProductVertex, _bilinear_form, words_of_length
 
 
 @functools.cache
@@ -65,29 +68,59 @@ def shift_corners(model, omega: str, eta: str) -> np.ndarray:
     return model.cell_table.shift[:, :, row(model, omega, eta)]
 
 
+def bilinear9(c, lam, mu) -> float:
+    """lam^T C mu for the 3x3 cell C given as 9 row-major floats, term by
+    term in the order of `model._bilinear_form`."""
+    m0, m1, m2 = mu
+    return (
+        lam[0] * (c[0] * m0 + c[1] * m1 + c[2] * m2)
+        + lam[1] * (c[3] * m0 + c[4] * m1 + c[5] * m2)
+        + lam[2] * (c[6] * m0 + c[7] * m1 + c[8] * m2)
+    )
+
+
+def shift_value(model, c: int, lam, mu) -> float:
+    """h of cell_table row c at the barycentrics (lam, mu): `bilinear9` of
+    its 9 corners as Python floats."""
+    return bilinear9(model.cell_table.shift[:, :, c].ravel().tolist(), lam, mu)
+
+
+def scaling_value(model, c: int, lam, mu) -> float:
+    """alpha of cell_table row c at the barycentrics (lam, mu): a constant
+    as a Python float, a tensor by `bilinear9` of its 9 corners."""
+    table = model.cell_table
+    if not table.is_tensor[c]:
+        return float(table.alpha[0, 0, c])
+    return bilinear9(table.alpha[:, :, c].ravel().tolist(), lam, mu)
+
+
 def scaling_at(model, omega: str, eta: str, lam, mu) -> float:
     """alpha_{omega eta} at the barycentrics (lam, mu)."""
-    alpha = model.cell_table.alpha_rows[row(model, omega, eta)]
-    return alpha if type(alpha) is float else _bilinear9(alpha, lam, mu)
+    return scaling_value(model, row(model, omega, eta), lam, mu)
 
 
 def shift_at(model, omega: str, eta: str, lam, mu) -> float:
     """h_{omega eta} at the barycentrics (lam, mu)."""
-    return _bilinear9(model.cell_table.shift_rows[row(model, omega, eta)], lam, mu)
+    return shift_value(model, row(model, omega, eta), lam, mu)
+
+
+def bary(spec, t) -> tuple:
+    """The barycentrics of the point t on the gasket spec, in Python
+    floats on its stored inverse, in the operation order of
+    `gasket.bary_f`: (a_i0 x + a_i1 y) + a_i2."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = spec._bary_inv
+    x, y = float(t[0]), float(t[1])
+    return a0 * x + a1 * y + a2, a3 * x + a4 * y + a5, a6 * x + a7 * y + a8
 
 
 def eval_scaling(model, omega: str, eta: str, t, s) -> float:
     """alpha_{omega eta}(t, s) for preimage coordinates (t, s)."""
-    lam = bary_f(model.gasket1, float(t[0]), float(t[1]))
-    mu = bary_f(model.gasket2, float(s[0]), float(s[1]))
-    return scaling_at(model, omega, eta, lam, mu)
+    return scaling_at(model, omega, eta, bary(model.gasket1, t), bary(model.gasket2, s))
 
 
 def eval_shift(model, omega: str, eta: str, t, s) -> float:
     """h_{omega eta}(t, s) for preimage coordinates (t, s)."""
-    lam = bary_f(model.gasket1, float(t[0]), float(t[1]))
-    mu = bary_f(model.gasket2, float(s[0]), float(s[1]))
-    return shift_at(model, omega, eta, lam, mu)
+    return shift_at(model, omega, eta, bary(model.gasket1, t), bary(model.gasket2, s))
 
 
 def descend_oracle(spec, t, depth: int) -> tuple:
@@ -104,7 +137,7 @@ def descend_oracle(spec, t, depth: int) -> tuple:
     _check_depth(depth)
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = spec._bary_inv
     x, y = float(t[0]), float(t[1])
-    l0, l1, l2 = a0 * x + a1 * y + a2, a3 * x + a4 * y + a5, a6 * x + a7 * y + a8
+    l0, l1, l2 = bary(spec, t)
     if min(l0, l1, l2) < -SNAP_TOL:
         raise DomainError(f"point {tuple(t)} lies outside the gasket hull")
     peak = max(
@@ -154,7 +187,6 @@ def eval_approx_oracle(model, t, s, k: int) -> tuple:
         )
     wt, lams = descend_oracle(model.gasket1, t, d)
     ws, mus = descend_oracle(model.gasket2, s, d)
-    table = model.cell_table
     index = word_rows(n)
     nw = len(index)
     value = 0.0
@@ -163,9 +195,8 @@ def eval_approx_oracle(model, t, s, k: int) -> tuple:
         hi = lo + n
         c = index[wt[lo:hi]] * nw + index[ws[lo:hi]]
         lam, mu = lams[hi - 1], mus[hi - 1]
-        value += coeff * _bilinear9(table.shift_rows[c], lam, mu)
-        alpha = table.alpha_rows[c]
-        coeff *= alpha if type(alpha) is float else _bilinear9(alpha, lam, mu)
+        value += coeff * shift_value(model, c, lam, mu)
+        coeff *= scaling_value(model, c, lam, mu)
     bound = abs(coeff) * model.f_sup_bound
     return value, bound + _input_rounding_bound(model, k)
 
@@ -201,10 +232,7 @@ def eval_exact_oracle(model, addr_t, addr_s) -> float:
     for lo in range(m - n, -1, -n):
         i, j = index[wt[lo : lo + n]], index[ws[lo : lo + n]]
         c = i * nw + j
-        alpha = table.alpha_rows[c]
-        if type(alpha) is not float:
-            alpha = _bilinear9(alpha, lam, mu)
-        x = alpha * x + _bilinear9(table.shift_rows[c], lam, mu)
+        x = scaling_value(model, c, lam, mu) * x + shift_value(model, c, lam, mu)
         o, p = offsets[i], offsets[j]
         lam = (o[0] + scale * lam[0], o[1] + scale * lam[1], o[2] + scale * lam[2])
         mu = (p[0] + scale * mu[0], p[1] + scale * mu[1], p[2] + scale * mu[2])
@@ -454,12 +482,13 @@ def cell_oscillation_oracle(f: np.ndarray, cells, out: np.ndarray) -> np.ndarray
 
 def descent_start_oracle(spec, t, depth: int) -> tuple:
     """`gasket._descent_start` through the helpers it writes out: lam =
-    bary_f(t) and neg = -_window_start(t), the gates in the same order."""
-    x, y = float(t[0]), float(t[1])
-    l0, l1, l2 = bary_f(spec, x, y)
+    bary_f(t) and neg = -_window_start(t), each on one-element arrays, the
+    gates in the same order."""
+    x, y = [float(t[0])], [float(t[1])]
+    l0, l1, l2 = bary_f(spec, x, y)[:, 0].tolist()
     if min(l0, l1, l2) < -SNAP_TOL:
         raise DomainError(f"point {tuple(t)} lies outside the gasket hull")
-    eff = _window_start(spec, x, y)
+    eff = float(_window_start(spec, x, y)[0])
     if eff * 2.0**depth > MAX_WINDOW:
         raise _window_error(t, depth)
     neg = -eff

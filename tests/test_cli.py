@@ -624,6 +624,43 @@ class TestHolder:
         assert "empiricalExponent = 0.925689 +- 0.000000" in capsys.readouterr().out
 
 
+def spy_factor_grids(monkeypatch) -> list:
+    """The depths of the FactorGrids built from now on, in order."""
+    built = []
+    init = grids.FactorGrid.__init__
+
+    def spy(fg, depth):
+        built.append(depth)
+        init(fg, depth)
+
+    monkeypatch.setattr(grids.FactorGrid, "__init__", spy)
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build"],
+        ["check"],
+        ["eval", "--address", "1@2", "2@3"],
+        ["eval", "--point", "0.25", "0", "0.5", "0"],
+        ["grid", "--depth", "3", "-o", "{tmp}/grid.csv"],
+        ["chaos", "--points", "100", "-o", "{tmp}/chaos.csv"],
+        ["dim", "--min-level", "2", "--max-level", "5"],
+        ["holder", "--min-level", "2", "--max-level", "5"],
+    ],
+    ids=["build", "check", "eval-address", "eval-point", "grid", "chaos", "dim", "holder"],
+)
+def test_every_verb_builds_the_data_grid_once(tmp_path, capsys, monkeypatch, argv):
+    # FactorGrid(1) is the data set's grid, read by build_model,
+    # check_compatibility and check; a verb's deeper grids are its own
+    cfg = write_config(tmp_path, config_dict(n=1))
+    built = spy_factor_grids(monkeypatch)
+    main([argv[0], "-c", cfg] + [a.format(tmp=tmp_path) for a in argv[1:]])
+    capsys.readouterr()
+    assert built.count(1) == 1 and built[0] == 1
+
+
 class TestCheck:
     def test_valid_model_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, config_dict())
@@ -641,17 +678,10 @@ class TestCheck:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_contraction_test_builds_one_grid(self, tmp_path, capsys, monkeypatch, n):
-        # its ten grid functions share one FactorGrid(N)
-        built = []
-
-        class Spy(grids.FactorGrid):
-            def __init__(self, depth):
-                built.append(depth)
-                super().__init__(depth)
-
-        monkeypatch.setattr(cli, "FactorGrid", Spy)
-        monkeypatch.setattr(evaluator, "FactorGrid", Spy)
+        # its ten grid functions share one FactorGrid(N): the data set's,
+        # the only grid the whole run builds
         cfg = write_config(tmp_path, config_dict(n=n))
+        built = spy_factor_grids(monkeypatch)
         assert main(["check", "-c", cfg]) == 0
         assert "PASS contraction" in capsys.readouterr().out
         assert built == [n]
@@ -660,6 +690,12 @@ class TestCheck:
         cfg = write_config(tmp_path, config_dict())
         assert main(["check", "-c", cfg, "--corrupt", "1|2|2|1|0.1"]) == 1
         assert "FAIL compatibility" in capsys.readouterr().out
+
+    def test_junction_off_by_1e_6_fails(self, tmp_path, capsys):
+        # far above the round-off of a built model, which reads 0
+        cfg = write_config(tmp_path, config_dict())
+        assert main(["check", "-c", cfg, "--corrupt", "1|2|2|1|1e-6"]) == 1
+        assert "FAIL compatibility (max discrepancy 1.000e-06" in capsys.readouterr().out
 
     @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
     def test_non_finite_corner_fails(self, tmp_path, capsys, delta):

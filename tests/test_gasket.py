@@ -536,7 +536,8 @@ class TestDescendOracle:
     def test_coordinate_below_the_window_fails_at_depth_one(self):
         # inside the hull gate, outside the starting window: no letter
         t = (0.25, -2e-10)
-        assert bary_f(SPEC, *t)[2] < -_window_start(SPEC, *t)
+        x, y = [t[0]], [t[1]]
+        assert bary_f(SPEC, x, y)[2, 0] < -_window_start(SPEC, x, y)[0]
         for depth in (1, 5):
             want = outcome(descend_oracle, SPEC, t, depth)
             assert want == (DomainError, f"point {t} is not on the gasket at depth 1")
@@ -672,13 +673,31 @@ class TestDescentStart:
         assert start_bits(descent_start, spec, t, 12) == want
 
     def test_window_equals_window_start(self):
+        # each point's scalar start against its column of one array call
         rng = np.random.default_rng(3)
         for spec in (SPEC, AXIS, moved(SPEC, (1e3, -1e3))):
-            for u, v in rng.random((50, 2)) / 2:
-                t = tuple(hull_point(spec, u, v).tolist())
-                neg = descent_start(spec, t, 1)[3]
-                assert neg == -_window_start(spec, *t)
-                assert descent_start(spec, t, 1)[:3] == bary_f(spec, *t)
+            pts = np.array([hull_point(spec, u, v) for u, v in rng.random((50, 2)) / 2])
+            lam = bary_f(spec, pts[:, 0], pts[:, 1]).T.tolist()
+            eff = _window_start(spec, pts[:, 0], pts[:, 1]).tolist()
+            for p, t in enumerate(map(tuple, pts.tolist())):
+                got = descent_start(spec, t, 1)
+                assert got[3] == -eff[p]
+                assert list(got[:3]) == lam[p]
+
+
+def test_window_past_one_eighth_is_refused():
+    # the corner of a gasket 1e3 from the origin starts with a window of
+    # about 2^-37: at two depths it is in (1/8, 1/2] of a cell, a window
+    # wide enough to pass a neighbouring cell off as the point's own
+    far = moved(SPEC, (1e3, -1e3))
+    p = far.corners[1]
+    eff = float(_window_start(far, [p[0]], [p[1]])[0])
+    depths = [d for d in range(1, MAX_DESCENT_DEPTH + 1) if 0.125 < eff * 2.0**d <= 0.5]
+    assert len(depths) == 2
+    assert locate(far, p, depths[0] - 1) == "2" * (depths[0] - 1)
+    for d in depths:
+        for f in (locate, lambda spec, t, d: locate_many(spec, [t], d), descent_start):
+            assert outcome(f, far, p, d)[0] is PreconditionError
 
 
 def test_degenerate_gasket_rejected():

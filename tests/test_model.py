@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 from collections import Counter
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import gasketfif as gf
 from gasketfif.errors import ContractionError, ValidationError
+from gasketfif.evaluator import _approx_constants
 from gasketfif.gasket import Address, GasketSpec, address_point, canonicalize
 from gasketfif.grids import FactorGrid, product_values
 from gasketfif.model import (
@@ -484,6 +486,16 @@ class TestCompatibility:
         assert rep.max_discrepancy == pytest.approx(0.1, abs=1e-12)
         assert any("junction" in desc for desc, _ in rep.violations)
 
+    def test_discrepancy_of_1e_6_is_a_violation(self, ref03):
+        # a built model reads 0, so a tolerance of 1e-12 (written out, not
+        # read from COMPATIBILITY_TOL) leaves a 1e-6 junction error no room
+        bad = perturb_shift(ref03, "1", "2", 2, 1, 1e-6)
+        rep = check_compatibility(bad)
+        assert rep.max_discrepancy == pytest.approx(1e-6, rel=1e-9)
+        assert rep.max_discrepancy > 1e-12
+        assert [desc for desc, _ in rep.violations] == [rep.worst]
+        assert rep.worst == "junction at 1@2|1@2"
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_corner_matches_the_junction_loop(self, n):
         # every corner of every cell-pair: 81 cases at N=1, 729 at N=2
@@ -555,11 +567,13 @@ class TestOneScalingStore:
         # alpha[0, 0] is a view of every cell's constant
         assert np.shares_memory(table.alpha[0, 0], table.alpha)
         assert table.alpha[0, 0].flags.c_contiguous
-        before = (table.alpha.copy(), table.alpha_rows, product_values(model, n + 1)[2])
+        # eval_approx's alpha rows, built afresh for a copy of the model
+        rows = _approx_constants(replace(model))[5]
+        before = (table.alpha.copy(), rows, product_values(model, n + 1)[2])
         field.corners[...] = 0.9
         field.is_tensor[...] = ~field.is_tensor
         assert np.array_equal(table.alpha.view(np.uint64), before[0].view(np.uint64))
-        assert table.alpha_rows == before[1]
+        assert _approx_constants(replace(model))[5] == before[1]
         after = product_values(model, n + 1)[2]
         assert np.array_equal(after.view(np.uint64), before[2].view(np.uint64))
 
@@ -575,8 +589,10 @@ class TestOneScalingStore:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_alpha_rows(self, n):
+        # the alpha rows that eval_approx reads: a float per constant cell,
+        # 9 floats per tensor, bit for bit the scaling field's corners
         field = mixed_scaling(n, 10 + n)
-        rows = build_model(gf.random_dataset(n, 0), field).cell_table.alpha_rows
+        rows = _approx_constants(build_model(gf.random_dataset(n, 0), field))[5]
         assert len(rows) == 9**n
         for c, entry in enumerate(rows):
             corners = field.corners[:, :, c].ravel()
